@@ -155,15 +155,19 @@ def _cmd_evolve(args) -> int:
             spectral.write_ctf(s.te, f"{args.out_prefix}_te_{step:06d}.ctf")
             spectral.write_ctf(s.tb, f"{args.out_prefix}_tb_{step:06d}.ctf")
 
+    # without --log only the first and last diagnostics are used, for the drift
+    log_every = 1 if args.log else max(args.steps, 1)
     if args.stepper == "spectral":
         final, logs = evolve.run_spectral(state, args.dt, args.steps,
+                                          log_every=log_every,
                                           dump_every=args.dump_every,
                                           dump_fn=dump_fn)
     else:
         logs = [evolve.diagnostics(state)]
         for step in range(1, args.steps + 1):
             state = evolve.step_rk4(state, args.dt)
-            logs.append(evolve.diagnostics(state))
+            if step % log_every == 0:
+                logs.append(evolve.diagnostics(state))
             if args.dump_every and dump_fn and step % args.dump_every == 0:
                 dump_fn(state, step)
         final = state

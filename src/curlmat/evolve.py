@@ -5,7 +5,12 @@ d/dt TE = +c * CURL TB and d/dt TB = -c * CURL TE, with both fields
 divergence-free as an initial-value constraint.  The spectral stepper is
 exact per Fourier mode: the curl symbol is Hermitian, so each mode reduces,
 in the symbol's eigenbasis, to a plane rotation by c*lambda*dt -- energy is
-conserved to roundoff and steps are exactly reversible.
+conserved to roundoff and steps are exactly reversible.  `run_spectral`
+moves the fields to eigen coefficients once and marches those: with
+z+- = a +- ib for the TE and TB coefficients a and b, a step multiplies z+
+by exp(-i*c*lambda*dt) and z- by its conjugate, and the diagnostics read
+energy, band amplitudes and divergence straight from the coefficients.
+Fields are rebuilt only to dump a state and at the end.
 """
 
 from __future__ import annotations
@@ -59,7 +64,12 @@ class Diagnostics:
 
 
 class _Propagator:
-    """Cached per-grid eigendecomposition of the curl symbol."""
+    """Cached per-grid eigendecomposition of the curl symbol.
+
+    Coefficient arrays are component-major, (dim, modes): row i holds
+    eigen-channel i at every Fourier mode in FFT order.  Eigenvalues ascend,
+    so for k != 0 the rows are the helicity bands m = -l..l.
+    """
 
     def __init__(self, grid: GridSpec, l: int):
         self.grid = grid
@@ -69,78 +79,47 @@ class _Propagator:
         shape = (grid.n[2], grid.n[1], grid.n[0])
         nm = grid.ntotal
 
-        def flat_symbol(entry):
-            sym = entry.symbol(kx, ky, kz)
-            return np.broadcast_to(sym, shape).ravel()
+        def flat_symbol(op):
+            sym = np.zeros((nm, op.rows, op.cols), dtype=np.complex128)
+            for r in range(op.rows):
+                for c in range(op.cols):
+                    entry = op.entry(r, c)
+                    if not entry.is_zero:
+                        sym[:, r, c] = np.broadcast_to(entry.symbol(kx, ky, kz),
+                                                       shape).ravel()
+            return sym
 
-        curl = build_curl_ldotgrad(l)
-        m = np.zeros((nm, self.dim, self.dim), dtype=np.complex128)
-        for r in range(self.dim):
-            for c in range(self.dim):
-                entry = curl.entry(r, c)
-                if not entry.is_zero:
-                    m[:, r, c] = flat_symbol(entry)
-        self.vals, self.vecs = np.linalg.eigh(m)
-
-        div = build_div(l)
-        self.div_sym = np.zeros((nm, div.rows, div.cols), dtype=np.complex128)
-        for r in range(div.rows):
-            for c in range(div.cols):
-                entry = div.entry(r, c)
-                if not entry.is_zero:
-                    self.div_sym[:, r, c] = flat_symbol(entry)
-        self.k2 = np.broadcast_to(kx ** 2 + ky ** 2 + kz ** 2, shape).ravel()
+        vals, self.vecs = np.linalg.eigh(flat_symbol(build_curl_ldotgrad(l)))
+        self.vals = vals.T.copy()
+        # div in eigen coordinates: the divergence of coefficients a is div_eig @ a
+        self.div_eig = flat_symbol(build_div(l)) @ self.vecs
+        # |k| held complex, so scaling coefficients by it is a plain complex multiply
+        k2 = np.broadcast_to(kx ** 2 + ky ** 2 + kz ** 2, shape).ravel()
+        self.kabs = np.sqrt(k2).astype(np.complex128)
         self.mode_weight = grid.cell_volume / grid.ntotal  # Parseval factor
 
-    # mode arrays are (nm, dim): one row per Fourier mode
+    def to_eigen(self, f: TensorField) -> np.ndarray:
+        """Eigen coefficients of a field: FFT, then V^H per mode."""
+        modes = np.fft.fftn(f.data, axes=(1, 2, 3)).reshape(self.dim, -1)
+        # V^H x as conj(V^T conj(x)): conjugates x, not the much larger V
+        return np.einsum("mji,jm->im", self.vecs, modes.conj(), order="C").conj()
 
-    def to_modes(self, f: TensorField) -> np.ndarray:
-        spectrum = np.fft.fftn(f.data, axes=(1, 2, 3))
-        return spectrum.reshape(self.dim, -1).T.copy()
-
-    def to_field(self, modes: np.ndarray) -> TensorField:
+    def to_field(self, coeffs: np.ndarray) -> TensorField:
+        modes = np.einsum("mij,jm->im", self.vecs, coeffs, order="C")
         shape = (self.dim, self.grid.n[2], self.grid.n[1], self.grid.n[0])
-        spectrum = modes.T.reshape(shape)
         return TensorField(self.l, "spherical", self.grid,
-                           np.fft.ifftn(spectrum, axes=(1, 2, 3)))
+                           np.fft.ifftn(modes.reshape(shape), axes=(1, 2, 3)))
 
-    def to_eigen(self, modes: np.ndarray) -> np.ndarray:
-        return np.einsum("mji,mj->mi", self.vecs.conj(), modes)
+    def div_residual(self, coeffs: np.ndarray) -> float:
+        div = np.einsum("mrc,cm->mr", self.div_eig, coeffs)
+        scaled = coeffs * self.kabs
+        scale = np.sqrt(np.vdot(scaled, scaled).real)
+        return float(np.sqrt(np.vdot(div, div).real) / scale) if scale > 0 else 0.0
 
-    def from_eigen(self, coeffs: np.ndarray) -> np.ndarray:
-        return np.einsum("mij,mj->mi", self.vecs, coeffs)
-
-    def rotate(self, e_modes, b_modes, angle_scale: float):
-        """Advance (E, B) mode pairs: a plane rotation per eigen-channel."""
-        a = self.to_eigen(e_modes)
-        b = self.to_eigen(b_modes)
-        theta = angle_scale * self.vals
-        cos, sin = np.cos(theta), np.sin(theta)
-        a, b = a * cos + b * sin, b * cos - a * sin
-        return self.from_eigen(a), self.from_eigen(b)
-
-    def energy(self, e_modes, b_modes) -> float:
-        return float(self.mode_weight
-                     * (np.sum(np.abs(e_modes) ** 2) + np.sum(np.abs(b_modes) ** 2)))
-
-    def div_residual(self, modes: np.ndarray) -> float:
-        num = np.linalg.norm(np.einsum("mrc,mc->mr", self.div_sym, modes))
-        scale = np.sqrt(np.sum(self.k2 * np.sum(np.abs(modes) ** 2, axis=1)))
-        return float(num / scale) if scale > 0 else 0.0
-
-    def band_amplitudes(self, modes: np.ndarray) -> tuple[float, ...]:
-        coeffs = self.to_eigen(modes)
-        power = np.sum(np.abs(coeffs) ** 2, axis=0) * self.mode_weight
-        return tuple(float(v) for v in np.sqrt(power))
-
-    def constraint_project(self, modes: np.ndarray) -> np.ndarray:
+    def constraint_project(self, coeffs: np.ndarray) -> np.ndarray:
         """Keep only the divergence-free bands (m = +/-l) for k != 0 modes."""
-        coeffs = self.to_eigen(modes)
-        moving = self.k2 > 0
-        keep = np.zeros(self.dim, dtype=bool)
-        keep[0] = keep[-1] = True
-        coeffs[moving] *= keep[None, :]
-        return self.from_eigen(coeffs)
+        coeffs[1:-1, self.kabs != 0] = 0
+        return coeffs
 
 
 _PROPAGATORS: dict[tuple[GridSpec, int], _Propagator] = {}
@@ -153,45 +132,64 @@ def _propagator(grid: GridSpec, l: int) -> _Propagator:
     return _PROPAGATORS[key]
 
 
+def _split(zp: np.ndarray, zm: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """Write a and b from z+- = a +- ib into the given arrays."""
+    # in place: a fresh array per logged step costs more than the arithmetic
+    np.add(zp, zm, out=a)
+    a *= 0.5
+    np.subtract(zp, zm, out=b)
+    b *= -0.5j
+
+
 def step_spectral(state: EvolutionState, dt: float) -> EvolutionState:
     """Advance by the exact per-mode propagator (negative dt steps backward)."""
-    prop = _propagator(state.grid, state.l)
-    e_modes = prop.to_modes(state.te)
-    b_modes = prop.to_modes(state.tb)
-    e_modes, b_modes = prop.rotate(e_modes, b_modes, state.c * dt)
-    return EvolutionState(prop.to_field(e_modes), prop.to_field(b_modes),
-                          state.t + dt, state.c)
+    return run_spectral(state, dt, 1, log_every=0)[0]
 
 
-def _diag_from_modes(prop: _Propagator, t: float, e_modes, b_modes) -> Diagnostics:
+def _diag_from_modes(prop: _Propagator, t: float, a: np.ndarray,
+                     b: np.ndarray) -> Diagnostics:
+    """Diagnostics from the TE and TB eigen coefficients a and b (Parseval)."""
+    band_power = prop.mode_weight * np.array([np.vdot(row, row).real for row in a])
     return Diagnostics(
         t=t,
-        energy=prop.energy(e_modes, b_modes),
-        div_te=prop.div_residual(e_modes),
-        div_tb=prop.div_residual(b_modes),
-        band_te=prop.band_amplitudes(e_modes),
+        energy=float(band_power.sum() + prop.mode_weight * np.vdot(b, b).real),
+        div_te=prop.div_residual(a),
+        div_tb=prop.div_residual(b),
+        band_te=tuple(float(v) for v in np.sqrt(band_power)),
     )
 
 
 def run_spectral(state: EvolutionState, dt: float, steps: int,
                  log_every: int = 1, dump_every: int | None = None,
                  dump_fn=None) -> tuple[EvolutionState, list[Diagnostics]]:
-    """March `steps` spectral steps, staying in mode space between steps."""
+    """March `steps` spectral steps, staying in eigen coordinates between steps.
+
+    Diagnostics are logged for the initial state, every `log_every` steps and
+    the last step; ``log_every=0`` logs none.
+    """
     prop = _propagator(state.grid, state.l)
-    e_modes = prop.to_modes(state.te)
-    b_modes = prop.to_modes(state.tb)
+    a, b = prop.to_eigen(state.te), prop.to_eigen(state.tb)
+    logs = [_diag_from_modes(prop, state.t, a, b)] if log_every else []
+    # the rotation a' = a cos + b sin, b' = b cos - a sin by theta = c*lambda*dt
+    # is z+' = z+ exp(-i theta) and z-' = z- exp(+i theta) for z+- = a +- ib
+    zp, zm = a + 1j * b, a - 1j * b
+    forward = np.exp(-1j * state.c * dt * prop.vals)
+    backward = forward.conj()
     t = state.t
-    logs = [_diag_from_modes(prop, t, e_modes, b_modes)]
     for step in range(1, steps + 1):
-        e_modes, b_modes = prop.rotate(e_modes, b_modes, state.c * dt)
+        zp *= forward
+        zm *= backward
         t = state.t + step * dt
-        if log_every and (step % log_every == 0 or step == steps):
-            logs.append(_diag_from_modes(prop, t, e_modes, b_modes))
-        if dump_every and dump_fn and step % dump_every == 0:
-            dump_fn(EvolutionState(prop.to_field(e_modes), prop.to_field(b_modes),
-                                   t, state.c), step)
-    final = EvolutionState(prop.to_field(e_modes), prop.to_field(b_modes),
-                           t, state.c)
+        log = log_every and (step % log_every == 0 or step == steps)
+        dump = dump_every and dump_fn and step % dump_every == 0
+        if log or dump:
+            _split(zp, zm, a, b)
+        if log:
+            logs.append(_diag_from_modes(prop, t, a, b))
+        if dump:
+            dump_fn(EvolutionState(prop.to_field(a), prop.to_field(b), t, state.c), step)
+    _split(zp, zm, a, b)
+    final = EvolutionState(prop.to_field(a), prop.to_field(b), t, state.c)
     return final, logs
 
 
@@ -230,7 +228,7 @@ def step_rk4(state: EvolutionState, dt: float) -> EvolutionState:
 def diagnostics(state: EvolutionState) -> Diagnostics:
     prop = _propagator(state.grid, state.l)
     return _diag_from_modes(prop, state.t,
-                            prop.to_modes(state.te), prop.to_modes(state.tb))
+                            prop.to_eigen(state.te), prop.to_eigen(state.tb))
 
 
 def complex_curl_residual(state: EvolutionState, fd_dt: float | None = None) -> float:
@@ -300,6 +298,5 @@ def random_state(grid: GridSpec, l: int, c: float = 1.0, seed: int = 0,
     fields = []
     for offset in (0, 1):
         raw = random_bandlimited(grid, l, "spherical", kcut, seed=seed + offset)
-        modes = prop.constraint_project(prop.to_modes(raw))
-        fields.append(prop.to_field(modes))
+        fields.append(prop.to_field(prop.constraint_project(prop.to_eigen(raw))))
     return EvolutionState(fields[0], fields[1], 0.0, c)

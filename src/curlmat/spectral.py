@@ -9,6 +9,7 @@ keeps the output of real inputs conjugate-symmetric.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -36,8 +37,8 @@ class GridSpec:
         object.__setattr__(self, "box", tuple(float(v) for v in self.box))
         if any(v <= 0 or v % 2 for v in self.n):
             raise ValueError("point counts must be positive even integers")
-        if any(v <= 0 for v in self.box):
-            raise ValueError("box lengths must be positive")
+        if not all(math.isfinite(v) and v > 0 for v in self.box):
+            raise ValueError("box lengths must be positive and finite")
 
     @property
     def ntotal(self) -> int:
@@ -407,15 +408,22 @@ def read_ctf(path) -> TensorField:
         header_line = fh.readline()
         payload = fh.read()
     header = json.loads(header_line.decode("ascii"))
-    if header.get("magic") != "CTF1":
+    if not isinstance(header, dict) or header.get("magic") != "CTF1":
         raise ValueError("not a CTF1 field file")
     if header.get("dtype") != "c128" or header.get("order") != "component,z,y,x":
         raise ValueError("unsupported CTF payload layout")
-    grid = GridSpec(tuple(header["grid"]), tuple(header["box"]))
-    ncomp = _expected_components(header["basis"], header["l"])
+    l = header.get("l")
+    if type(l) is not int or l < 0:
+        raise ValueError(f"CTF rank l must be a non-negative integer, got {l!r}")
+    try:
+        grid = GridSpec(tuple(header["grid"]), tuple(header["box"]))
+        basis = header["basis"]
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed CTF header: {exc!r}") from exc
+    ncomp = _expected_components(basis, l)
     expected = ncomp * grid.ntotal * 16
     if len(payload) != expected:
         raise ValueError(f"payload holds {len(payload)} bytes, expected {expected}")
     data = np.frombuffer(payload, dtype="<c16").reshape(
         (ncomp, grid.n[2], grid.n[1], grid.n[0]))
-    return TensorField(header["l"], header["basis"], grid, data.copy())
+    return TensorField(l, basis, grid, data.copy())

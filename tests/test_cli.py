@@ -3,6 +3,7 @@ import json
 from importlib import resources
 
 import jsonschema
+import pytest
 
 from curlmat.cli import main
 from curlmat.spectral import read_ctf
@@ -171,6 +172,21 @@ class TestFieldPipeline:
         assert code == 1
 
 
+class TestBadInputFiles:
+    @pytest.mark.parametrize("header", (
+        b"[1, 2]",
+        b'{"magic": "CTF1", "l": -5, "basis": "spherical", "grid": [8, 8, 8],'
+        b' "box": [1, 1, 1], "dtype": "c128", "order": "component,z,y,x"}',
+    ), ids=("not-an-object", "negative-l"))
+    def test_apply_reports_error(self, capsys, tmp_path, header):
+        src = tmp_path / "bad.ctf"
+        src.write_bytes(header + b"\n")
+        code, _, err = run_cli(capsys, "apply", "--op", "curl", "--in", str(src),
+                               "--out", str(tmp_path / "out.ctf"))
+        assert code == 1
+        assert err.startswith("error:")
+
+
 class TestEvolveCommand:
     def test_csv_log_and_dumps(self, capsys, tmp_path):
         log = tmp_path / "run.csv"
@@ -198,6 +214,18 @@ class TestEvolveCommand:
             "--dt", "0.01", "--stepper", "rk4", "--init", "random",
             "--seed", "2", "--out-prefix", str(tmp_path / "r"))
         assert code == 0
+
+    @pytest.mark.parametrize("stepper", ("spectral", "rk4"))
+    def test_drift_line_independent_of_log(self, capsys, tmp_path, stepper):
+        argv = ("evolve", "--l", "1", "--grid", "8", "--steps", "6", "--dt", "0.01",
+                "--stepper", stepper, "--init", "random", "--seed", "4",
+                "--out-prefix", str(tmp_path / "r"))
+        code, plain, _ = run_cli(capsys, *argv)
+        assert code == 0
+        code, logged, _ = run_cli(capsys, *argv, "--log", str(tmp_path / "r.csv"))
+        assert code == 0
+        assert "energy drift" in plain
+        assert plain == logged
 
     def test_bad_init_string(self, capsys, tmp_path):
         code, _, _ = run_cli(

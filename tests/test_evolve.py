@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from curlmat.builders import build_div
 from curlmat.evolve import (EvolutionState, RK4_STABILITY_BOUND,
                             complex_curl_residual, diagnostics,
                             plane_wave_state, random_state, run_spectral,
                             step_rk4, step_spectral)
-from curlmat.spectral import (GridSpec, TensorField, plane_wave,
-                              random_bandlimited, wavevector)
+from curlmat.spectral import (GridSpec, TensorField, apply_operator,
+                              gradient_scale, plane_wave, random_bandlimited,
+                              wavevector)
 
 TWO_PI = 2 * np.pi
 
@@ -163,6 +165,64 @@ class TestDiagnostics:
     def test_band_count(self, grid):
         d = diagnostics(random_state(grid, 2, seed=10))
         assert len(d.band_te) == 5
+
+
+class TestEigenDiagnosticsOracle:
+    """Logged eigen-coordinate diagnostics against real-space oracles."""
+
+    STEPS, DT = 6, 0.05
+
+    @pytest.fixture(scope="class", params=(1, 2))
+    def run(self, request, grid):
+        l = request.param
+        # unprojected data: the divergence residuals are O(1) and move in time
+        state = EvolutionState(random_bandlimited(grid, l, "spherical", seed=40),
+                               random_bandlimited(grid, l, "spherical", seed=41),
+                               0.0, 1.0)
+        dumps = [state]
+        final, logs = run_spectral(state, self.DT, self.STEPS, dump_every=1,
+                                   dump_fn=lambda s, step: dumps.append(s))
+        assert len(logs) == len(dumps) == self.STEPS + 1
+        return state, final, logs, dumps
+
+    def test_energy_matches_real_space_sum(self, run):
+        _, _, logs, dumps = run
+        for d, s in zip(logs, dumps):
+            direct = (np.sum(np.abs(s.te.data) ** 2)
+                      + np.sum(np.abs(s.tb.data) ** 2)) * s.grid.cell_volume
+            assert d.t == s.t
+            assert d.energy == pytest.approx(direct, rel=1e-12)
+
+    def test_divergence_matches_apply_operator(self, run):
+        state, _, logs, dumps = run
+        div = build_div(state.l)
+        for d, s in zip(logs, dumps):
+            for logged, f in ((d.div_te, s.te), (d.div_tb, s.tb)):
+                oracle = apply_operator(div, f).norm() / gradient_scale(f)
+                assert oracle > 0.1
+                assert logged == pytest.approx(oracle, rel=1e-12)
+
+    def test_band_powers_sum_to_te_energy(self, run):
+        _, _, logs, dumps = run
+        for d, s in zip(logs, dumps):
+            assert sum(v * v for v in d.band_te) == pytest.approx(s.te.norm() ** 2,
+                                                                  rel=1e-12)
+
+    def test_run_matches_chained_steps(self, run):
+        state, final, _, _ = run
+        cur = state
+        for _ in range(self.STEPS):
+            cur = step_spectral(cur, self.DT)
+        assert cur.t == pytest.approx(final.t, abs=1e-15)
+        assert (cur.te - final.te).norm() <= 1e-12 * final.te.norm()
+        assert (cur.tb - final.tb).norm() <= 1e-12 * final.tb.norm()
+
+    @pytest.mark.parametrize("l", (1, 2))
+    def test_projected_state_divergence_free_by_oracle(self, grid, l):
+        final, _ = run_spectral(random_state(grid, l, seed=5), self.DT, self.STEPS)
+        div = build_div(l)
+        for f in (final.te, final.tb):
+            assert apply_operator(div, f).norm() / gradient_scale(f) <= 1e-10
 
 
 class TestComplexCurlResidual:

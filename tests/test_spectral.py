@@ -34,6 +34,11 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec((16, 16), (1.0, 1.0))
 
+    @pytest.mark.parametrize("bad", (float("nan"), float("inf")))
+    def test_rejects_non_finite_box(self, bad):
+        with pytest.raises(ValueError):
+            GridSpec((8, 8, 8), (bad, 1.0, 1.0))
+
     def test_wavenumbers(self, grid):
         k = grid.k_axis(0)
         assert k[0] == 0.0
@@ -272,6 +277,23 @@ class TestCtfFormat:
     def test_rejects_bad_magic(self, tmp_path):
         path = tmp_path / "bad.ctf"
         path.write_bytes(b'{"magic": "nope"}\n')
+        with pytest.raises(ValueError):
+            read_ctf(path)
+
+    @pytest.mark.parametrize("header", (
+        b"[1, 2]",
+        b'{"magic": "CTF1", "l": -5, "basis": "spherical", "grid": [8, 8, 8],'
+        b' "box": [1, 1, 1], "dtype": "c128", "order": "component,z,y,x"}',
+        b'{"magic": "CTF1", "l": true, "basis": "spherical", "grid": [8, 8, 8],'
+        b' "box": [1, 1, 1], "dtype": "c128", "order": "component,z,y,x"}',
+        b'{"magic": "CTF1", "l": 1, "basis": "spherical",'
+        b' "box": [1, 1, 1], "dtype": "c128", "order": "component,z,y,x"}',
+        b'{"magic": "CTF1", "l": 1, "basis": "spherical", "grid": 8,'
+        b' "box": [1, 1, 1], "dtype": "c128", "order": "component,z,y,x"}',
+    ), ids=("not-an-object", "negative-l", "bool-l", "no-grid", "scalar-grid"))
+    def test_rejects_hostile_header(self, tmp_path, header):
+        path = tmp_path / "bad.ctf"
+        path.write_bytes(header + b"\n")
         with pytest.raises(ValueError):
             read_ctf(path)
 
