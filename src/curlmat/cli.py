@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 
 import numpy as np
@@ -134,6 +135,14 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_evolve(args) -> int:
+    if args.steps < 0:
+        raise ValueError(f"--steps must be non-negative, got {args.steps}")
+    if args.dump_every is not None and args.dump_every < 1:
+        raise ValueError(f"--dump-every must be at least 1, got {args.dump_every}")
+    if not math.isfinite(args.dt):
+        raise ValueError(f"--dt must be finite, got {args.dt}")
+    if not (math.isfinite(args.c) and args.c > 0):
+        raise ValueError(f"--c must be positive and finite, got {args.c}")
     grid = _parse_grid(args)
     if args.init.startswith("planewave:"):
         try:

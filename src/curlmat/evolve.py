@@ -11,10 +11,17 @@ z+- = a +- ib for the TE and TB coefficients a and b, a step multiplies z+
 by exp(-i*c*lambda*dt) and z- by its conjugate, and the diagnostics read
 energy, band amplitudes and divergence straight from the coefficients.
 Fields are rebuilt only to dump a state and at the end.
+
+`step_rk4` is the independent check on that propagator: it integrates the
+same equations with the curl symbol itself, never its eigenvectors.  It
+transforms the stacked (TE, TB) fields with one FFT call, runs the four
+classical stages on the spectrum with the symbol entries cached per
+(operator, grid), and transforms TE and TB back: 3 FFT calls per step.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -23,8 +30,9 @@ import numpy as np
 from .builders import (build_cartesian_curls, build_curl_complex,
                        build_curl_ldotgrad, build_div, cartesian_div,
                        cartesian_transform)
-from .spectral import (GridSpec, TensorField, apply_operator, gradient_scale,
-                       plane_wave, random_bandlimited)
+from .spectral import (GridSpec, TensorField, apply_operator, apply_symbol,
+                       gradient_scale, plane_wave, random_bandlimited,
+                       symbol_entries)
 
 
 @dataclass
@@ -40,8 +48,8 @@ class EvolutionState:
         if self.te.basis != "spherical" or self.tb.basis != "spherical":
             raise ValueError("evolution runs in the spherical component basis")
         self.te._check_compatible(self.tb)
-        if self.c <= 0:
-            raise ValueError("wave speed must be positive")
+        if not (math.isfinite(self.c) and self.c > 0):
+            raise ValueError(f"wave speed must be positive and finite, got {self.c}")
 
     @property
     def l(self) -> int:
@@ -81,12 +89,8 @@ class _Propagator:
 
         def flat_symbol(op):
             sym = np.zeros((nm, op.rows, op.cols), dtype=np.complex128)
-            for r in range(op.rows):
-                for c in range(op.cols):
-                    entry = op.entry(r, c)
-                    if not entry.is_zero:
-                        sym[:, r, c] = np.broadcast_to(entry.symbol(kx, ky, kz),
-                                                       shape).ravel()
+            for r, c, entry in symbol_entries(op, grid):
+                sym[:, r, c] = np.broadcast_to(entry, shape).ravel()
             return sym
 
         vals, self.vecs = np.linalg.eigh(flat_symbol(build_curl_ldotgrad(l)))
@@ -209,20 +213,31 @@ def step_rk4(state: EvolutionState, dt: float) -> EvolutionState:
             f" exceeds the stability bound {RK4_STABILITY_BOUND}",
             RuntimeWarning, stacklevel=2)
     curl = build_curl_ldotgrad(state.l)
-    c = state.c
-
-    def rhs(te: TensorField, tb: TensorField):
-        return apply_operator(curl, tb) * c, apply_operator(curl, te) * (-c)
-
-    te, tb = state.te, state.tb
-    k1e, k1b = rhs(te, tb)
-    k2e, k2b = rhs(te + k1e * (dt / 2), tb + k1b * (dt / 2))
-    k3e, k3b = rhs(te + k2e * (dt / 2), tb + k2b * (dt / 2))
-    k4e, k4b = rhs(te + k3e * dt, tb + k3b * dt)
-    sixth = dt / 6
-    te = te + (k1e + k2e * 2 + k3e * 2 + k4e) * sixth
-    tb = tb + (k1b + k2b * 2 + k3b * 2 + k4b) * sixth
-    return EvolutionState(te, tb, state.t + dt, c)
+    grid = state.grid
+    # x holds the (TE, TB) spectra; d/dt x = speed * CURL x[::-1] with
+    # speed = (+c, -c), and speed is folded into the stage weights below
+    speed = np.array([state.c, -state.c]).reshape(2, 1, 1, 1, 1)
+    x = np.fft.fftn(np.stack([state.te.data, state.tb.data]), axes=(2, 3, 4))
+    # classical RK4: k1 = f(x), k2 = f(x + dt/2 k1), k3 = f(x + dt/2 k2),
+    # k4 = f(x + dt k3), x' = x + dt/6 (k1 + 2 k2 + 2 k3 + k4); the buffers
+    # are reused in place, since a fresh array per stage costs page faults
+    total = x.copy()
+    stage = np.empty_like(x)
+    k = apply_symbol(curl, grid, x[::-1])
+    for weight, node in ((1 / 6, 1 / 2), (1 / 3, 1 / 2), (1 / 3, 1), (1 / 6, None)):
+        np.multiply(k, speed * (weight * dt), out=stage)
+        total += stage
+        if node is None:
+            break
+        np.multiply(k, speed * (node * dt), out=stage)
+        stage += x
+        apply_symbol(curl, grid, stage[::-1], out=k)
+    # TE and TB back one at a time: the inverse FFT's work arrays are then
+    # half the size, which lowers the step's peak memory
+    te, tb = (np.fft.ifftn(half, axes=(1, 2, 3)) for half in total)
+    return EvolutionState(TensorField(state.l, "spherical", grid, te),
+                          TensorField(state.l, "spherical", grid, tb),
+                          state.t + dt, state.c)
 
 
 def diagnostics(state: EvolutionState) -> Diagnostics:

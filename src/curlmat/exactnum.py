@@ -240,8 +240,12 @@ class ExactScalar:
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((tuple(sorted(self._re.items())),
-                               tuple(sorted(self._im.items()))))
+            if not self._im and self._re.keys() <= {1}:
+                # equal to an int or Fraction, so it must hash like one
+                self._hash = hash(self._re.get(1, _F0))
+            else:
+                self._hash = hash((tuple(sorted(self._re.items())),
+                                   tuple(sorted(self._im.items()))))
         return self._hash
 
     # -- conversions / rendering -------------------------------------------

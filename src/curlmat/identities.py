@@ -90,10 +90,6 @@ class OperatorSet:
 Pair = tuple[str, int, OpMatrix, OpMatrix]
 
 
-def _zeros_like(rows: int, cols: int, reference: OpMatrix) -> OpMatrix:
-    return OpMatrix.zeros(rows, cols, reference.tag)
-
-
 def core_identity_pairs(l_max: int, ops: OperatorSet | None = None) -> list[Pair]:
     ops = ops or OperatorSet()
     half = Fraction(1, 2)

@@ -171,16 +171,47 @@ def apply_operator(op: OpMatrix, f: TensorField) -> TensorField:
     if op.cols != f.ncomp:
         raise ValueError(f"operator has {op.cols} columns, field has {f.ncomp} components")
 
-    kx, ky, kz = f.grid.deriv_k_grids()
-    spectrum = _fft(f.data)
-    out = np.zeros((op.rows,) + f.data.shape[1:], dtype=np.complex128)
+    out = apply_symbol(op, f.grid, _fft(f.data))
+    return TensorField(out_l, out_basis, f.grid, _ifft(out))
+
+
+@lru_cache(maxsize=16)
+def symbol_entries(op: OpMatrix, grid: GridSpec) -> tuple[tuple[int, int, np.ndarray], ...]:
+    """Non-zero entries of an operator as ``(row, col, symbol)`` on the grid.
+
+    Each symbol is the entry's ``DiffPoly.symbol`` on ``grid.deriv_k_grids()``
+    in the broadcast shape its wavenumbers give it, such as ``(1, 1, nx)`` for
+    d/dx: a dense ``(rows, cols, nz, ny, nx)`` tensor would take megabytes per
+    operator at 64^3.  Cached per (operator, grid); the arrays are read-only
+    because every caller shares them.
+    """
+    kx, ky, kz = grid.deriv_k_grids()
+    out = []
     for r in range(op.rows):
         for c in range(op.cols):
             entry = op.entry(r, c)
-            if entry.is_zero:
-                continue
-            out[r] += entry.symbol(kx, ky, kz) * spectrum[c]
-    return TensorField(out_l, out_basis, f.grid, _ifft(out))
+            if not entry.is_zero:
+                sym = np.asarray(entry.symbol(kx, ky, kz), dtype=np.complex128)
+                sym.flags.writeable = False
+                out.append((r, c, sym))
+    return tuple(out)
+
+
+def apply_symbol(op: OpMatrix, grid: GridSpec, spectrum: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """Apply an operator's symbol to spectra ``[..., component, z, y, x]``.
+
+    Leading axes before the component axis are a batch: every spectrum in
+    it gets the same operator.  The result is written to ``out`` if given.
+    """
+    if out is None:
+        out = np.zeros(spectrum.shape[:-4] + (op.rows,) + spectrum.shape[-3:],
+                       dtype=np.complex128)
+    else:
+        out.fill(0)
+    for r, c, sym in symbol_entries(op, grid):
+        out[..., r, :, :, :] += sym * spectrum[..., c, :, :, :]
+    return out
 
 
 def complex_curl_field(u: TensorField, v: TensorField) -> TensorField:

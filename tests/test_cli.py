@@ -227,6 +227,20 @@ class TestEvolveCommand:
         assert "energy drift" in plain
         assert plain == logged
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--steps", "-3"), ("--dump-every", "-1"), ("--dump-every", "0"),
+        ("--dt", "inf"), ("--dt", "nan"), ("--c", "nan"), ("--c", "inf"),
+        ("--c", "0"), ("--c", "-1"),
+    ])
+    def test_rejects_bad_flag_before_running(self, capsys, tmp_path, flag, value):
+        code, out, err = run_cli(
+            capsys, "evolve", "--grid", "8", "--steps", "3",
+            "--out-prefix", str(tmp_path / "r"), flag, value)
+        assert code == 1
+        assert err.startswith("error:") and flag in err
+        assert "Warning" not in err and out == ""
+        assert not list(tmp_path.iterdir())
+
     def test_bad_init_string(self, capsys, tmp_path):
         code, _, _ = run_cli(
             capsys, "evolve", "--init", "planewave:oops",

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from curlmat.builders import build_div
-from curlmat.evolve import (EvolutionState, RK4_STABILITY_BOUND,
+from curlmat.builders import build_curl_ldotgrad, build_div
+from curlmat.evolve import (EvolutionState, RK4_STABILITY_BOUND, _Propagator,
                             complex_curl_residual, diagnostics,
                             plane_wave_state, random_state, run_spectral,
                             step_rk4, step_spectral)
@@ -113,7 +113,39 @@ class TestSpectralStepper:
         assert max(band1) - min(band1) > 1e-3
 
 
+def rk4_by_apply_operator(state: EvolutionState, dt: float) -> EvolutionState:
+    """Reference RK4 step: every stage is a real-space apply_operator call."""
+    curl, c = build_curl_ldotgrad(state.l), state.c
+
+    def rhs(te, tb):
+        return apply_operator(curl, tb) * c, apply_operator(curl, te) * (-c)
+
+    te, tb = state.te, state.tb
+    k1e, k1b = rhs(te, tb)
+    k2e, k2b = rhs(te + k1e * (dt / 2), tb + k1b * (dt / 2))
+    k3e, k3b = rhs(te + k2e * (dt / 2), tb + k2b * (dt / 2))
+    k4e, k4b = rhs(te + k3e * dt, tb + k3b * dt)
+    te = te + (k1e + k2e * 2 + k3e * 2 + k4e) * (dt / 6)
+    tb = tb + (k1b + k2b * 2 + k3b * 2 + k4b) * (dt / 6)
+    return EvolutionState(te, tb, state.t + dt, c)
+
+
 class TestRk4:
+    @pytest.mark.parametrize("l", [1, 2])
+    def test_matches_apply_operator_reference(self, grid, l):
+        # an unprojected state, so the divergence bands move too
+        state = EvolutionState(random_bandlimited(grid, l, "spherical", seed=40),
+                               random_bandlimited(grid, l, "spherical", seed=41),
+                               0.3, 1.7)
+        fast, ref = state, state
+        for _ in range(3):
+            fast, ref = step_rk4(fast, 0.05), rk4_by_apply_operator(ref, 0.05)
+        assert fast.t == ref.t and fast.c == ref.c
+        for got, want in ((fast.te, ref.te), (fast.tb, ref.tb)):
+            assert (got - want).norm() <= 1e-12 * want.norm()
+        # the step must have moved the state, or the comparison is vacuous
+        assert (fast.te - state.te).norm() > 1e-2 * state.te.norm()
+
     def test_order_of_convergence(self, grid):
         state = plane_wave_state(grid, 1, 1, (1, 0, 0))
         omega = np.linalg.norm(wavevector(grid, (1, 0, 0)))
@@ -152,6 +184,20 @@ class TestRk4:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             step_rk4(state, 0.01)
+
+
+class TestPropagator:
+    @pytest.mark.parametrize("l", [1, 2])
+    def test_eigenvalues_match_per_entry_symbol(self, grid, l):
+        kx, ky, kz = grid.deriv_k_grids()
+        curl = build_curl_ldotgrad(l)
+        sym = np.zeros((grid.ntotal, curl.rows, curl.cols), dtype=np.complex128)
+        for r in range(curl.rows):
+            for c in range(curl.cols):
+                sym[:, r, c] = np.broadcast_to(curl.entry(r, c).symbol(kx, ky, kz),
+                                               (grid.n[2], grid.n[1], grid.n[0])).ravel()
+        vals, _ = np.linalg.eigh(sym)
+        np.testing.assert_array_equal(_Propagator(grid, l).vals, vals.T)
 
 
 class TestDiagnostics:
@@ -260,3 +306,9 @@ class TestStateValidation:
             EvolutionState(cart, cart.copy(), 0.0, 1.0)
         with pytest.raises(ValueError):
             EvolutionState(sph, sph.copy(), 0.0, -1.0)
+
+    @pytest.mark.parametrize("c", [float("nan"), float("inf"), 0.0])
+    def test_rejects_bad_wave_speed(self, grid, c):
+        sph = random_bandlimited(grid, 1, "spherical", seed=1)
+        with pytest.raises(ValueError, match="wave speed"):
+            EvolutionState(sph, sph.copy(), 0.0, c)

@@ -158,3 +158,10 @@ class TestRendering:
         assert a == b and hash(a) == hash(b)
         assert a == a + ZERO
         assert rational(2) == 2
+
+    @pytest.mark.parametrize("value", [0, 1, -3, Fraction(1, 2), Fraction(-7, 3)])
+    def test_rational_hash_matches_int_and_fraction(self, value):
+        scalar = ExactScalar.from_rational(value)
+        assert scalar == value and hash(scalar) == hash(value)
+        assert value in {scalar} and scalar in {value}
+        assert hash(scalar) == hash(Fraction(value))

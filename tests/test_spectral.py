@@ -14,8 +14,8 @@ from curlmat.spectral import (GridSpec, TensorField, apply_operator,
                               random_bandlimited, rank2_cartesian_basis,
                               read_ctf, relative_complex_curl,
                               relative_divergence, spectral_deriv,
-                              spherical_rank2_to_cartesian, unpack_rank2,
-                              wavevector, write_ctf)
+                              spherical_rank2_to_cartesian, symbol_entries,
+                              unpack_rank2, wavevector, write_ctf)
 
 TWO_PI = 2 * np.pi
 
@@ -132,6 +132,48 @@ class TestApplyOperator:
         scalar = TensorField(0, "cartesian", grid, data.astype(complex))
         out = apply_operator(cartesian_grad(), scalar)
         assert np.abs(out.data.imag).max() <= 1e-12 * np.abs(out.data).max()
+
+
+def apply_per_entry(op, f):
+    """Reference apply_operator: every entry's symbol evaluated afresh."""
+    kx, ky, kz = f.grid.deriv_k_grids()
+    spectrum = np.fft.fftn(f.data, axes=(1, 2, 3))
+    out = np.zeros((op.rows,) + f.data.shape[1:], dtype=np.complex128)
+    for r in range(op.rows):
+        for c in range(op.cols):
+            entry = op.entry(r, c)
+            if not entry.is_zero:
+                out[r] += entry.symbol(kx, ky, kz) * spectrum[c]
+    return np.fft.ifftn(out, axes=(1, 2, 3))
+
+
+class TestSymbolEntries:
+    @pytest.mark.parametrize("op,l,basis", [
+        (lambda: build_curl_cg(1), 1, "spherical"),
+        (lambda: build_curl_cg(2), 2, "spherical"),
+        (lambda: build_div(2), 2, "spherical"),
+        (lambda: build_cartesian_curls().curl, 1, "cartesian"),
+    ], ids=["curl-1", "curl-2", "div-2", "cartesian-curl"])
+    def test_apply_operator_matches_per_entry_loop(self, grid, op, l, basis):
+        f = random_bandlimited(grid, l, basis, seed=11)
+        np.testing.assert_array_equal(apply_operator(op(), f).data,
+                                      apply_per_entry(op(), f))
+
+    def test_cached_per_operator_and_grid(self, grid):
+        op = build_curl_cg(1)
+        entries = symbol_entries(op, grid)
+        assert symbol_entries(op, grid) is entries
+        other = GridSpec((8, 8, 8), grid.box)
+        assert symbol_entries(op, other) is not entries
+
+    def test_entries_are_sparse_read_only_and_broadcast(self, grid):
+        op = build_cartesian_curls().curl
+        entries = symbol_entries(op, grid)
+        assert [(r, c) for r, c, _ in entries] == [
+            (r, c) for r in range(3) for c in range(3) if not op.entry(r, c).is_zero]
+        for _, _, sym in entries:
+            assert not sym.flags.writeable
+            assert sym.size == 16  # one derivative axis each, not a full grid
 
 
 class TestFieldIdentityAgreement:
