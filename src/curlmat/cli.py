@@ -55,23 +55,11 @@ def _cmd_cg(args) -> int:
     return 0
 
 
-_SUITES = ("core", "powers", "exp", "hermitian", "complex", "all")
-
-
 def _cmd_verify(args) -> int:
+    names = identities.SUITES if args.suite == "all" else (args.suite,)
     ops = identities.OperatorSet()
-    suites: dict[str, list] = {}
-    if args.suite in ("core", "all"):
-        suites["core"] = identities.verify_core_identities(args.max_l, ops)
-    if args.suite in ("powers", "all"):
-        suites["powers"] = identities.verify_power_laws(args.max_n, ops)
-    if args.suite in ("exp", "all"):
-        suites["exp"] = [identities.verify_exponential(args.max_n, ops)]
-    if args.suite in ("hermitian", "all"):
-        suites["hermitian"] = identities.verify_hermitian_suite(args.max_l, ops)
-    if args.suite in ("complex", "all"):
-        suites["complex"] = identities.verify_complex_suite(args.max_l, ops)
-
+    suites = {name: identities.verify_suite(name, args.max_l, args.max_n, args.max_n, ops)
+              for name in names}
     reports = [r for batch in suites.values() for r in batch]
     ok = identities.all_pass(reports)
     if args.report == "json":
@@ -79,7 +67,6 @@ def _cmd_verify(args) -> int:
             "suite": args.suite,
             "max_l": args.max_l,
             "max_n": args.max_n,
-            "seed": args.seed,
             "all_pass": ok,
             "reports": [r.as_dict() for r in reports],
         }
@@ -222,11 +209,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(flag, type=int, required=True)
 
     p = sub.add_parser("verify", help="run identity suites")
-    p.add_argument("--suite", choices=_SUITES, default="all")
+    p.add_argument("--suite", choices=identities.SUITES + ("all",), default="all")
     p.add_argument("--max-l", type=int, default=4)
     p.add_argument("--max-n", type=int, default=3)
     p.add_argument("--report", choices=("text", "json"), default="text")
-    p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("apply", help="apply an operator to a .ctf field")
     p.add_argument("--op", required=True, choices=_BUILD_OPS)

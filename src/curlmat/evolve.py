@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -126,14 +127,15 @@ class _Propagator:
         return coeffs
 
 
-_PROPAGATORS: dict[tuple[GridSpec, int], _Propagator] = {}
-
-
+@lru_cache(maxsize=4)
 def _propagator(grid: GridSpec, l: int) -> _Propagator:
-    key = (grid, l)
-    if key not in _PROPAGATORS:
-        _PROPAGATORS[key] = _Propagator(grid, l)
-    return _PROPAGATORS[key]
+    # bounded: a 64^3, l = 2 propagator holds about 105 MB of eigenvectors
+    return _Propagator(grid, l)
+
+
+def _check_dt(dt: float) -> None:
+    if not math.isfinite(dt):
+        raise ValueError(f"dt must be finite, got {dt}")
 
 
 def _split(zp: np.ndarray, zm: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
@@ -171,6 +173,7 @@ def run_spectral(state: EvolutionState, dt: float, steps: int,
     Diagnostics are logged for the initial state, every `log_every` steps and
     the last step; ``log_every=0`` logs none.
     """
+    _check_dt(dt)
     prop = _propagator(state.grid, state.l)
     a, b = prop.to_eigen(state.te), prop.to_eigen(state.tb)
     logs = [_diag_from_modes(prop, state.t, a, b)] if log_every else []
@@ -207,6 +210,7 @@ def _max_wavenumber(grid: GridSpec) -> float:
 
 def step_rk4(state: EvolutionState, dt: float) -> EvolutionState:
     """Classical 4th-order step; cross-validates the exact propagator."""
+    _check_dt(dt)
     if dt * state.c * _max_wavenumber(state.grid) >= RK4_STABILITY_BOUND:
         warnings.warn(
             f"rk4 step dt*c*kmax = {dt * state.c * _max_wavenumber(state.grid):.3f}"

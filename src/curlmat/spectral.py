@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .angular import basis_index, clebsch_gordan
-from .builders import (build_cartesian_curls, build_curl_ldotgrad,
+from .builders import (build_cartesian_curls, build_curl_ldotgrad, cartesian_div,
                        cartesian_transform, curl_rank2_cartesian)
 from .diffop import OpMatrix
 
@@ -247,39 +247,35 @@ def helmholtz(f: TensorField) -> tuple[TensorField, TensorField]:
     return make(perp), make(par)
 
 
-def _gradient_scale(f: TensorField) -> float:
-    kx, ky, kz = f.grid.deriv_k_grids()
-    spectrum = _fft(f.data)
+def _gradient_scale(grid: GridSpec, spectrum: np.ndarray) -> float:
+    kx, ky, kz = grid.deriv_k_grids()
     k2 = kx ** 2 + ky ** 2 + kz ** 2
     return float(np.sqrt(np.sum(k2 * np.sum(np.abs(spectrum) ** 2, axis=0))))
 
 
 def gradient_scale(f: TensorField) -> float:
     """L2 norm of |k| * f, the natural scale for first-derivative residuals."""
-    return _gradient_scale(f) * float(np.sqrt(f.grid.cell_volume / f.grid.ntotal))
+    scale = _gradient_scale(f.grid, _fft(f.data))
+    return scale * float(np.sqrt(f.grid.cell_volume / f.grid.ntotal))
+
+
+def _relative_residual(op: OpMatrix, f: TensorField) -> float:
+    """|op f| relative to the gradient scale |k||f|, both from one FFT of f."""
+    spectrum = _fft(f.data)
+    scale = _gradient_scale(f.grid, spectrum)
+    residual = np.linalg.norm(apply_symbol(op, f.grid, spectrum))
+    return float(residual / scale) if scale > 0 else 0.0
 
 
 def relative_divergence(f: TensorField) -> float:
     """|div f| relative to the gradient scale |k||f| of the same field."""
-    kx, ky, kz = f.grid.deriv_k_grids()
-    spectrum = _fft(f.data)
-    div = kx * spectrum[0] + ky * spectrum[1] + kz * spectrum[2]
-    scale = _gradient_scale(f)
-    return float(np.linalg.norm(div) / scale) if scale > 0 else 0.0
+    return _relative_residual(cartesian_div(), f)
 
 
 def relative_complex_curl(f: TensorField) -> float:
     """|curl_c f| relative to the gradient scale; the sqrt(2) modulus of
     (1+i) is divided out so a generic field scores O(1)."""
-    kx, ky, kz = f.grid.deriv_k_grids()
-    spectrum = _fft(f.data)
-    cx = ky * spectrum[2] - kz * spectrum[1]
-    cy = kz * spectrum[0] - kx * spectrum[2]
-    cz = kx * spectrum[1] - ky * spectrum[0]
-    num = np.sqrt(np.linalg.norm(cx) ** 2 + np.linalg.norm(cy) ** 2
-                  + np.linalg.norm(cz) ** 2)
-    scale = _gradient_scale(f)
-    return float(num / scale) if scale > 0 else 0.0
+    return _relative_residual(build_cartesian_curls().curl, f)
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,8 @@ from curlmat.builders import (build_cartesian_curls, build_curl_cg,
 from curlmat.evolve import (EvolutionState, plane_wave_state, random_state,
                             run_spectral, step_rk4, step_spectral)
 from curlmat.identities import (OperatorSet, all_pass, verify_all,
-                                verify_core_identities,
-                                verify_hermitian_complex_suites,
-                                verify_power_laws)
+                                verify_complex_suite, verify_core_identities,
+                                verify_hermitian_suite, verify_power_laws)
 from curlmat.spectral import (GridSpec, apply_operator, complex_curl_field,
                               example_rotation_fields, helmholtz,
                               random_bandlimited, relative_complex_curl,
@@ -70,7 +69,7 @@ def test_acceptance_3_identity_suite_with_mutation_guard():
     mutant = mutant.replace_entry(0, 0, -mutant.entry(0, 0))
     ops = OperatorSet({1: mutant})
     mutated = (verify_core_identities(2, ops) + verify_power_laws(2, ops)
-               + verify_hermitian_complex_suites(2, ops))
+               + verify_hermitian_suite(2, ops) + verify_complex_suite(2, ops))
     failures = sum(not r.passed for r in mutated)
 
     elapsed = time.perf_counter() - start

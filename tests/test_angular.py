@@ -95,6 +95,27 @@ class TestClebschGordan:
                             rhs = clebsch_gordan(l1, -m1, l2, -m2, l, -m) * rational(sign)
                             assert lhs == rhs
 
+    def test_exact_against_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        from sympy.physics.wigner import clebsch_gordan as sympy_cg
+        checked = 0
+        for l1 in range(5):
+            for l2 in range(5):
+                for l in range(abs(l1 - l2), l1 + l2 + 1):
+                    for m1 in range(-l1, l1 + 1):
+                        for m2 in range(-l2, l2 + 1):
+                            if abs(m1 + m2) > l:
+                                continue
+                            value = clebsch_gordan(l1, m1, l2, m2, l, m1 + m2)
+                            assert not value.im_terms
+                            ours = sum((sympy.Rational(t.coeff.numerator, t.coeff.denominator)
+                                        * sympy.sqrt(t.radicand) for t in value.re_terms),
+                                       sympy.Integer(0))
+                            theirs = sympy_cg(l1, l2, l, m1, m2, m1 + m2)
+                            assert ours == theirs, (l1, m1, l2, m2, l)
+                            checked += 1
+        assert checked == 2501
+
 
 class TestWigner3j:
     def test_stretched_value(self):

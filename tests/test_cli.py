@@ -109,6 +109,23 @@ class TestVerify:
                                "--max-l", "2", "--max-n", "2")
         assert code == 0
 
+    def test_no_seed(self, capsys):
+        code, _, _ = run_cli(capsys, "verify", "--suite", "exp", "--seed", "1")
+        assert code == 2
+        code, out, _ = run_cli(capsys, "verify", "--suite", "exp", "--report", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert "seed" not in payload
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate({**payload, "seed": None}, _schema("verify_report.schema.json"))
+
+    @pytest.mark.parametrize("suite", ["powers", "exp"])
+    def test_negative_max_n(self, capsys, suite):
+        code, out, err = run_cli(capsys, "verify", "--suite", suite, "--max-n", "-1")
+        assert code == 1
+        assert err.startswith("error:")
+        assert out == ""
+
 
 class TestLedger:
     def test_text(self, capsys):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -312,3 +314,17 @@ class TestStateValidation:
         sph = random_bandlimited(grid, 1, "spherical", seed=1)
         with pytest.raises(ValueError, match="wave speed"):
             EvolutionState(sph, sph.copy(), 0.0, c)
+
+    @pytest.mark.parametrize("dt", [float("nan"), float("inf"), -float("inf")])
+    def test_rk4_rejects_non_finite_dt(self, dt):
+        state = random_state(GridSpec((8, 8, 8), (TWO_PI,) * 3), 1, seed=3)
+        with pytest.raises(ValueError, match="dt must be finite"):
+            step_rk4(state, dt)
+
+    @pytest.mark.parametrize("dt", [float("nan"), float("inf"), -float("inf")])
+    def test_run_spectral_rejects_non_finite_dt(self, dt):
+        state = random_state(GridSpec((8, 8, 8), (TWO_PI,) * 3), 1, seed=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # rejected before any numpy work
+            with pytest.raises(ValueError, match="dt must be finite"):
+                run_spectral(state, dt, 2)

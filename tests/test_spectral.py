@@ -6,7 +6,8 @@ import pytest
 from curlmat.builders import (build_cartesian_curls, build_curl_cg,
                               build_div, build_grad, cartesian_grad)
 from curlmat.diffop import OpMatrix, spherical_tag
-from curlmat.identities import core_identity_pairs
+from curlmat.exactnum import ONE
+from curlmat.identities import curl_alpha_pairs
 from curlmat.spectral import (GridSpec, TensorField, apply_operator,
                               complex_curl_field, curl_rank2_field,
                               example_rotation_fields, gradient_scale,
@@ -178,7 +179,7 @@ class TestSymbolEntries:
 
 class TestFieldIdentityAgreement:
     def test_core_identities_on_random_fields(self, grid):
-        for ident, l, lhs, rhs in core_identity_pairs(2):
+        for ident, l, lhs, rhs in curl_alpha_pairs(ONE, 2):
             f = random_bandlimited(grid, lhs.tag.l_in, "spherical",
                                    seed=hash(ident) % 1000)
             a = apply_operator(lhs, f)
