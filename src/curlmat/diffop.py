@@ -10,13 +10,14 @@ equality of canonical forms.
 from __future__ import annotations
 
 import os
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Union
 
 import numpy as np
 
-from .exactnum import ExactScalar, ONE, ZERO
+from .exactnum import ExactScalar, ONE, ZERO, PartAcc, _mac, _part_done
 
 Mono = tuple[int, int, int]
 
@@ -29,8 +30,19 @@ class DegreeCapError(ValueError):
 
 
 def degree_cap() -> int:
+    """The total-degree cap: ``CURLMAT_DEGREE_CAP`` if set, else 16.
+
+    Read where a monomial can first exceed it: once per public ``DiffPoly``
+    construction with terms, product of two polynomials, ``compose`` and
+    ``laplacian_times``.  Sums, negation, conjugation and scalar multiples
+    keep the monomials of their operands and do not read it.
+    """
     value = os.environ.get(DEGREE_CAP_ENV)
-    return int(value) if value else DEFAULT_DEGREE_CAP
+    if not value:
+        return DEFAULT_DEGREE_CAP
+    if not (value.isascii() and value.isdigit()) or int(value) < 1:
+        raise ValueError(f"{DEGREE_CAP_ENV} must be a positive integer, got {value!r}")
+    return int(value)
 
 
 ScalarLike = Union[ExactScalar, int, Fraction]
@@ -42,8 +54,8 @@ class DiffPoly:
     __slots__ = ("_terms", "_hash")
 
     def __init__(self, terms: Mapping[Mono, ScalarLike] | Iterable[tuple[Mono, ScalarLike]] = ()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        cap = degree_cap()
+        items = list(terms.items() if isinstance(terms, Mapping) else terms)
+        cap = degree_cap() if items else 0
         out: dict[Mono, ExactScalar] = {}
         for mono, coeff in items:
             ax, ay, az = mono
@@ -63,6 +75,15 @@ class DiffPoly:
         self._hash: int | None = None
 
     # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def _make(cls, terms: dict[Mono, ExactScalar]) -> "DiffPoly":
+        """Trusted constructor: ``terms`` has no zero coefficient and no
+        monomial above the cap, and is not copied."""
+        out = object.__new__(cls)
+        out._terms = terms
+        out._hash = None
+        return out
 
     @classmethod
     def scalar(cls, value: ScalarLike) -> "DiffPoly":
@@ -102,36 +123,30 @@ class DiffPoly:
                 out.pop(mono, None)
             else:
                 out[mono] = c
-        return DiffPoly(out)
+        return DiffPoly._make(out)
 
     def __neg__(self) -> "DiffPoly":
-        return DiffPoly({m: -c for m, c in self._terms.items()})
+        return DiffPoly._make({m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other: "DiffPoly") -> "DiffPoly":
         return self + (-other)
 
     def __mul__(self, other) -> "DiffPoly":
         if isinstance(other, DiffPoly):
-            acc: dict[Mono, ExactScalar] = {}
-            for (a1, a2, a3), c1 in self._terms.items():
-                for (b1, b2, b3), c2 in other._terms.items():
-                    mono = (a1 + b1, a2 + b2, a3 + b3)
-                    c = c1 * c2
-                    prev = acc.get(mono)
-                    c = c if prev is None else prev + c
-                    if c.is_zero:
-                        acc.pop(mono, None)
-                    else:
-                        acc[mono] = c
-            return DiffPoly(acc)
+            acc: PolyAcc = {}
+            _poly_mac(acc, self, other)
+            return _poly_done(acc, degree_cap())
+        # a scalar keeps every monomial, and nonzero times nonzero is nonzero
         coeff = ExactScalar._coerce(other)
-        return DiffPoly({m: c * coeff for m, c in self._terms.items()})
+        if coeff.is_zero:
+            return DiffPoly._make({})
+        return DiffPoly._make({m: c * coeff for m, c in self._terms.items()})
 
     __rmul__ = __mul__
 
     def conj(self) -> "DiffPoly":
         """Conjugate the coefficients; the derivative symbols stay fixed."""
-        return DiffPoly({m: c.conj() for m, c in self._terms.items()})
+        return DiffPoly._make({m: c.conj() for m, c in self._terms.items()})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DiffPoly):
@@ -199,6 +214,42 @@ class DiffPoly:
         return out
 
 
+# A polynomial accumulator maps a monomial to the real and imaginary part
+# accumulators of its coefficient.
+PolyAcc = dict[Mono, tuple[PartAcc, PartAcc]]
+
+
+def _poly_mac(acc: PolyAcc, p: DiffPoly, q: DiffPoly) -> None:
+    """acc += p * q."""
+    for (a1, a2, a3), c1 in p._terms.items():
+        for (b1, b2, b3), c2 in q._terms.items():
+            mono = (a1 + b1, a2 + b2, a3 + b3)
+            cell = acc.get(mono)
+            if cell is None:
+                cell = acc[mono] = ({}, {})
+            _mac(cell[0], cell[1], c1, c2)
+
+
+def _poly_done(acc: PolyAcc, cap: int) -> DiffPoly:
+    """The polynomial of ``acc``, one ExactScalar per surviving monomial.
+
+    Every monomial a product formed is checked against the cap, whether or
+    not it cancelled in the sum: one product of nonzero polynomials keeps its
+    top-degree part, so this fires exactly when the degrees of some factor
+    pair add up past the cap.
+    """
+    terms: dict[Mono, ExactScalar] = {}
+    for mono, (re, im) in acc.items():
+        degree = mono[0] + mono[1] + mono[2]
+        if degree > cap:
+            raise DegreeCapError(f"monomial degree {degree} exceeds cap {cap}")
+        re_part = _part_done(re)
+        im_part = _part_done(im)
+        if re_part or im_part:
+            terms[mono] = ExactScalar._make(re_part, im_part)
+    return DiffPoly._make(terms)
+
+
 def _term_key(item):
     mono = item[0]
     # dx sorts before dy before dz within a degree
@@ -248,10 +299,11 @@ def _latex_pair_xy(poly: DiffPoly) -> str | None:
     return body + inner
 
 
-DX = DiffPoly.monomial(1, 0, 0)
-DY = DiffPoly.monomial(0, 1, 0)
-DZ = DiffPoly.monomial(0, 0, 1)
-LAPLACIAN = DiffPoly({(2, 0, 0): ONE, (0, 2, 0): ONE, (0, 0, 2): ONE})
+# Built without reading the degree cap, so importing never depends on it.
+DX = DiffPoly._make({(1, 0, 0): ONE})
+DY = DiffPoly._make({(0, 1, 0): ONE})
+DZ = DiffPoly._make({(0, 0, 1): ONE})
+LAPLACIAN = DiffPoly._make({(2, 0, 0): ONE, (0, 2, 0): ONE, (0, 0, 2): ONE})
 
 
 @dataclass(frozen=True)
@@ -384,17 +436,16 @@ class OpMatrix:
             raise ValueError(
                 f"shape mismatch: {self.shape} cannot compose with {other.shape}")
         tag = _compose_tag(self.tag, other.tag)
+        cap = degree_cap()
+        n = self.cols
         entries = []
         for i in range(self.rows):
+            row = self._entries[i * n:(i + 1) * n]
             for j in range(other.cols):
-                acc = DiffPoly()
-                for k in range(self.cols):
-                    left = self.entry(i, k)
-                    right = other.entry(k, j)
-                    if left.is_zero or right.is_zero:
-                        continue
-                    acc = acc + left * right
-                entries.append(acc)
+                acc: PolyAcc = {}
+                for left, right in zip(row, other._entries[j::other.cols]):
+                    _poly_mac(acc, left, right)
+                entries.append(_poly_done(acc, cap))
         return OpMatrix(self.rows, other.cols, entries, tag)
 
     def __matmul__(self, other: "OpMatrix") -> "OpMatrix":
@@ -414,12 +465,10 @@ class OpMatrix:
         return self.add(other.scale(-1))
 
     def scale(self, value) -> "OpMatrix":
-        if isinstance(value, DiffPoly):
-            poly = value
-        else:
-            poly = DiffPoly.scalar(ExactScalar._coerce(value))
+        if not isinstance(value, DiffPoly):
+            value = ExactScalar._coerce(value)
         return OpMatrix(self.rows, self.cols,
-                        [e * poly for e in self._entries], self.tag)
+                        [e * value for e in self._entries], self.tag)
 
     def power(self, n: int) -> "OpMatrix":
         if self.rows != self.cols:
@@ -480,15 +529,10 @@ class OpMatrix:
         """Split into real/imaginary coefficient parts and classify each."""
         if self.rows != self.cols:
             raise ValueError("symmetry split needs a square matrix")
-        re_entries = []
-        im_entries = []
-        for e in self._entries:
-            re_entries.append(DiffPoly(
-                {m: ExactScalar(re=dict((r.radicand, r.coeff) for r in c.re_terms))
-                 for m, c in e.terms}))
-            im_entries.append(DiffPoly(
-                {m: ExactScalar(re=dict((r.radicand, r.coeff) for r in c.im_terms))
-                 for m, c in e.terms}))
+        re_entries = [DiffPoly._make({m: ExactScalar._make(c._re, {}) for m, c in e.terms if c._re})
+                      for e in self._entries]
+        im_entries = [DiffPoly._make({m: ExactScalar._make(c._im, {}) for m, c in e.terms if c._im})
+                      for e in self._entries]
         re_m = OpMatrix(self.rows, self.cols, re_entries, self.tag)
         im_m = OpMatrix(self.rows, self.cols, im_entries, self.tag)
 

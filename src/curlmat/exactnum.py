@@ -10,8 +10,10 @@ equality is structural equality of the canonical form.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple, Union
+from math import gcd
+from typing import NamedTuple, Union
 
 RationalLike = Union[int, Fraction]
 
@@ -78,20 +80,52 @@ def _canon(terms: TermsLike) -> dict[int, Fraction]:
 
 _F0 = Fraction(0)
 
+# A part accumulator maps a squarefree radicand to an unreduced [numerator,
+# denominator] pair; each coefficient becomes a Fraction once, in _part_done.
+PartAcc = dict[int, list[int]]
 
-def _part_mul(a: dict[int, Fraction], b: dict[int, Fraction]) -> dict[int, Fraction]:
-    out: dict[int, Fraction] = {}
+
+def _part_mac(out: PartAcc, a: dict[int, Fraction], b: dict[int, Fraction],
+              sign: int) -> None:
+    """out += sign * a * b for canonical parts a and b.
+
+    Both radicands are squarefree, so sqrt(d1)*sqrt(d2) = g*sqrt((d1/g)(d2/g))
+    with g = gcd(d1, d2) is squarefree too and needs no factorising.
+    """
     for d1, c1 in a.items():
+        n1 = sign * c1.numerator
+        q1 = c1.denominator
         for d2, c2 in b.items():
-            term = normalize_radical(c1 * c2, d1 * d2)
-            if term is None:
-                continue
-            c = out.get(term.radicand, _F0) + term.coeff
-            if c:
-                out[term.radicand] = c
+            g = gcd(d1, d2)
+            n = n1 * c2.numerator * g
+            q = q1 * c2.denominator
+            rad = d1 // g * (d2 // g)
+            cell = out.get(rad)
+            if cell is None:
+                out[rad] = [n, q]
+            elif cell[1] == q:
+                cell[0] += n
             else:
-                out.pop(term.radicand, None)
-    return out
+                cell[0] = cell[0] * q + n * cell[1]
+                cell[1] *= q
+
+
+def _part_done(acc: PartAcc) -> dict[int, Fraction]:
+    return {d: Fraction(n, q) for d, (n, q) in acc.items() if n}
+
+
+def _mac(re: PartAcc, im: PartAcc, x: "ExactScalar", y: "ExactScalar") -> None:
+    """re + i*im += x * y, with (a + ib)(c + id) = (ac - bd) + i(ad + bc)."""
+    if x._re:
+        if y._re:
+            _part_mac(re, x._re, y._re, 1)
+        if y._im:
+            _part_mac(im, x._re, y._im, 1)
+    if x._im:
+        if y._im:
+            _part_mac(re, x._im, y._im, -1)
+        if y._re:
+            _part_mac(im, x._im, y._re, 1)
 
 
 def _part_add(a: dict[int, Fraction], b: dict[int, Fraction]) -> dict[int, Fraction]:
@@ -103,6 +137,10 @@ def _part_add(a: dict[int, Fraction], b: dict[int, Fraction]) -> dict[int, Fract
         else:
             out.pop(d, None)
     return out
+
+
+def _part_neg(a: dict[int, Fraction]) -> dict[int, Fraction]:
+    return {d: -c for d, c in a.items()}
 
 
 def _part_float(a: dict[int, Fraction]) -> float:
@@ -122,8 +160,19 @@ class ExactScalar:
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def _make(cls, re: dict[int, Fraction], im: dict[int, Fraction]) -> "ExactScalar":
+        """Trusted constructor: ``re`` and ``im`` are already canonical
+        (squarefree radicands, no zero coefficients) and are not copied."""
+        out = object.__new__(cls)
+        out._re = re
+        out._im = im
+        out._hash = None
+        return out
+
+    @classmethod
     def from_rational(cls, value: RationalLike) -> "ExactScalar":
-        return cls(re={1: Fraction(value)})
+        v = Fraction(value)
+        return cls._make({1: v} if v else {}, {})
 
     @classmethod
     def sqrt_rational(cls, value: RationalLike) -> "ExactScalar":
@@ -166,13 +215,12 @@ class ExactScalar:
 
     def __add__(self, other) -> "ExactScalar":
         o = self._coerce(other)
-        return ExactScalar(_part_add(self._re, o._re), _part_add(self._im, o._im))
+        return ExactScalar._make(_part_add(self._re, o._re), _part_add(self._im, o._im))
 
     __radd__ = __add__
 
     def __neg__(self) -> "ExactScalar":
-        return ExactScalar({d: -c for d, c in self._re.items()},
-                           {d: -c for d, c in self._im.items()})
+        return ExactScalar._make(_part_neg(self._re), _part_neg(self._im))
 
     def __sub__(self, other) -> "ExactScalar":
         return self + (-self._coerce(other))
@@ -181,12 +229,10 @@ class ExactScalar:
         return self._coerce(other) + (-self)
 
     def __mul__(self, other) -> "ExactScalar":
-        o = self._coerce(other)
-        # (a + ib)(c + id) = (ac - bd) + i(ad + bc)
-        re = _part_add(_part_mul(self._re, o._re),
-                       {d: -c for d, c in _part_mul(self._im, o._im).items()})
-        im = _part_add(_part_mul(self._re, o._im), _part_mul(self._im, o._re))
-        return ExactScalar(re, im)
+        re: PartAcc = {}
+        im: PartAcc = {}
+        _mac(re, im, self, self._coerce(other))
+        return ExactScalar._make(_part_done(re), _part_done(im))
 
     __rmul__ = __mul__
 
@@ -209,8 +255,8 @@ class ExactScalar:
             norm += c * c * d
         for d, c in self._im.items():
             norm += c * c * d
-        scale = ExactScalar.from_rational(Fraction(1) / norm)
-        return self.conj() * scale
+        return ExactScalar._make({d: c / norm for d, c in self._re.items()},
+                                 {d: -c / norm for d, c in self._im.items()})
 
     def __truediv__(self, other) -> "ExactScalar":
         return self * self._coerce(other).inverse()
@@ -227,7 +273,7 @@ class ExactScalar:
         return out
 
     def conj(self) -> "ExactScalar":
-        return ExactScalar(self._re, {d: -c for d, c in self._im.items()})
+        return ExactScalar._make(self._re, _part_neg(self._im))
 
     # -- comparisons / hashing ---------------------------------------------
 

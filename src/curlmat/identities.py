@@ -13,6 +13,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Iterator, Mapping
 
+from .angular import MAX_SPIN
 from .builders import (build_cartesian_curls, build_curl_cg, build_div,
                        build_grad, cartesian_div, cartesian_grad)
 from .diffop import CARTESIAN, DegreeCapError, OpMatrix, degree_cap, spherical_tag
@@ -207,8 +208,8 @@ _FAMILIES = {"core": ("", ONE), "hermitian": ("hermitian-", I), "complex": ("com
 
 
 def _family_reports(suite: str, l_max: int, ops: OperatorSet | None) -> list[IdentityReport]:
-    if not 1 <= l_max <= 6:
-        raise ValueError(f"{suite} suite supports 1 <= l_max <= 6")
+    if not 1 <= l_max <= MAX_SPIN:
+        raise ValueError(f"{suite} suite supports 1 <= l_max <= {MAX_SPIN}")
     prefix, alpha = _FAMILIES[suite]
     return _reports_from_pairs(curl_alpha_pairs(alpha, l_max, ops, prefix))
 

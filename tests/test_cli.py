@@ -1,10 +1,15 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import curlmat
 from curlmat.cli import main
 from curlmat.spectral import read_ctf
 
@@ -89,6 +94,28 @@ class TestCg:
 
 
 class TestVerify:
+    @pytest.mark.parametrize("suite", ["core", "hermitian", "complex"])
+    def test_max_l_above_max_spin(self, capsys, suite):
+        code, out, err = run_cli(capsys, "verify", "--suite", suite, "--max-l", "9")
+        assert code == 1
+        assert err.startswith("error:")
+        assert out == ""
+
+    @pytest.mark.parametrize("value", ["abc", "2.5", "0", "-3"])
+    def test_bad_degree_cap(self, value):
+        # a fresh interpreter, so that importing curlmat under the bad value is covered
+        src = str(Path(curlmat.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "CURLMAT_DEGREE_CAP": value, "PYTHONPATH": path}
+        proc = subprocess.run(
+            [sys.executable, "-c", "from curlmat.cli import entry; entry()",
+             "verify", "--suite", "core", "--max-l", "2"],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: CURLMAT_DEGREE_CAP must be a positive integer")
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
     def test_json_report_validates(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--suite", "core",
                                "--max-l", "2", "--report", "json")

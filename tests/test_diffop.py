@@ -49,6 +49,32 @@ class TestDiffPoly:
         p = DiffPoly.monomial(2, 0, 0)
         with pytest.raises(DegreeCapError):
             p * p * p
+        assert (p * p).max_degree == 4  # a product at the cap passes
+
+    def test_degree_cap_compose(self, monkeypatch):
+        monkeypatch.setenv("CURLMAT_DEGREE_CAP", "4")
+        m = OpMatrix(2, 2, [DiffPoly.monomial(2, 0, 0), DX, DiffPoly(), DY], CARTESIAN)
+        assert (m @ m).max_degree == 4
+        with pytest.raises(DegreeCapError):
+            m @ m @ m
+        eye = OpMatrix.identity(1, CARTESIAN)
+        assert eye.laplacian_times(2).max_degree == 4
+        with pytest.raises(DegreeCapError):
+            eye.laplacian_times(3)
+
+    def test_degree_cap_unset_or_empty(self, monkeypatch):
+        monkeypatch.delenv("CURLMAT_DEGREE_CAP", raising=False)
+        assert degree_cap() == 16
+        monkeypatch.setenv("CURLMAT_DEGREE_CAP", "")
+        assert degree_cap() == 16
+
+    @pytest.mark.parametrize("value", ["abc", "2.5", "0", "-3"])
+    def test_degree_cap_rejects_bad_value(self, monkeypatch, value):
+        monkeypatch.setenv("CURLMAT_DEGREE_CAP", value)
+        for use in (degree_cap, lambda: DX * DX, lambda: DiffPoly.monomial(1, 0, 0),
+                    lambda: build_curl_cg(1) @ build_curl_cg(1)):
+            with pytest.raises(ValueError, match="CURLMAT_DEGREE_CAP must be a positive integer"):
+                use()
 
 
 class TestCompose:

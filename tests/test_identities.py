@@ -30,7 +30,14 @@ class TestCoreSuite:
         with pytest.raises(ValueError):
             verify_core_identities(0)
         with pytest.raises(ValueError):
-            verify_core_identities(7)
+            verify_core_identities(9)
+
+    @pytest.mark.parametrize("suite", ["core", "hermitian", "complex"])
+    def test_pass_at_max_spin(self, suite):
+        reports = verify_suite(suite, 8, 0, 0)
+        assert all_pass(reports)
+        squared = next(r for r in reports if r.identity_id.endswith("curl-squared"))
+        assert squared.l_range == list(range(1, 9))
 
 
 class TestPowerLaws:
