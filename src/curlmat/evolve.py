@@ -3,14 +3,15 @@
 The system couples two rank-l spherical fields through the curl:
 d/dt TE = +c * CURL TB and d/dt TB = -c * CURL TE, with both fields
 divergence-free as an initial-value constraint.  The spectral stepper is
-exact per Fourier mode: the curl symbol is Hermitian, so each mode reduces,
-in the symbol's eigenbasis, to a plane rotation by c*lambda*dt -- energy is
-conserved to roundoff and steps are exactly reversible.  `run_spectral`
-moves the fields to eigen coefficients once and marches those: with
-z+- = a +- ib for the TE and TB coefficients a and b, a step multiplies z+
-by exp(-i*c*lambda*dt) and z- by its conjugate, and the diagnostics read
-energy, band amplitudes and divergence straight from the coefficients.
-Fields are rebuilt only to dump a state and at the end.
+exact per Fourier mode: the curl symbol (L.k)/l is diagonalised by the
+rotation V(k) = exp(-i*phi*Lz) exp(-i*theta*Ly) taking z^ to k^, column m
+being helicity band m with eigenvalue lambda = m|k|/l, and each mode turns
+by c*lambda*dt -- energy is conserved to roundoff and steps are exactly
+reversible.  `run_spectral` moves the fields to band coefficients once and
+marches those: with z+- = a +- ib for the TE and TB coefficients a and b, a
+step multiplies z+ by exp(-i*c*lambda*dt) and z- by its conjugate, and the
+diagnostics read energy, band amplitudes and divergence straight from the
+coefficients.  Fields are rebuilt only to dump a state and at the end.
 
 `step_rk4` is the independent check on that propagator: it integrates the
 same equations with the curl symbol itself, never its eigenvectors.  It
@@ -31,9 +32,9 @@ import numpy as np
 from .builders import (build_cartesian_curls, build_curl_complex,
                        build_curl_ldotgrad, build_div, cartesian_div,
                        cartesian_transform)
-from .spectral import (GridSpec, TensorField, apply_operator, apply_symbol,
-                       gradient_scale, plane_wave, random_bandlimited,
-                       symbol_entries)
+from .spectral import (GridSpec, TensorField, _fft, _ifft, apply_operator,
+                       apply_symbol, gradient_scale, plane_wave,
+                       random_bandlimited)
 
 
 @dataclass
@@ -73,64 +74,65 @@ class Diagnostics:
 
 
 class _Propagator:
-    """Cached per-grid eigendecomposition of the curl symbol.
+    """The helicity frame V(k) on one grid, applied without forming V.
 
-    Coefficient arrays are component-major, (dim, modes): row i holds
-    eigen-channel i at every Fourier mode in FFT order.  Eigenvalues ascend,
-    so for k != 0 the rows are the helicity bands m = -l..l.
+    Coefficient arrays are (dim, modes): row i holds band m = i - l at every
+    Fourier mode in FFT order.  With Ly = U Lambda U^H, V^H x is
+    U exp(i*theta*Lambda) U^H exp(i*phi*Lz) x: only the unit phases exp(i*theta)
+    and exp(i*phi) are kept per mode.  At k = 0, as at modes whose wavenumbers
+    are all Nyquist-zeroed, theta = phi = 0: band m holds spherical component m.
     """
 
     def __init__(self, grid: GridSpec, l: int):
         self.grid = grid
         self.l = l
         self.dim = 2 * l + 1
-        kx, ky, kz = grid.deriv_k_grids()
-        shape = (grid.n[2], grid.n[1], grid.n[0])
-        nm = grid.ntotal
-
-        def flat_symbol(op):
-            sym = np.zeros((nm, op.rows, op.cols), dtype=np.complex128)
-            for r, c, entry in symbol_entries(op, grid):
-                sym[:, r, c] = np.broadcast_to(entry, shape).ravel()
-            return sym
-
-        vals, self.vecs = np.linalg.eigh(flat_symbol(build_curl_ldotgrad(l)))
-        self.vals = vals.T.copy()
-        # div in eigen coordinates: the divergence of coefficients a is div_eig @ a
-        self.div_eig = flat_symbol(build_div(l)) @ self.vecs
-        # |k| held complex, so scaling coefficients by it is a plain complex multiply
-        k2 = np.broadcast_to(kx ** 2 + ky ** 2 + kz ** 2, shape).ravel()
-        self.kabs = np.sqrt(k2).astype(np.complex128)
+        self.m = np.arange(-l, l + 1)  # the bands, and the spectrum of Ly and Lz
+        self.shape = (self.dim, grid.n[2], grid.n[1], grid.n[0])
+        kx, ky, kz = (np.broadcast_to(k, self.shape[1:]).ravel() for k in grid.deriv_k_grids())
+        self.k2 = kx ** 2 + ky ** 2 + kz ** 2
+        self.polar = np.exp(1j * np.arctan2(np.hypot(kx, ky), kz))
+        self.azimuth = np.exp(1j * np.arctan2(ky, kx))
+        # Ly is l times the curl symbol at y^; eigh sorts its eigenvalues -l..l as m
+        self.ly_vecs = np.linalg.eigh(l * build_curl_ldotgrad(l).symbol_at((0, 1, 0)))[1]
+        # div(k) V(k) = |k| D(k) div(z^), D unitary, and div(z^) keeps m, so
+        # |div a|^2 = sum_m w_m |k|^2 |a_m|^2, w_m the column norms^2 of div(z^)
+        self.div_weight = (np.abs(build_div(l).symbol_at((0, 0, 1))) ** 2).sum(axis=0)[::-1]
         self.mode_weight = grid.cell_volume / grid.ntotal  # Parseval factor
 
+    @property
+    def vals(self) -> np.ndarray:
+        """Eigenvalue m|k|/l of every band (rows) at every mode (columns)."""
+        return np.multiply.outer(self.m, np.sqrt(self.k2)) / self.l
+
     def to_eigen(self, f: TensorField) -> np.ndarray:
-        """Eigen coefficients of a field: FFT, then V^H per mode."""
-        modes = np.fft.fftn(f.data, axes=(1, 2, 3)).reshape(self.dim, -1)
-        # V^H x as conj(V^T conj(x)): conjugates x, not the much larger V
-        return np.einsum("mji,jm->im", self.vecs, modes.conj(), order="C").conj()
+        """Band coefficients of a field: FFT, then V^H per mode."""
+        x = _fft(f.data).reshape(self.dim, -1)
+        x *= self.azimuth ** self.m[::-1, None]  # components are m = l..-l
+        x = self.ly_vecs.conj().T @ x
+        x *= self.polar ** self.m[:, None]
+        return self.ly_vecs[::-1] @ x  # rows flipped to ascending m
 
     def to_field(self, coeffs: np.ndarray) -> TensorField:
-        modes = np.einsum("mij,jm->im", self.vecs, coeffs, order="C")
-        shape = (self.dim, self.grid.n[2], self.grid.n[1], self.grid.n[0])
-        return TensorField(self.l, "spherical", self.grid,
-                           np.fft.ifftn(modes.reshape(shape), axes=(1, 2, 3)))
+        """Field of band coefficients: V per mode, then inverse FFT."""
+        x = self.ly_vecs[::-1].conj().T @ coeffs
+        x *= self.polar ** -self.m[:, None]
+        x = self.ly_vecs @ x
+        x *= self.azimuth ** -self.m[::-1, None]
+        return TensorField(self.l, "spherical", self.grid, _ifft(x.reshape(self.shape)))
 
     def div_residual(self, coeffs: np.ndarray) -> float:
-        div = np.einsum("mrc,cm->mr", self.div_eig, coeffs)
-        scaled = coeffs * self.kabs
-        scale = np.sqrt(np.vdot(scaled, scaled).real)
-        return float(np.sqrt(np.vdot(div, div).real) / scale) if scale > 0 else 0.0
+        grad = np.abs(coeffs) ** 2 @ self.k2  # per band, sum of |k|^2 |a_m|^2
+        scale = grad.sum()
+        return float(np.sqrt(self.div_weight @ grad / scale)) if scale > 0 else 0.0
 
     def constraint_project(self, coeffs: np.ndarray) -> np.ndarray:
         """Keep only the divergence-free bands (m = +/-l) for k != 0 modes."""
-        coeffs[1:-1, self.kabs != 0] = 0
+        coeffs[1:-1, self.k2 != 0] = 0
         return coeffs
 
 
-@lru_cache(maxsize=4)
-def _propagator(grid: GridSpec, l: int) -> _Propagator:
-    # bounded: a 64^3, l = 2 propagator holds about 105 MB of eigenvectors
-    return _Propagator(grid, l)
+_propagator = lru_cache(maxsize=4)(_Propagator)
 
 
 def _check_dt(dt: float) -> None:
@@ -221,7 +223,7 @@ def step_rk4(state: EvolutionState, dt: float) -> EvolutionState:
     # x holds the (TE, TB) spectra; d/dt x = speed * CURL x[::-1] with
     # speed = (+c, -c), and speed is folded into the stage weights below
     speed = np.array([state.c, -state.c]).reshape(2, 1, 1, 1, 1)
-    x = np.fft.fftn(np.stack([state.te.data, state.tb.data]), axes=(2, 3, 4))
+    x = _fft(np.stack([state.te.data, state.tb.data]))
     # classical RK4: k1 = f(x), k2 = f(x + dt/2 k1), k3 = f(x + dt/2 k2),
     # k4 = f(x + dt k3), x' = x + dt/6 (k1 + 2 k2 + 2 k3 + k4); the buffers
     # are reused in place, since a fresh array per stage costs page faults
@@ -238,7 +240,7 @@ def step_rk4(state: EvolutionState, dt: float) -> EvolutionState:
         apply_symbol(curl, grid, stage[::-1], out=k)
     # TE and TB back one at a time: the inverse FFT's work arrays are then
     # half the size, which lowers the step's peak memory
-    te, tb = (np.fft.ifftn(half, axes=(1, 2, 3)) for half in total)
+    te, tb = (_ifft(half) for half in total)
     return EvolutionState(TensorField(state.l, "spherical", grid, te),
                           TensorField(state.l, "spherical", grid, tb),
                           state.t + dt, state.c)

@@ -146,11 +146,12 @@ class TensorField:
 
 
 def _fft(data: np.ndarray) -> np.ndarray:
-    return np.fft.fftn(data, axes=(1, 2, 3))
+    """FFT over the last three axes, [..., z, y, x]; leading axes are a batch."""
+    return np.fft.fftn(data, axes=(-3, -2, -1))
 
 
 def _ifft(data: np.ndarray) -> np.ndarray:
-    return np.fft.ifftn(data, axes=(1, 2, 3))
+    return np.fft.ifftn(data, axes=(-3, -2, -1))
 
 
 def apply_operator(op: OpMatrix, f: TensorField) -> TensorField:
@@ -391,16 +392,12 @@ def unpack_rank2(f: TensorField) -> list[list[np.ndarray]]:
 
 def spectral_deriv(grid: GridSpec):
     """Derivative backend for grid tensors: multiply by i*k along one axis."""
-    ks = [grid.deriv_k_axis(a) for a in range(3)]
+    ks = grid.deriv_k_grids()  # (kx, ky, kz), shaped to broadcast on [z, y, x]
 
     def deriv(axis: int, arr: np.ndarray) -> np.ndarray:
-        # samples are [z, y, x]: the x-derivative acts on the last array axis
-        arr_axis = 2 - axis
-        shape = [1, 1, 1]
-        shape[arr_axis] = grid.n[axis]
-        spec = np.fft.fftn(arr)
-        spec *= 1j * ks[axis].reshape(shape)
-        return np.fft.ifftn(spec)
+        spec = _fft(arr)
+        spec *= 1j * ks[axis]
+        return _ifft(spec)
 
     return deriv
 

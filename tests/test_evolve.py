@@ -3,12 +3,13 @@ import warnings
 import numpy as np
 import pytest
 
+from curlmat.angular import MAX_SPIN
 from curlmat.builders import build_curl_ldotgrad, build_div
 from curlmat.evolve import (EvolutionState, RK4_STABILITY_BOUND, _Propagator,
-                            complex_curl_residual, diagnostics,
+                            _diag_from_modes, complex_curl_residual, diagnostics,
                             plane_wave_state, random_state, run_spectral,
                             step_rk4, step_spectral)
-from curlmat.spectral import (GridSpec, TensorField, apply_operator,
+from curlmat.spectral import (GridSpec, TensorField, _fft, apply_operator,
                               gradient_scale, plane_wave, random_bandlimited,
                               wavevector)
 
@@ -188,18 +189,117 @@ class TestRk4:
             step_rk4(state, 0.01)
 
 
+def per_entry_symbol(grid: GridSpec, op) -> np.ndarray:
+    """(modes, rows, cols) symbol of an operator, entry by entry."""
+    kx, ky, kz = grid.deriv_k_grids()
+    sym = np.zeros((grid.ntotal, op.rows, op.cols), dtype=np.complex128)
+    for r in range(op.rows):
+        for c in range(op.cols):
+            sym[:, r, c] = np.broadcast_to(op.entry(r, c).symbol(kx, ky, kz),
+                                           (grid.n[2], grid.n[1], grid.n[0])).ravel()
+    return sym
+
+
+def frame_matrices(prop: _Propagator) -> np.ndarray:
+    """(modes, dim, dim) frame per mode, column i = band m = i - l, read back
+    through `to_field` from unit coefficients of one band at every mode."""
+    columns = []
+    for band in range(prop.dim):
+        coeffs = np.zeros((prop.dim, prop.grid.ntotal), dtype=np.complex128)
+        coeffs[band] = 1.0
+        columns.append(_fft(prop.to_field(coeffs).data).reshape(prop.dim, -1))
+    return np.stack(columns, axis=-1).transpose(1, 0, 2)
+
+
 class TestPropagator:
+    """The closed-form frame against a per-mode `eigh` of the curl symbol."""
+
+    @pytest.fixture(scope="class")
+    def small(self):
+        return GridSpec((8, 8, 8), (TWO_PI, 3.0, 5.0))
+
     @pytest.mark.parametrize("l", [1, 2])
     def test_eigenvalues_match_per_entry_symbol(self, grid, l):
-        kx, ky, kz = grid.deriv_k_grids()
-        curl = build_curl_ldotgrad(l)
-        sym = np.zeros((grid.ntotal, curl.rows, curl.cols), dtype=np.complex128)
-        for r in range(curl.rows):
-            for c in range(curl.cols):
-                sym[:, r, c] = np.broadcast_to(curl.entry(r, c).symbol(kx, ky, kz),
-                                               (grid.n[2], grid.n[1], grid.n[0])).ravel()
-        vals, _ = np.linalg.eigh(sym)
-        np.testing.assert_array_equal(_Propagator(grid, l).vals, vals.T)
+        vals, _ = np.linalg.eigh(per_entry_symbol(grid, build_curl_ldotgrad(l)))
+        got = _Propagator(grid, l).vals
+        assert np.abs(got - vals.T).max() <= 1e-14 * np.abs(vals).max()
+
+    @pytest.mark.parametrize("l", range(1, MAX_SPIN + 1))
+    def test_frame_diagonalises_per_entry_symbol(self, small, l):
+        prop = _Propagator(small, l)
+        frame = frame_matrices(prop)
+        sym = per_entry_symbol(small, build_curl_ldotgrad(l))
+        oracle = np.linalg.eigh(sym)[0]  # ascending, as the bands are
+        diag = np.einsum("kji,kjl,klm->kim", frame.conj(), sym, frame)
+        want = np.zeros_like(diag)
+        idx = np.arange(prop.dim)
+        want[:, idx, idx] = oracle
+        assert np.abs(diag - want).max() <= 1e-13 * np.abs(oracle).max()
+        unitary = np.einsum("kji,kjm->kim", frame.conj(), frame)
+        assert np.abs(unitary - np.eye(prop.dim)).max() <= 1e-13
+
+    @pytest.mark.parametrize("l", [1, 2, 3])
+    def test_round_trip(self, small, l):
+        prop = _Propagator(small, l)
+        f = random_bandlimited(small, l, "spherical", kcut=0.5, seed=l)
+        back = prop.to_field(prop.to_eigen(f))
+        assert (back - f).norm() <= 1e-14 * f.norm()
+
+    @pytest.mark.parametrize("l", [1, 2])
+    def test_frame_at_zero_and_nyquist(self, small, l):
+        prop = _Propagator(small, l)
+        frame = frame_matrices(prop).reshape(8, 8, 8, prop.dim, prop.dim)
+        # k = 0 and modes whose wavenumbers are all Nyquist-zeroed: theta =
+        # phi = 0, so band m holds spherical component m (a row reversal of
+        # the descending-m components)
+        reversal = np.eye(prop.dim)[::-1]
+        for z, y, x in ((0, 0, 0), (0, 0, 4), (4, 4, 0), (4, 4, 4)):
+            assert np.abs(frame[z, y, x] - reversal).max() <= 1e-15
+        # a partly zeroed mode takes the frame of its remaining wavenumbers
+        for zeroed, kept in (((0, 3, 4), (0, 3, 0)), ((4, 0, 2), (0, 0, 2)),
+                             ((5, 4, 4), (5, 0, 0))):
+            assert np.abs(frame[zeroed] - frame[kept]).max() <= 1e-15
+        assert np.abs(frame[0, 3, 0] - reversal).max() > 0.1
+
+    def test_constant_field_bands(self, small):
+        # a non-zero mean lands in band m from spherical component m
+        l = 2
+        data = np.zeros((5, 8, 8, 8), dtype=np.complex128)
+        data[:, ...] = np.array([1, 2j, 3, -4, 5j])[:, None, None, None]
+        d = diagnostics(EvolutionState(TensorField(l, "spherical", small, data),
+                                       TensorField.zeros(small, l, "spherical"), 0.0))
+        volume = TWO_PI * 3.0 * 5.0
+        want = np.sqrt(volume) * np.array([5, 4, 3, 2, 1])  # m = -2..2
+        np.testing.assert_allclose(d.band_te, want, rtol=1e-14)
+
+    @pytest.mark.parametrize("l", range(1, MAX_SPIN + 1))
+    def test_divergence_weights_closed_form(self, l):
+        m = np.arange(-l, l + 1)
+        want = (l * l - m * m) / (2 * l - 1)
+        np.testing.assert_allclose(_Propagator(GridSpec((2, 2, 2), (1, 1, 1)), l).div_weight,
+                                   want, rtol=1e-14, atol=1e-15)
+
+    @pytest.mark.parametrize("l", [1, 2])
+    def test_per_band_phase_change(self, small, l):
+        """Projection and diagnostics do not depend on the phase of each band's
+        basis vector: a frame V diag(exp(i psi)) gives the same fields."""
+        prop = _Propagator(small, l)
+        rng = np.random.default_rng(l)
+        phase = np.exp(2j * np.pi * rng.random((prop.dim, small.ntotal)))
+        te = random_bandlimited(small, l, "spherical", kcut=0.5, seed=20)
+        tb = random_bandlimited(small, l, "spherical", kcut=0.5, seed=21)
+        a, b = prop.to_eigen(te), prop.to_eigen(tb)
+        # coefficients in the rephased frame are conj(phase) * a
+        a2, b2 = a * phase.conj(), b * phase.conj()
+        projected = prop.to_field(prop.constraint_project(a.copy()))
+        projected2 = prop.to_field(prop.constraint_project(a2.copy()) * phase)
+        assert (projected2 - projected).norm() <= 1e-14 * projected.norm()
+        assert projected.norm() < 0.9 * te.norm()  # the projection removed something
+        d, d2 = _diag_from_modes(prop, 0.0, a, b), _diag_from_modes(prop, 0.0, a2, b2)
+        assert d2.energy == pytest.approx(d.energy, rel=1e-14)
+        np.testing.assert_allclose(d2.band_te, d.band_te, rtol=1e-14)
+        assert d2.div_te == pytest.approx(d.div_te, rel=1e-14)
+        assert d2.div_tb == pytest.approx(d.div_tb, rel=1e-14)
 
 
 class TestDiagnostics:
@@ -220,7 +320,7 @@ class TestEigenDiagnosticsOracle:
 
     STEPS, DT = 6, 0.05
 
-    @pytest.fixture(scope="class", params=(1, 2))
+    @pytest.fixture(scope="class", params=(1, 2, 3))
     def run(self, request, grid):
         l = request.param
         # unprojected data: the divergence residuals are O(1) and move in time
