@@ -13,7 +13,7 @@ errata, with the construction kept as ground truth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -270,17 +270,7 @@ def conventions() -> ConventionLedger:
             "div2-reference-conjugation",
             "rank-2 divergence reference disagrees with the coupling "
             "construction at " + "; ".join(div_diffs)))
-    return ConventionLedger(
-        version=ledger.version,
-        derivative_plus=plus,
-        derivative_zero=DZ,
-        derivative_minus=minus,
-        conjugate_components=conjugate,
-        coupling=coupling,
-        curl_prefactor_sign=curl_sign,
-        phases=ledger.phases,
-        errata=tuple(errata),
-    )
+    return replace(ledger, errata=tuple(errata))
 
 
 # ---------------------------------------------------------------------------

@@ -32,8 +32,8 @@ import numpy as np
 from .builders import (build_cartesian_curls, build_curl_complex,
                        build_curl_ldotgrad, build_div, cartesian_div,
                        cartesian_transform)
-from .spectral import (GridSpec, TensorField, _fft, _ifft, apply_operator,
-                       apply_symbol, gradient_scale, plane_wave,
+from .spectral import (GridSpec, TensorField, _fft, _ifft, _relative_residual,
+                       apply_operator, apply_symbol, plane_wave,
                        random_bandlimited)
 
 
@@ -289,9 +289,7 @@ def complex_curl_residual(state: EvolutionState, fd_dt: float | None = None) -> 
     for curl_term, dt_term in ((curl_e, db * factor), (curl_b, de * (-factor))):
         scale = curl_term.norm() + dt_term.norm()
         residuals.append((curl_term + dt_term).norm() / scale if scale > 0 else 0.0)
-    for fld in (e, b):
-        scale = gradient_scale(fld)
-        residuals.append(apply_operator(div, fld).norm() / scale if scale > 0 else 0.0)
+    residuals += [_relative_residual(div, fld) for fld in (e, b)]
     return float(max(residuals))
 
 

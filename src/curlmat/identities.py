@@ -275,9 +275,10 @@ def exponential_pair(n_terms: int, ops: OperatorSet | None = None) -> tuple[OpMa
     curl1 = ops.curl(1)
     eye = OpMatrix.identity(3, curl1.tag)
     lhs = eye
-    for j, power in enumerate(power_walk(curl1, 2 * n_terms + 2), 1):
+    for j, power in enumerate(power_walk(curl1, 2 * n_terms + 2), 1):  # top >= 2
         lhs = lhs + power.scale(Fraction(1, factorial(j)))
-    curl_sq = curl1 @ curl1
+        if j == 2:
+            curl_sq = power
     rhs = eye
     for n in range(n_terms + 1):
         sign = Fraction(-1 if n % 2 else 1, factorial(2 * n + 1))

@@ -33,6 +33,8 @@ class GridSpec:
     def __post_init__(self):
         if len(self.n) != 3 or len(self.box) != 3:
             raise ValueError("grid needs three point counts and three lengths")
+        if not all(isinstance(v, (int, np.integer)) for v in self.n):
+            raise ValueError(f"point counts must be integers, got {self.n!r}")
         object.__setattr__(self, "n", tuple(int(v) for v in self.n))
         object.__setattr__(self, "box", tuple(float(v) for v in self.box))
         if any(v <= 0 or v % 2 for v in self.n):
@@ -227,25 +229,24 @@ def complex_curl_field(u: TensorField, v: TensorField) -> TensorField:
 def helmholtz(f: TensorField) -> tuple[TensorField, TensorField]:
     """Split a cartesian vector field into transverse and longitudinal parts.
 
-    Per mode: f_par = k (k . f)/|k|^2 and f_perp = f - f_par; the k = 0 mode
-    (a constant field, curl-free) goes wholly to the longitudinal part.  The
-    complex-extended wavevector (1+i)k would appear both in the numerator and
-    denominator of the projector, so the real-k projector is equivalent.
+    Since curl^2 = grad div - laplacian, the transverse part is
+    f_perp = curl curl f / |k|^2 per mode, and f_par = f - f_perp.  The
+    double-curl symbol vanishes wherever |k|^2 does, so the k = 0 mode (a
+    constant field, curl-free) and every mode whose wavenumbers are all
+    Nyquist-zeroed go wholly to the longitudinal part.  The complex curl's
+    factor (1+i)^2 would appear in numerator and denominator alike, so the
+    real curl gives the same split.
     """
     if f.basis != "cartesian" or f.l != 1:
         raise ValueError("helmholtz expects a cartesian rank-1 field")
     kx, ky, kz = f.grid.deriv_k_grids()
-    spectrum = _fft(f.data)
-    k2 = (kx ** 2 + ky ** 2 + kz ** 2).astype(np.float64)
-    dot = kx * spectrum[0] + ky * spectrum[1] + kz * spectrum[2]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        coeff = np.where(k2 > 0, dot / np.where(k2 > 0, k2, 1.0), 0.0)
-    par = np.stack([kx * coeff, ky * coeff, kz * coeff])
-    zero_mask = k2 == 0
-    par[:, zero_mask] = spectrum[:, zero_mask]
-    perp = spectrum - par
-    make = lambda spec: TensorField(1, "cartesian", f.grid, _ifft(spec))
-    return make(perp), make(par)
+    k2 = kx ** 2 + ky ** 2 + kz ** 2
+    curl = build_cartesian_curls().curl
+    perp = apply_symbol(curl @ curl, f.grid, _fft(f.data))
+    np.divide(perp, k2, out=perp, where=k2 > 0)
+    perp = _ifft(perp)
+    return (TensorField(1, "cartesian", f.grid, perp),
+            TensorField(1, "cartesian", f.grid, f.data - perp))
 
 
 def _gradient_scale(grid: GridSpec, spectrum: np.ndarray) -> float:
@@ -314,6 +315,8 @@ def random_bandlimited(grid: GridSpec, l: int = 1, basis: str = "cartesian",
                        kcut: float = 0.25, seed: int = 0,
                        rng: np.random.Generator | None = None) -> TensorField:
     """Random field supported on modes with |j| <= kcut * n per axis."""
+    if not kcut >= 0:
+        raise ValueError(f"kcut must be a non-negative number, got {kcut!r}")
     rng = rng or np.random.default_rng(seed)
     ncomp = _expected_components(basis, l)
     nz, ny, nx = grid.n[2], grid.n[1], grid.n[0]

@@ -209,6 +209,15 @@ class TestFieldPipeline:
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("kcut", ("nan", "-1"))
+    def test_gen_rejects_bad_kcut(self, capsys, tmp_path, kcut):
+        path = tmp_path / "f.ctf"
+        code, _, err = run_cli(capsys, "gen", "--preset", "random-bandlimited",
+                               "--grid", "8", f"--kcut={kcut}", "--out", str(path))
+        assert code == 1
+        assert err.splitlines()[-1].startswith("error:")
+        assert not path.exists()
+
     def test_apply_missing_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "apply", "--op", "curl",
                                "--in", str(tmp_path / "nope.ctf"),
@@ -217,14 +226,18 @@ class TestFieldPipeline:
 
 
 class TestBadInputFiles:
-    @pytest.mark.parametrize("header", (
-        b"[1, 2]",
-        b'{"magic": "CTF1", "l": -5, "basis": "spherical", "grid": [8, 8, 8],'
-        b' "box": [1, 1, 1], "dtype": "c128", "order": "component,z,y,x"}',
-    ), ids=("not-an-object", "negative-l"))
-    def test_apply_reports_error(self, capsys, tmp_path, header):
+    @pytest.mark.parametrize("header,payload", (
+        (b"[1, 2]", b""),
+        (b'{"magic": "CTF1", "l": -5, "basis": "spherical", "grid": [8, 8, 8],'
+         b' "box": [1, 1, 1], "dtype": "c128", "order": "component,z,y,x"}', b""),
+        # the payload is the right size for a 4^3 rank-1 field
+        (b'{"magic": "CTF1", "l": 1, "basis": "spherical", "grid": [4.5, 4, 4],'
+         b' "box": [1, 1, 1], "dtype": "c128", "order": "component,z,y,x"}',
+         bytes(3 * 4 ** 3 * 16)),
+    ), ids=("not-an-object", "negative-l", "non-integral-grid"))
+    def test_apply_reports_error(self, capsys, tmp_path, header, payload):
         src = tmp_path / "bad.ctf"
-        src.write_bytes(header + b"\n")
+        src.write_bytes(header + b"\n" + payload)
         code, _, err = run_cli(capsys, "apply", "--op", "curl", "--in", str(src),
                                "--out", str(tmp_path / "out.ctf"))
         assert code == 1

@@ -34,6 +34,10 @@ class TestGridSpec:
             GridSpec((16, 16, 16), (0.0, 1.0, 1.0))
         with pytest.raises(ValueError):
             GridSpec((16, 16), (1.0, 1.0))
+        for bad in (16.5, "16"):
+            with pytest.raises(ValueError):
+                GridSpec((bad, 16, 16), (1.0, 1.0, 1.0))
+        assert GridSpec((np.int64(16), 16, 16), (1.0, 1.0, 1.0)).n == (16, 16, 16)
 
     @pytest.mark.parametrize("bad", (float("nan"), float("inf")))
     def test_rejects_non_finite_box(self, bad):
@@ -216,7 +220,26 @@ class TestComplexCurlField:
         assert (combined - direct).norm() <= 1e-12 * max(direct.norm(), 1.0)
 
 
+def projector_oracle(f):
+    """The longitudinal projector k (k . f)/|k|^2 written out per mode;
+    k = 0 and all-Nyquist-zeroed modes go wholly to the longitudinal part."""
+    kx, ky, kz = f.grid.deriv_k_grids()
+    spectrum = np.fft.fftn(f.data, axes=(1, 2, 3))
+    k2 = kx ** 2 + ky ** 2 + kz ** 2
+    dot = kx * spectrum[0] + ky * spectrum[1] + kz * spectrum[2]
+    coeff = dot / np.where(k2 > 0, k2, 1.0)
+    par = np.stack([kx * coeff, ky * coeff, kz * coeff])
+    par[:, k2 == 0] = spectrum[:, k2 == 0]
+    return (np.fft.ifftn(spectrum - par, axes=(1, 2, 3)),
+            np.fft.ifftn(par, axes=(1, 2, 3)))
+
+
 class TestHelmholtz:
+    def test_matches_projector_oracle(self, grid):
+        f = random_bandlimited(grid, 1, "cartesian", kcut=0.5, seed=22)
+        for half, expected in zip(helmholtz(f), projector_oracle(f)):
+            assert np.linalg.norm(half.data - expected) <= 1e-14 * np.linalg.norm(expected)
+
     def test_gradient_is_longitudinal(self, grid):
         scalar = random_bandlimited(grid, 0, "cartesian", seed=14)
         f = apply_operator(cartesian_grad(), scalar)
@@ -245,12 +268,22 @@ class TestHelmholtz:
         assert par2.norm() <= 1e-10 * perp.norm()
 
     def test_constant_field_is_longitudinal(self, grid):
-        data = np.zeros((3, 16, 16, 16), dtype=complex)
-        data[0] = 2.5
-        f = TensorField(1, "cartesian", grid, data)
-        perp, par = helmholtz(f)
-        assert perp.norm() <= 1e-13
-        assert (par - f).norm() <= 1e-13
+        # the mean, and j = (8, 0, 0), whose first-derivative wavenumbers
+        # are all Nyquist-zeroed
+        x = grid.coords(0)[None, None, :]
+        for jx in (0, 8):
+            data = np.zeros((3, 16, 16, 16), dtype=complex)
+            data[0] = 2.5 * np.exp(1j * jx * x)
+            f = TensorField(1, "cartesian", grid, data)
+            perp, par = helmholtz(f)
+            assert perp.norm() <= 1e-13, jx
+            assert (par - f).norm() <= 1e-13, jx
+
+
+@pytest.mark.parametrize("kcut", (float("nan"), -1.0))
+def test_random_bandlimited_rejects_bad_kcut(grid, kcut):
+    with pytest.raises(ValueError, match="kcut"):
+        random_bandlimited(grid, 1, "cartesian", kcut=kcut)
 
 
 class TestRank2Views:
