@@ -35,10 +35,16 @@ class GridSpec:
             raise ValueError("grid needs three point counts and three lengths")
         if not all(isinstance(v, (int, np.integer)) for v in self.n):
             raise ValueError(f"point counts must be integers, got {self.n!r}")
+        if not all(isinstance(v, (int, float, np.integer, np.floating))
+                   and not isinstance(v, bool) for v in self.box):
+            raise ValueError(f"box lengths must be real numbers, got {self.box!r}")
         object.__setattr__(self, "n", tuple(int(v) for v in self.n))
-        object.__setattr__(self, "box", tuple(float(v) for v in self.box))
         if any(v <= 0 or v % 2 for v in self.n):
             raise ValueError("point counts must be positive even integers")
+        try:
+            object.__setattr__(self, "box", tuple(float(v) for v in self.box))
+        except OverflowError:  # an int beyond the float range
+            raise ValueError(f"box lengths must be finite, got {self.box!r}") from None
         if not all(math.isfinite(v) and v > 0 for v in self.box):
             raise ValueError("box lengths must be positive and finite")
 
@@ -147,13 +153,23 @@ class TensorField:
             raise ValueError("fields live on different grids or bases")
 
 
-def _fft(data: np.ndarray) -> np.ndarray:
-    """FFT over the last three axes, [..., z, y, x]; leading axes are a batch."""
-    return np.fft.fftn(data, axes=(-3, -2, -1))
+def _fft(data: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """FFT over the last three axes, [..., z, y, x]; leading axes are a batch.
+
+    The result goes to ``out``, which may be ``data`` itself; without it, to
+    a fresh array.  numpy's ``fftn`` then allocates nothing per axis: with
+    ``out=None`` it makes a new array for each of the three.
+    """
+    if out is None:
+        out = np.empty(data.shape, dtype=np.complex128)
+    return np.fft.fftn(data, axes=(-3, -2, -1), out=out)
 
 
-def _ifft(data: np.ndarray) -> np.ndarray:
-    return np.fft.ifftn(data, axes=(-3, -2, -1))
+def _ifft(data: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Inverse of `_fft`, with the same ``out`` contract."""
+    if out is None:
+        out = np.empty(data.shape, dtype=np.complex128)
+    return np.fft.ifftn(data, axes=(-3, -2, -1), out=out)
 
 
 def apply_operator(op: OpMatrix, f: TensorField) -> TensorField:
@@ -175,7 +191,7 @@ def apply_operator(op: OpMatrix, f: TensorField) -> TensorField:
         raise ValueError(f"operator has {op.cols} columns, field has {f.ncomp} components")
 
     out = apply_symbol(op, f.grid, _fft(f.data))
-    return TensorField(out_l, out_basis, f.grid, _ifft(out))
+    return TensorField(out_l, out_basis, f.grid, _ifft(out, out=out))
 
 
 @lru_cache(maxsize=16)
@@ -244,7 +260,7 @@ def helmholtz(f: TensorField) -> tuple[TensorField, TensorField]:
     curl = build_cartesian_curls().curl
     perp = apply_symbol(curl @ curl, f.grid, _fft(f.data))
     np.divide(perp, k2, out=perp, where=k2 > 0)
-    perp = _ifft(perp)
+    _ifft(perp, out=perp)
     return (TensorField(1, "cartesian", f.grid, perp),
             TensorField(1, "cartesian", f.grid, f.data - perp))
 
@@ -329,7 +345,7 @@ def random_bandlimited(grid: GridSpec, l: int = 1, basis: str = "cartesian",
     mask = (masks[2][:, None, None] & masks[1][None, :, None]
             & masks[0][None, None, :])
     spectrum *= mask[None, ...]
-    return TensorField(l, basis, grid, _ifft(spectrum))
+    return TensorField(l, basis, grid, _ifft(spectrum, out=spectrum))
 
 
 def example_rotation_fields(grid: GridSpec) -> tuple[TensorField, TensorField]:
@@ -400,7 +416,7 @@ def spectral_deriv(grid: GridSpec):
     def deriv(axis: int, arr: np.ndarray) -> np.ndarray:
         spec = _fft(arr)
         spec *= 1j * ks[axis]
-        return _ifft(spec)
+        return _ifft(spec, out=spec)
 
     return deriv
 

@@ -20,6 +20,13 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _fresh_env(**extra):
+    """Environment for a fresh interpreter that imports this checkout's curlmat."""
+    src = str(Path(curlmat.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, **extra, "PYTHONPATH": path}
+
+
 def _schema(name):
     with resources.files("curlmat").joinpath(f"schemas/{name}").open() as fh:
         return json.load(fh)
@@ -42,6 +49,15 @@ class TestUsage:
     def test_help_exits_zero(self, capsys):
         code, out, _ = run_cli(capsys, "--help")
         assert code == 0
+
+    def test_import_loads_no_heavy_modules(self):
+        # scipy alone adds ~0.35 s and ~27 MB to every CLI process; sympy is test-only
+        code = ("import sys, curlmat, curlmat.cli; "
+                "print(sorted({m.partition('.')[0] for m in sys.modules} & {'scipy', 'sympy'}))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=_fresh_env(), timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestBuild:
@@ -104,9 +120,7 @@ class TestVerify:
     @pytest.mark.parametrize("value", ["abc", "2.5", "0", "-3"])
     def test_bad_degree_cap(self, value):
         # a fresh interpreter, so that importing curlmat under the bad value is covered
-        src = str(Path(curlmat.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = {**os.environ, "CURLMAT_DEGREE_CAP": value, "PYTHONPATH": path}
+        env = _fresh_env(CURLMAT_DEGREE_CAP=value)
         proc = subprocess.run(
             [sys.executable, "-c", "from curlmat.cli import entry; entry()",
              "verify", "--suite", "core", "--max-l", "2"],
@@ -234,7 +248,10 @@ class TestBadInputFiles:
         (b'{"magic": "CTF1", "l": 1, "basis": "spherical", "grid": [4.5, 4, 4],'
          b' "box": [1, 1, 1], "dtype": "c128", "order": "component,z,y,x"}',
          bytes(3 * 4 ** 3 * 16)),
-    ), ids=("not-an-object", "negative-l", "non-integral-grid"))
+        (b'{"magic": "CTF1", "l": 1, "basis": "spherical", "grid": [4, 4, 4],'
+         b' "box": ["1", true, 2.5], "dtype": "c128", "order": "component,z,y,x"}',
+         bytes(3 * 4 ** 3 * 16)),
+    ), ids=("not-an-object", "negative-l", "non-integral-grid", "non-real-box"))
     def test_apply_reports_error(self, capsys, tmp_path, header, payload):
         src = tmp_path / "bad.ctf"
         src.write_bytes(header + b"\n" + payload)

@@ -149,6 +149,15 @@ class TestRk4:
         # the step must have moved the state, or the comparison is vacuous
         assert (fast.te - state.te).norm() > 1e-2 * state.te.norm()
 
+    def test_leaves_input_alone(self, grid):
+        state = random_state(grid, 1, seed=42)
+        te, tb = state.te.data.copy(), state.tb.data.copy()
+        new = step_rk4(state, 0.05)
+        assert np.array_equal(state.te.data, te) and np.array_equal(state.tb.data, tb)
+        for out in (new.te.data, new.tb.data):
+            for inp in (state.te.data, state.tb.data):
+                assert not np.shares_memory(out, inp)
+
     def test_order_of_convergence(self, grid):
         state = plane_wave_state(grid, 1, 1, (1, 0, 0))
         omega = np.linalg.norm(wavevector(grid, (1, 0, 0)))

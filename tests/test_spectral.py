@@ -8,7 +8,7 @@ from curlmat.builders import (build_cartesian_curls, build_curl_cg,
 from curlmat.diffop import OpMatrix, spherical_tag
 from curlmat.exactnum import ONE
 from curlmat.identities import curl_alpha_pairs
-from curlmat.spectral import (GridSpec, TensorField, apply_operator,
+from curlmat.spectral import (GridSpec, TensorField, _fft, _ifft, apply_operator,
                               complex_curl_field, curl_rank2_field,
                               example_rotation_fields, gradient_scale,
                               helmholtz, pack_rank2, plane_wave,
@@ -38,6 +38,11 @@ class TestGridSpec:
             with pytest.raises(ValueError):
                 GridSpec((bad, 16, 16), (1.0, 1.0, 1.0))
         assert GridSpec((np.int64(16), 16, 16), (1.0, 1.0, 1.0)).n == (16, 16, 16)
+        for bad in ("1", True, np.bool_(True), None, 1j, 10 ** 400):
+            with pytest.raises(ValueError):
+                GridSpec((16, 16, 16), (bad, 1.0, 1.0))
+        box = GridSpec((16, 16, 16), (2, np.int64(3), np.float32(0.5))).box
+        assert box == (2.0, 3.0, 0.5) and all(type(v) is float for v in box)
 
     @pytest.mark.parametrize("bad", (float("nan"), float("inf")))
     def test_rejects_non_finite_box(self, bad):
@@ -54,6 +59,29 @@ class TestGridSpec:
 
     def test_cell_volume(self, grid):
         assert grid.cell_volume == pytest.approx((TWO_PI / 16) ** 3)
+
+
+class TestFftLayer:
+    """`_fft`/`_ifft` are numpy's transforms over the last three axes, whatever
+    buffer the result goes to."""
+
+    @pytest.mark.parametrize("ours,numpy_fn", ((_fft, np.fft.fftn), (_ifft, np.fft.ifftn)))
+    def test_bit_identical_to_numpy(self, ours, numpy_fn):
+        rng = np.random.default_rng(7)
+        data = rng.standard_normal((2, 3, 8, 6, 4)) + 1j * rng.standard_normal((2, 3, 8, 6, 4))
+        want = numpy_fn(data, axes=(-3, -2, -1))
+        kept = data.copy()
+        got = ours(data)
+        assert np.array_equal(got, want)
+        assert np.array_equal(data, kept)  # no `out`: the input is left alone
+        fresh = np.empty_like(data)
+        assert ours(data, out=fresh) is fresh and np.array_equal(fresh, want)
+        assert np.array_equal(data, kept)
+        assert ours(data, out=data) is data and np.array_equal(data, want)
+
+    def test_real_input(self):
+        data = np.random.default_rng(8).standard_normal((4, 4, 4))
+        assert np.array_equal(_fft(data), np.fft.fftn(data))
 
 
 class TestTensorField:
