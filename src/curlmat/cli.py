@@ -126,11 +126,13 @@ def _cmd_evolve(args) -> int:
         raise ValueError(f"--steps must be non-negative, got {args.steps}")
     if args.dump_every is not None and args.dump_every < 1:
         raise ValueError(f"--dump-every must be at least 1, got {args.dump_every}")
-    if not math.isfinite(args.dt):
-        raise ValueError(f"--dt must be finite, got {args.dt}")
     if not (math.isfinite(args.c) and args.c > 0):
         raise ValueError(f"--c must be positive and finite, got {args.c}")
     grid = _parse_grid(args)
+    try:
+        evolve.check_dt(grid, args.c, args.dt)
+    except ValueError as exc:
+        raise ValueError(f"--{exc}") from None
     if args.init.startswith("planewave:"):
         try:
             m, jx, jy, jz = (int(v) for v in args.init.split(":", 1)[1].split(","))
@@ -284,7 +286,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return _DISPATCH[args.command](args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

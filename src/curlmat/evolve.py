@@ -18,8 +18,10 @@ same equations with the curl symbol itself, never its eigenvectors.  The
 system is linear and autonomous, so the classical step is the polynomial
 R(dt A) = 1 + dt A + (dt A)^2/2 + (dt A)^3/6 + (dt A)^4/24, which it
 evaluates in Horner form on the spectrum: one FFT call of the stacked
-(TE, TB) fields, four symbol applications with the entries cached per
-(operator, grid), one stacked inverse FFT: 2 FFT calls per step.
+(TE, TB) fields, four Horner stages, each one fused symbol pass per half
+(x + (+-c*dt/j) CURL y, the curl entries cached per (operator, grid)), one
+stacked inverse FFT: 2 FFT calls per step.  Both steppers reject a step
+whose largest phase c*dt*kmax is not finite before building anything.
 """
 
 from __future__ import annotations
@@ -138,9 +140,14 @@ class _Propagator:
 _propagator = lru_cache(maxsize=4)(_Propagator)
 
 
-def _check_dt(dt: float) -> None:
-    if not math.isfinite(dt):
-        raise ValueError(f"dt must be finite, got {dt}")
+def check_dt(grid: GridSpec, c: float, dt: float) -> float:
+    """The largest phase c*dt*kmax a step turns on ``grid``; a ValueError
+    naming dt unless it is finite, so no step table overflows."""
+    phase = c * dt * _max_wavenumber(grid)
+    if not (math.isfinite(dt) and math.isfinite(phase)):
+        raise ValueError(f"dt must be finite, as must c*dt*kmax; got dt={dt}, "
+                         f"c*dt*kmax={phase}")
+    return phase
 
 
 def _split(zp: np.ndarray, zm: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
@@ -178,7 +185,7 @@ def run_spectral(state: EvolutionState, dt: float, steps: int,
     Diagnostics are logged for the initial state, every `log_every` steps and
     the last step; ``log_every=0`` logs none.
     """
-    _check_dt(dt)
+    check_dt(state.grid, state.c, dt)
     prop = _propagator(state.grid, state.l)
     a, b = prop.to_eigen(state.te), prop.to_eigen(state.tb)
     logs = [_diag_from_modes(prop, state.t, a, b)] if log_every else []
@@ -215,27 +222,28 @@ def _max_wavenumber(grid: GridSpec) -> float:
 
 def step_rk4(state: EvolutionState, dt: float) -> EvolutionState:
     """Classical 4th-order step; cross-validates the exact propagator."""
-    _check_dt(dt)
-    if dt * state.c * _max_wavenumber(state.grid) >= RK4_STABILITY_BOUND:
+    phase = check_dt(state.grid, state.c, dt)
+    if phase >= RK4_STABILITY_BOUND:
         warnings.warn(
-            f"rk4 step dt*c*kmax = {dt * state.c * _max_wavenumber(state.grid):.3f}"
+            f"rk4 step dt*c*kmax = {phase:.3f}"
             f" exceeds the stability bound {RK4_STABILITY_BOUND}",
             RuntimeWarning, stacklevel=2)
     curl = build_curl_ldotgrad(state.l)
     grid = state.grid
-    # x holds the (TE, TB) spectra; d/dt x = A x = speed * CURL x[::-1] with
-    # speed = (+c, -c), and speed is folded into the Horner weights below
-    speed = np.array([state.c, -state.c]).reshape(2, 1, 1, 1, 1)
+    # x holds the (TE, TB) spectra; d/dt x = A x = (+c CURL x[1], -c CURL x[0])
     x = np.stack([state.te.data, state.tb.data])
     _fft(x, out=x)
     # R(dt A) x in Horner form (module docstring): y <- x + (dt/j) A y for
-    # j = 4, 3, 2, 1, from y = x itself; the first sum gets its own buffer
-    # and the later ones reuse it
-    y, ay = x, np.empty_like(x)
-    for j in (4, 3, 2, 1):
-        apply_symbol(curl, grid, y[::-1], out=ay)
-        ay *= speed * (dt / j)
-        y = np.add(x, ay, out=None if y is x else y)
+    # j = 4, 3, 2, 1, from y = x itself.  Each stage is one fused symbol pass
+    # per half, x + (+-c*dt/j) CURL y, written to whichever of two buffers
+    # the stage does not read
+    y, nxt = x, (np.empty_like(x), np.empty_like(x))
+    for i, j in enumerate((4, 3, 2, 1)):
+        weight = state.c * dt / j
+        out = nxt[i % 2]
+        apply_symbol(curl, grid, y[1], out=out[0], scale=weight, base=x[0])
+        apply_symbol(curl, grid, y[0], out=out[1], scale=-weight, base=x[1])
+        y = out
     te, tb = _ifft(y, out=y)
     return EvolutionState(TensorField(state.l, "spherical", grid, te),
                           TensorField(state.l, "spherical", grid, tb),

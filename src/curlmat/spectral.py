@@ -217,19 +217,36 @@ def symbol_entries(op: OpMatrix, grid: GridSpec) -> tuple[tuple[int, int, np.nda
 
 
 def apply_symbol(op: OpMatrix, grid: GridSpec, spectrum: np.ndarray,
-                 out: np.ndarray | None = None) -> np.ndarray:
-    """Apply an operator's symbol to spectra ``[..., component, z, y, x]``.
+                 out: np.ndarray | None = None, scale: complex = 1,
+                 base: np.ndarray | None = None) -> np.ndarray:
+    """``base + scale * op(k) spectrum`` on spectra ``[..., component, z, y, x]``.
 
     Leading axes before the component axis are a batch: every spectrum in
-    it gets the same operator.  The result is written to ``out`` if given.
+    it gets the same operator.  ``scale`` is folded into each entry's
+    broadcast symbol (at most n^2 elements), never into the full array, and
+    ``base`` is added last.  The result is written to ``out`` if given, which
+    must overlap neither ``spectrum`` nor ``base``.  With ``scale=1`` and no
+    ``base`` each row is its entries' products summed in entry order.
     """
     if out is None:
-        out = np.zeros(spectrum.shape[:-4] + (op.rows,) + spectrum.shape[-3:],
+        out = np.empty(spectrum.shape[:-4] + (op.rows,) + spectrum.shape[-3:],
                        dtype=np.complex128)
-    else:
-        out.fill(0)
+    written, scratch = set(), None
     for r, c, sym in symbol_entries(op, grid):
-        out[..., r, :, :, :] += sym * spectrum[..., c, :, :, :]
+        row, term = out[..., r, :, :, :], spectrum[..., c, :, :, :]
+        if scale != 1:
+            sym = sym * scale
+        if r in written:
+            if scratch is None:
+                scratch = np.empty(row.shape, dtype=np.complex128)
+            row += np.multiply(sym, term, out=scratch)
+        else:
+            np.multiply(sym, term, out=row)
+            written.add(r)
+    for r in set(range(op.rows)) - written:
+        out[..., r, :, :, :] = 0
+    if base is not None:
+        out += base
     return out
 
 
@@ -311,6 +328,8 @@ def plane_wave(grid: GridSpec, l: int, m: int, jvec: tuple[int, int, int],
         raise ValueError("plane wave needs a nonzero mode index")
     if abs(m) > l:
         raise ValueError("helicity band must satisfy |m| <= l")
+    if not np.isfinite(amplitude):
+        raise ValueError(f"amplitude must be finite, got {amplitude!r}")
     k = wavevector(grid, jvec)
     symbol = build_curl_ldotgrad(l).symbol_at(k)
     _, vecs = np.linalg.eigh(symbol)

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from importlib import resources
 from pathlib import Path
 
@@ -232,6 +233,26 @@ class TestFieldPipeline:
         assert err.splitlines()[-1].startswith("error:")
         assert not path.exists()
 
+    @pytest.mark.parametrize("amplitude", ("inf", "nan"))
+    def test_gen_rejects_non_finite_amplitude(self, capsys, tmp_path, amplitude):
+        path = tmp_path / "f.ctf"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # rejected before any numpy work
+            code, _, err = run_cli(capsys, "gen", "--preset", "planewave", "--grid", "8",
+                                   "--amplitude", amplitude, "--out", str(path))
+        assert code == 1
+        assert err.startswith("error:") and "amplitude" in err
+        assert not path.exists()
+
+    def test_gen_out_of_memory_is_an_error_line(self, capsys, tmp_path):
+        # the first allocation, about 24 PB, is refused at once
+        path = tmp_path / "f.ctf"
+        code, _, err = run_cli(capsys, "gen", "--preset", "random-bandlimited",
+                               "--grid", "100000", "--out", str(path))
+        assert code == 1
+        assert err.splitlines()[-1].startswith("error:") and "Traceback" not in err
+        assert not path.exists()
+
     def test_apply_missing_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "apply", "--op", "curl",
                                "--in", str(tmp_path / "nope.ctf"),
@@ -303,7 +324,7 @@ class TestEvolveCommand:
 
     @pytest.mark.parametrize("flag,value", [
         ("--steps", "-3"), ("--dump-every", "-1"), ("--dump-every", "0"),
-        ("--dt", "inf"), ("--dt", "nan"), ("--c", "nan"), ("--c", "inf"),
+        ("--dt", "inf"), ("--dt", "nan"), ("--dt", "1e308"), ("--c", "nan"), ("--c", "inf"),
         ("--c", "0"), ("--c", "-1"),
     ])
     def test_rejects_bad_flag_before_running(self, capsys, tmp_path, flag, value):

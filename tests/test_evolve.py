@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from curlmat import evolve, spectral
 from curlmat.angular import MAX_SPIN
 from curlmat.builders import build_curl_ldotgrad, build_div
 from curlmat.evolve import (EvolutionState, RK4_STABILITY_BOUND, _Propagator,
@@ -157,6 +158,24 @@ class TestRk4:
         for out in (new.te.data, new.tb.data):
             for inp in (state.te.data, state.tb.data):
                 assert not np.shares_memory(out, inp)
+
+    def test_two_fft_calls_per_step_and_no_apply_operator(self, grid, monkeypatch):
+        state = random_state(grid, 1, seed=44)
+        calls = []
+        for name in ("fftn", "ifftn"):
+            def counted(*args, _fn=getattr(np.fft, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(np.fft, name, counted)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("step_rk4 goes through the cached curl symbol only")
+        for module in (spectral, evolve):
+            monkeypatch.setattr(module, "apply_operator", forbidden)
+        monkeypatch.setattr(evolve, "_propagator", forbidden)  # the eigenvectors
+        for _ in range(3):
+            state = step_rk4(state, 0.05)
+        assert calls == ["fftn", "ifftn"] * 3
 
     def test_order_of_convergence(self, grid):
         state = plane_wave_state(grid, 1, 1, (1, 0, 0))
@@ -424,13 +443,15 @@ class TestStateValidation:
         with pytest.raises(ValueError, match="wave speed"):
             EvolutionState(sph, sph.copy(), 0.0, c)
 
-    @pytest.mark.parametrize("dt", [float("nan"), float("inf"), -float("inf")])
+    # 1e308 is finite, but c*dt*kmax overflows
+    @pytest.mark.parametrize("dt", [float("nan"), float("inf"), -float("inf"), 1e308, -1e308])
     def test_rk4_rejects_non_finite_dt(self, dt):
         state = random_state(GridSpec((8, 8, 8), (TWO_PI,) * 3), 1, seed=3)
         with pytest.raises(ValueError, match="dt must be finite"):
             step_rk4(state, dt)
 
-    @pytest.mark.parametrize("dt", [float("nan"), float("inf"), -float("inf")])
+    # 1e308 is finite, but c*dt*kmax overflows
+    @pytest.mark.parametrize("dt", [float("nan"), float("inf"), -float("inf"), 1e308, -1e308])
     def test_run_spectral_rejects_non_finite_dt(self, dt):
         state = random_state(GridSpec((8, 8, 8), (TWO_PI,) * 3), 1, seed=3)
         with warnings.catch_warnings():

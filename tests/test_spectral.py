@@ -5,10 +5,11 @@ import pytest
 
 from curlmat.builders import (build_cartesian_curls, build_curl_cg,
                               build_div, build_grad, cartesian_grad)
-from curlmat.diffop import OpMatrix, spherical_tag
+from curlmat.diffop import DiffPoly, OpMatrix, spherical_tag
 from curlmat.exactnum import ONE
 from curlmat.identities import curl_alpha_pairs
 from curlmat.spectral import (GridSpec, TensorField, _fft, _ifft, apply_operator,
+                              apply_symbol,
                               complex_curl_field, curl_rank2_field,
                               example_rotation_fields, gradient_scale,
                               helmholtz, pack_rank2, plane_wave,
@@ -167,16 +168,22 @@ class TestApplyOperator:
         assert np.abs(out.data.imag).max() <= 1e-12 * np.abs(out.data).max()
 
 
-def apply_per_entry(op, f):
-    """Reference apply_operator: every entry's symbol evaluated afresh."""
-    kx, ky, kz = f.grid.deriv_k_grids()
-    spectrum = np.fft.fftn(f.data, axes=(1, 2, 3))
-    out = np.zeros((op.rows,) + f.data.shape[1:], dtype=np.complex128)
+def symbol_per_entry(op, grid, spectrum):
+    """Reference apply_symbol: every entry's symbol evaluated afresh."""
+    kx, ky, kz = grid.deriv_k_grids()
+    out = np.zeros(spectrum.shape[:-4] + (op.rows,) + spectrum.shape[-3:],
+                   dtype=np.complex128)
     for r in range(op.rows):
         for c in range(op.cols):
             entry = op.entry(r, c)
             if not entry.is_zero:
-                out[r] += entry.symbol(kx, ky, kz) * spectrum[c]
+                out[..., r, :, :, :] += entry.symbol(kx, ky, kz) * spectrum[..., c, :, :, :]
+    return out
+
+
+def apply_per_entry(op, f):
+    """Reference apply_operator: `symbol_per_entry` between numpy FFTs."""
+    out = symbol_per_entry(op, f.grid, np.fft.fftn(f.data, axes=(1, 2, 3)))
     return np.fft.ifftn(out, axes=(1, 2, 3))
 
 
@@ -207,6 +214,40 @@ class TestSymbolEntries:
         for _, _, sym in entries:
             assert not sym.flags.writeable
             assert sym.size == 16  # one derivative axis each, not a full grid
+
+
+class TestApplySymbol:
+    """The fused kernel ``out = base + scale * op(k) spectrum``."""
+
+    def test_row_without_entries_overwrites_stale_output(self, grid):
+        curl = build_curl_cg(1)
+        op = OpMatrix(3, 3, [DiffPoly() if r == 1 else curl.entry(r, c)
+                             for r in range(3) for c in range(3)], curl.tag)
+        f = random_bandlimited(grid, 1, "spherical", seed=12)
+        out = np.full(f.data.shape, np.nan, dtype=np.complex128)
+        assert apply_symbol(op, grid, _fft(f.data), out=out) is out
+        assert np.array_equal(out[1], np.zeros_like(out[1]))
+        np.testing.assert_array_equal(_ifft(out), apply_per_entry(op, f))
+
+    @pytest.mark.parametrize("batch", [(), (2,)], ids=["single", "batched"])
+    @pytest.mark.parametrize("op,ncomp", [
+        (lambda: build_curl_cg(2), 5),
+        (lambda: build_grad(1), 3),
+    ], ids=["curl-2", "grad-1"])
+    def test_scale_and_base(self, grid, batch, op, ncomp):
+        op = op()
+        rng = np.random.default_rng(13)
+        def noise(rows):
+            shape = batch + (rows, 16, 16, 16)
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        spectrum, base = noise(ncomp), noise(op.rows)
+        for scale in (-0.37, 0.25 - 1.5j):
+            got = apply_symbol(op, grid, spectrum, scale=scale, base=base)
+            want = base + scale * symbol_per_entry(op, grid, spectrum)
+            assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
+        # the default scale and no base: the unscaled symbol, bit for bit
+        np.testing.assert_array_equal(apply_symbol(op, grid, spectrum),
+                                      symbol_per_entry(op, grid, spectrum))
 
 
 class TestFieldIdentityAgreement:
