@@ -11,8 +11,8 @@ from .angular import angular_matrices, clebsch_gordan, wigner_3j
 from .diffop import DiffPoly, OpMatrix
 from .builders import (build_cartesian_curls, build_curl_cg, build_curl_complex,
                        build_curl_hermitian, build_curl_ldotgrad, build_div,
-                       build_grad, cartesian_transform, conventions,
-                       curl_rank2_cartesian, to_cartesian)
+                       build_grad, cartesian_curl_rank2, cartesian_transform,
+                       conventions, curl_rank2_cartesian, to_cartesian)
 from .identities import verify_all, verify_core_identities
 from .spectral import (GridSpec, TensorField, apply_operator,
                        complex_curl_field, helmholtz, read_ctf, write_ctf)
@@ -28,7 +28,8 @@ __all__ = [
     "DiffPoly", "OpMatrix",
     "build_cartesian_curls", "build_curl_cg", "build_curl_complex",
     "build_curl_hermitian", "build_curl_ldotgrad", "build_div", "build_grad",
-    "cartesian_transform", "conventions", "curl_rank2_cartesian", "to_cartesian",
+    "cartesian_curl_rank2", "cartesian_transform", "conventions",
+    "curl_rank2_cartesian", "to_cartesian",
     "verify_all", "verify_core_identities",
     "GridSpec", "TensorField", "apply_operator", "complex_curl_field",
     "helmholtz", "read_ctf", "write_ctf",

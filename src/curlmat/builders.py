@@ -19,8 +19,6 @@ from functools import lru_cache
 from itertools import product
 from typing import Callable, NamedTuple
 
-import numpy as np
-
 from .angular import angular_matrices, clebsch_gordan, wigner_3j
 from .diffop import (CARTESIAN, TRANSFORM, DX, DY, DZ, DiffPoly, OpMatrix,
                      spherical_tag)
@@ -410,55 +408,54 @@ def cartesian_div() -> OpMatrix:
 # Rank-2 cartesian curl (symmetric traceless tensors).
 # ---------------------------------------------------------------------------
 
-def _symbolic_deriv(axis: int, entry: DiffPoly) -> DiffPoly:
-    unit = [0, 0, 0]
-    unit[axis] = 1
-    return entry * DiffPoly.monomial(*unit)
+# The packed slots (T11, T12, T13, T22, T23) of a symmetric traceless tensor;
+# T33 = -T11 - T22 and the lower triangle mirrors the upper.
+RANK2_SLOTS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2))
 
 
-def curl_rank2_cartesian(tensor, deriv: Callable | None = None):
+def curl_rank2_cartesian(tensor):
     """Curl of a symmetric traceless rank-2 cartesian tensor.
 
-    ``tensor`` is a 3x3 nested sequence whose entries are either DiffPoly
-    values (symbolic fields; derivatives multiply by the symbol) or numeric
-    arrays, in which case ``deriv(axis, entry)`` must supply the derivative.
-    The output is symmetric and traceless by construction.
+    ``tensor`` is a 3x3 nested sequence of DiffPoly entries (symbolic fields;
+    derivatives multiply by the symbol).  The output is symmetric and
+    traceless by construction.  Grid fields take `cartesian_curl_rank2`.
     """
     t = [[tensor[i][j] for j in range(3)] for i in range(3)]
-    symbolic = all(isinstance(t[i][j], DiffPoly) for i in range(3) for j in range(3))
-    if deriv is None:
-        if not symbolic:
-            raise TypeError("numeric tensors need an explicit deriv callable")
-        deriv = _symbolic_deriv
-    if symbolic:
-        for i in range(3):
-            for j in range(i + 1, 3):
-                if t[i][j] != t[j][i]:
-                    raise ValueError("tensor must be symmetric")
-        if not (t[0][0] + t[1][1] + t[2][2]).is_zero:
-            raise ValueError("tensor must be traceless")
-        half = lambda e: e * _HALF
-    else:
-        scale = max(float(np.max(np.abs(np.asarray(t[i][j]))))
-                    for i in range(3) for j in range(3))
-        tol = 1e-10 * scale + 1e-300
-        for i in range(3):
-            for j in range(i + 1, 3):
-                if not np.allclose(t[i][j], t[j][i], rtol=0, atol=tol):
-                    raise ValueError("tensor must be symmetric")
-        if not np.allclose(t[0][0] + t[1][1] + t[2][2], 0, rtol=0, atol=tol):
-            raise ValueError("tensor must be traceless")
-        half = lambda e: e * 0.5
+    if not all(isinstance(t[i][j], DiffPoly) for i in range(3) for j in range(3)):
+        raise TypeError("entries must be DiffPoly; apply cartesian_curl_rank2() "
+                        "to sampled tensors")
+    for i in range(3):
+        for j in range(i + 1, 3):
+            if t[i][j] != t[j][i]:
+                raise ValueError("tensor must be symmetric")
+    if not (t[0][0] + t[1][1] + t[2][2]).is_zero:
+        raise ValueError("tensor must be traceless")
 
-    d1 = lambda e: deriv(0, e)
-    d2 = lambda e: deriv(1, e)
-    d3 = lambda e: deriv(2, e)
+    d1, d2, d3 = (lambda e: e * DX), (lambda e: e * DY), (lambda e: e * DZ)
     diag0 = d2(t[0][2]) - d3(t[0][1])
     diag1 = d3(t[0][1]) - d1(t[1][2])
     diag2 = d1(t[1][2]) - d2(t[0][2])
-    a = half((d2(t[2][1]) - d3(t[1][1])) + (d3(t[0][0]) - d1(t[2][0])))
-    b = half((d2(t[2][2]) - d3(t[1][2])) + (d1(t[1][0]) - d2(t[0][0])))
-    c = half((d3(t[0][2]) - d1(t[2][2])) + (d1(t[1][1]) - d2(t[0][1])))
+    a = ((d2(t[2][1]) - d3(t[1][1])) + (d3(t[0][0]) - d1(t[2][0]))) * _HALF
+    b = ((d2(t[2][2]) - d3(t[1][2])) + (d1(t[1][0]) - d2(t[0][0]))) * _HALF
+    c = ((d3(t[0][2]) - d1(t[2][2])) + (d1(t[1][1]) - d2(t[0][1]))) * _HALF
     return ((diag0, a, b),
             (a, diag1, c),
             (b, c, diag2))
+
+
+@lru_cache(maxsize=1)
+def cartesian_curl_rank2() -> OpMatrix:
+    """The rank-2 curl as a 5x5 operator on the `RANK2_SLOTS` packing.
+
+    Column s is `curl_rank2_cartesian` of the unit tensor of slot s.
+    """
+    one = DiffPoly.scalar(ONE)
+    columns = []
+    for i, j in RANK2_SLOTS:
+        unit = [[_ZERO] * 3 for _ in range(3)]
+        unit[i][j] = unit[j][i] = one
+        if i == j:
+            unit[2][2] = -one
+        out = curl_rank2_cartesian(unit)
+        columns.append([out[r][c] for r, c in RANK2_SLOTS])
+    return OpMatrix.from_rows(list(zip(*columns)), CARTESIAN)

@@ -130,9 +130,12 @@ def _cmd_evolve(args) -> int:
         raise ValueError(f"--c must be positive and finite, got {args.c}")
     grid = _parse_grid(args)
     try:
-        evolve.check_dt(grid, args.c, args.dt)
+        phase = evolve.check_dt(grid, args.c, args.dt)
     except ValueError as exc:
         raise ValueError(f"--{exc}") from None
+    if args.stepper == "rk4" and abs(phase) >= evolve.RK4_STABILITY_BOUND:
+        raise ValueError(f"--dt {args.dt} gives c*dt*kmax = {phase:.3g}, at or past the "
+                         f"rk4 stability bound {evolve.RK4_STABILITY_BOUND}")
     if args.init.startswith("planewave:"):
         try:
             m, jx, jy, jz = (int(v) for v in args.init.split(":", 1)[1].split(","))

@@ -33,9 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .builders import (build_cartesian_curls, build_curl_complex,
-                       build_curl_ldotgrad, build_div, cartesian_div,
-                       cartesian_transform)
+from .builders import build_curl_complex, build_curl_ldotgrad, build_div
 from .spectral import (GridSpec, TensorField, _fft, _ifft, _relative_residual,
                        apply_operator, apply_symbol, plane_wave,
                        random_bandlimited)
@@ -223,7 +221,7 @@ def _max_wavenumber(grid: GridSpec) -> float:
 def step_rk4(state: EvolutionState, dt: float) -> EvolutionState:
     """Classical 4th-order step; cross-validates the exact propagator."""
     phase = check_dt(state.grid, state.c, dt)
-    if phase >= RK4_STABILITY_BOUND:
+    if abs(phase) >= RK4_STABILITY_BOUND:  # |R(i*theta)| is even in theta
         warnings.warn(
             f"rk4 step dt*c*kmax = {phase:.3f}"
             f" exceeds the stability bound {RK4_STABILITY_BOUND}",
@@ -274,26 +272,15 @@ def complex_curl_residual(state: EvolutionState, fd_dt: float | None = None) -> 
         dte = TensorField.zeros(state.grid, state.l, "spherical")
         dtb = TensorField.zeros(state.grid, state.l, "spherical")
 
-    if state.l == 1:
-        s_num = cartesian_transform().symbol_at((0, 0, 0))
-        to_cart = lambda f: TensorField(
-            1, "cartesian", f.grid, np.einsum("ab,bzyx->azyx", s_num, f.data))
-        e, b, de, db = map(to_cart, (state.te, state.tb, dte, dtb))
-        curl_c = build_cartesian_curls().curl_c
-        div = cartesian_div()
-    else:
-        e, b, de, db = state.te, state.tb, dte, dtb
-        curl_c = build_curl_complex(state.l)
-        div = build_div(state.l)
-
+    curl_c = build_curl_complex(state.l)
     factor = (1 + 1j) / state.c
-    curl_e = apply_operator(curl_c, e)
-    curl_b = apply_operator(curl_c, b)
+    curl_e = apply_operator(curl_c, state.te)
+    curl_b = apply_operator(curl_c, state.tb)
     residuals = []
-    for curl_term, dt_term in ((curl_e, db * factor), (curl_b, de * (-factor))):
+    for curl_term, dt_term in ((curl_e, dtb * factor), (curl_b, dte * (-factor))):
         scale = curl_term.norm() + dt_term.norm()
         residuals.append((curl_term + dt_term).norm() / scale if scale > 0 else 0.0)
-    residuals += [_relative_residual(div, fld) for fld in (e, b)]
+    residuals += [_relative_residual(build_div(state.l), fld) for fld in (state.te, state.tb)]
     return float(max(residuals))
 
 

@@ -204,10 +204,6 @@ class ExactScalar:
     def is_zero(self) -> bool:
         return not self._re and not self._im
 
-    @property
-    def is_real(self) -> bool:
-        return not self._im
-
     def __bool__(self) -> bool:
         return not self.is_zero
 

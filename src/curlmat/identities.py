@@ -63,7 +63,7 @@ class OperatorSet:
 
     def __init__(self, curl_override: Mapping[int, OpMatrix] | None = None):
         self._curl_override = dict(curl_override or {})
-        self._cache: dict[tuple, OpMatrix] = {}
+        self._laplacians: dict[int, OpMatrix] = {}
 
     def curl(self, l: int) -> OpMatrix:
         if l in self._curl_override:
@@ -76,12 +76,11 @@ class OperatorSet:
     def grad(self, l: int) -> OpMatrix:
         return build_grad(l)
 
-    def laplacian_identity(self, l: int, n: int = 1) -> OpMatrix:
-        key = ("lap", l, n)
-        if key not in self._cache:
+    def laplacian_identity(self, l: int) -> OpMatrix:
+        if l not in self._laplacians:
             eye = OpMatrix.identity(2 * l + 1, spherical_tag(l, l))
-            self._cache[key] = eye.laplacian_times(n)
-        return self._cache[key]
+            self._laplacians[l] = eye.laplacian_times(1)
+        return self._laplacians[l]
 
 
 class _CartesianOperators:

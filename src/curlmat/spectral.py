@@ -16,8 +16,8 @@ from functools import lru_cache
 import numpy as np
 
 from .angular import basis_index, clebsch_gordan
-from .builders import (build_cartesian_curls, build_curl_ldotgrad, cartesian_div,
-                       cartesian_transform, curl_rank2_cartesian)
+from .builders import (RANK2_SLOTS, build_cartesian_curls, build_curl_ldotgrad,
+                       cartesian_curl_rank2, cartesian_div, cartesian_transform)
 from .diffop import OpMatrix
 
 _CART_COMPONENTS = {0: 1, 1: 3, 2: 5}
@@ -414,10 +414,19 @@ def spherical_rank2_to_cartesian(f: TensorField) -> list[list[np.ndarray]]:
 
 
 def pack_rank2(tensor, grid: GridSpec) -> TensorField:
-    """Pack a symmetric traceless 3x3 sample tensor as (T11, T12, T13, T22, T23)."""
-    data = np.stack([tensor[0][0], tensor[0][1], tensor[0][2],
-                     tensor[1][1], tensor[1][2]])
-    return TensorField(2, "cartesian", grid, data)
+    """Pack a symmetric traceless 3x3 sample tensor as (T11, T12, T13, T22, T23).
+
+    The entries left out must follow from the packed ones, to within 1e-10 of
+    the largest packed sample: a ValueError names the symmetry or the trace.
+    """
+    t = np.asarray(tensor, dtype=np.complex128)
+    packed = TensorField(2, "cartesian", grid, np.stack([t[i, j] for i, j in RANK2_SLOTS]))
+    tol = 1e-10 * float(np.max(np.abs(packed.data))) + 1e-300
+    if not np.allclose(t, t.swapaxes(0, 1), rtol=0, atol=tol):
+        raise ValueError("tensor must be symmetric")
+    if not np.allclose(np.trace(t), 0, rtol=0, atol=tol):
+        raise ValueError("tensor must be traceless")
+    return packed
 
 
 def unpack_rank2(f: TensorField) -> list[list[np.ndarray]]:
@@ -428,21 +437,9 @@ def unpack_rank2(f: TensorField) -> list[list[np.ndarray]]:
     return [[t11, t12, t13], [t12, t22, t23], [t13, t23, t33]]
 
 
-def spectral_deriv(grid: GridSpec):
-    """Derivative backend for grid tensors: multiply by i*k along one axis."""
-    ks = grid.deriv_k_grids()  # (kx, ky, kz), shaped to broadcast on [z, y, x]
-
-    def deriv(axis: int, arr: np.ndarray) -> np.ndarray:
-        spec = _fft(arr)
-        spec *= 1j * ks[axis]
-        return _ifft(spec, out=spec)
-
-    return deriv
-
-
-def curl_rank2_field(tensor, grid: GridSpec):
+def curl_rank2_field(tensor, grid: GridSpec) -> list[list[np.ndarray]]:
     """Rank-2 cartesian curl of grid-sampled tensor entries."""
-    return curl_rank2_cartesian(tensor, deriv=spectral_deriv(grid))
+    return unpack_rank2(apply_operator(cartesian_curl_rank2(), pack_rank2(tensor, grid)))
 
 
 # ---------------------------------------------------------------------------

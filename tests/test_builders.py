@@ -4,16 +4,17 @@ import numpy as np
 import pytest
 
 from curlmat import builders
-from curlmat.builders import (build_cartesian_curls, build_curl_cg,
+from curlmat.angular import basis_index, clebsch_gordan
+from curlmat.builders import (RANK2_SLOTS, build_cartesian_curls, build_curl_cg,
                               build_curl_complex, build_curl_hermitian,
                               build_curl_ladder, build_curl_ldotgrad,
-                              build_div, build_grad, cartesian_div,
-                              cartesian_grad, cartesian_transform,
+                              build_div, build_grad, cartesian_curl_rank2,
+                              cartesian_div, cartesian_grad, cartesian_transform,
                               cartesian_transform_inverse, conventions,
                               curl_rank2_cartesian, to_cartesian)
-from curlmat.diffop import (CARTESIAN, DX, DY, DZ, DiffPoly, OpMatrix,
+from curlmat.diffop import (CARTESIAN, TRANSFORM, DX, DY, DZ, DiffPoly, OpMatrix,
                             spherical_tag)
-from curlmat.exactnum import I, ONE, imag, rational, root
+from curlmat.exactnum import ExactScalar, I, ONE, imag, rational, root
 
 import reference_matrices as ref
 
@@ -236,3 +237,46 @@ class TestRank2Curl:
         t = [[arr, arr, arr], [arr, arr, arr], [arr, arr, arr]]
         with pytest.raises(TypeError):
             curl_rank2_cartesian(t)
+
+
+def _spherical_to_packed() -> tuple[OpMatrix, OpMatrix]:
+    """Exact P taking rank-2 spherical components (m = 2..-2) to the packed
+    cartesian slots, and its inverse, both from Clebsch-Gordan data.
+
+    Component m is the symmetric traceless matrix
+    E_m = sum CG(1 m1 1 m2 | 2 m) s_m1 s_m2^T over the columns s_mu of the
+    rank-1 transform; the E_m are orthonormal, so f_m = <E_m, T>.
+    """
+    s = cartesian_transform()
+    col = lambda i, mu: s.entry(i, basis_index(1, mu)).coefficient((0, 0, 0))
+    basis = []
+    for m in range(2, -3, -1):
+        e = [[ExactScalar()] * 3 for _ in range(3)]
+        for m1 in (1, 0, -1):
+            m2 = m - m1
+            if abs(m2) <= 1:
+                cg = clebsch_gordan(1, m1, 1, m2, 2, m)
+                for i in range(3):
+                    for j in range(3):
+                        e[i][j] = e[i][j] + cg * col(i, m1) * col(j, m2)
+        basis.append(e)
+    p = [[e[i][j] for e in basis] for i, j in RANK2_SLOTS]
+
+    def weight(e, i, j):
+        # slot (i, j) also stands for T_ji, and a diagonal slot for its share
+        # of T33 = -T11 - T22
+        other = e[j][i].conj() if i != j else -e[2][2].conj()
+        return e[i][j].conj() + other
+
+    p_inv = [[weight(e, i, j) for i, j in RANK2_SLOTS] for e in basis]
+    return OpMatrix.constant(p, TRANSFORM), OpMatrix.constant(p_inv, TRANSFORM)
+
+
+class TestCartesianCurlRank2:
+    def test_transform_inverse_is_exact(self):
+        p, p_inv = _spherical_to_packed()
+        assert p_inv @ p == OpMatrix.identity(5, TRANSFORM)
+
+    def test_is_the_spherical_curl_in_packed_coordinates(self):
+        p, p_inv = _spherical_to_packed()
+        assert (p @ build_curl_cg(2) @ p_inv).retag(CARTESIAN) == cartesian_curl_rank2()

@@ -336,6 +336,20 @@ class TestEvolveCommand:
         assert "Warning" not in err and out == ""
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("dt", ("1e100", "1.0", "-1.0"))
+    def test_rk4_rejects_unstable_dt_before_running(self, tmp_path, dt):
+        # c*dt*kmax is finite but past RK4_STABILITY_BOUND: every step would
+        # only grow the field.  A fresh interpreter shows what numpy prints.
+        proc = subprocess.run(
+            [sys.executable, "-m", "curlmat.cli", "evolve", "--grid", "8", "--steps", "3",
+             "--stepper", "rk4", "--dt", dt, "--out-prefix", str(tmp_path / "r")],
+            capture_output=True, text=True, env=_fresh_env(), timeout=60)
+        assert proc.returncode == 1
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("error: --dt")
+        assert "RuntimeWarning" not in proc.stderr and "overflow" not in proc.stderr
+        assert proc.stdout == "" and not list(tmp_path.iterdir())
+
     def test_bad_init_string(self, capsys, tmp_path):
         code, _, _ = run_cli(
             capsys, "evolve", "--init", "planewave:oops",

@@ -5,7 +5,8 @@ import pytest
 
 from curlmat import evolve, spectral
 from curlmat.angular import MAX_SPIN
-from curlmat.builders import build_curl_ldotgrad, build_div
+from curlmat.builders import (build_curl_complex, build_curl_ldotgrad, build_div,
+                              cartesian_div, cartesian_transform, to_cartesian)
 from curlmat.evolve import (EvolutionState, RK4_STABILITY_BOUND, _Propagator,
                             _diag_from_modes, complex_curl_residual, diagnostics,
                             plane_wave_state, random_state, run_spectral,
@@ -208,6 +209,11 @@ class TestRk4:
         bad_dt = 1.05 * RK4_STABILITY_BOUND / kmax
         with pytest.warns(RuntimeWarning):
             step_rk4(state, bad_dt)
+
+    def test_stability_warning_backward(self, grid):
+        state = plane_wave_state(grid, 1, 1, (1, 0, 0))
+        with pytest.warns(RuntimeWarning):
+            step_rk4(state, -0.3)
 
     def test_no_warning_in_stable_region(self, grid):
         import warnings
@@ -426,6 +432,34 @@ class TestComplexCurlResidual:
         zero = TensorField.zeros(grid, 1, "spherical")
         state = EvolutionState(zero, zero.copy(), 0.0, 1.0)
         assert complex_curl_residual(state) == 0.0
+
+    @pytest.mark.parametrize("solenoidal", (True, False))
+    def test_rank1_matches_cartesian_basis(self, grid, solenoidal):
+        # the same residual worked in the cartesian basis, in real space; a
+        # coarse fd_dt keeps the curl residual O(1), so roundoff cannot hide
+        # a wrong operator
+        if solenoidal:
+            state = random_state(grid, 1, seed=5)
+        else:
+            state = EvolutionState(random_bandlimited(grid, 1, "spherical", seed=30),
+                                   random_bandlimited(grid, 1, "spherical", seed=31), 0.0, 1.0)
+        fd_dt = 0.5
+        s = cartesian_transform().symbol_at((0, 0, 0))
+        cart = lambda f: TensorField(1, "cartesian", grid, np.einsum("ab,bzyx->azyx", s, f.data))
+        fwd, bwd = step_spectral(state, fd_dt), step_spectral(state, -fd_dt)
+        e, b = cart(state.te), cart(state.tb)
+        de = cart((fwd.te - bwd.te) * (0.5 / fd_dt))
+        db = cart((fwd.tb - bwd.tb) * (0.5 / fd_dt))
+        curl_c = to_cartesian(build_curl_complex(1))
+        factor = (1 + 1j) / state.c
+        expected = [apply_operator(cartesian_div(), f).norm() / gradient_scale(f)
+                    for f in (e, b)]
+        for f, dt_term in ((e, db * factor), (b, de * -factor)):
+            curl = apply_operator(curl_c, f)
+            expected.append((curl + dt_term).norm() / (curl.norm() + dt_term.norm()))
+        got = complex_curl_residual(state, fd_dt=fd_dt)
+        assert 1e-3 < got < 1.0
+        assert abs(got - max(expected)) <= 1e-12 * got
 
 
 class TestStateValidation:

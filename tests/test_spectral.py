@@ -15,7 +15,7 @@ from curlmat.spectral import (GridSpec, TensorField, _fft, _ifft, apply_operator
                               helmholtz, pack_rank2, plane_wave,
                               random_bandlimited, rank2_cartesian_basis,
                               read_ctf, relative_complex_curl,
-                              relative_divergence, spectral_deriv,
+                              relative_divergence,
                               spherical_rank2_to_cartesian, symbol_entries,
                               unpack_rank2, wavevector, write_ctf)
 
@@ -389,11 +389,20 @@ class TestRank2Views:
         trace = out[0][0] + out[1][1] + out[2][2]
         assert np.allclose(trace, 0, atol=1e-10)
 
-    def test_spectral_deriv_matches_analytic(self, grid):
-        x = grid.coords(0)[None, None, :]
-        f = np.exp(1j * 2 * x) * np.ones((16, 16, 16))
-        d = spectral_deriv(grid)(0, f)
-        assert np.allclose(d, 2j * f, atol=1e-10)
+    def test_grid_curl_matches_spherical_curl(self, grid):
+        f = random_bandlimited(grid, 2, "spherical", seed=22)
+        got = np.array(curl_rank2_field(spherical_rank2_to_cartesian(f), grid))
+        want = np.array(spherical_rank2_to_cartesian(apply_operator(build_curl_cg(2), f)))
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("entry,shift,match", [
+        ((1, 0), 1e-3, "symmetric"), ((2, 2), 1.0, "traceless")])
+    def test_pack_rejects_dropped_entry_mismatch(self, grid, entry, shift, match):
+        tensor = spherical_rank2_to_cartesian(random_bandlimited(grid, 2, "spherical", seed=23))
+        i, j = entry
+        tensor[i][j] = tensor[i][j] + shift
+        with pytest.raises(ValueError, match=match):
+            pack_rank2(tensor, grid)
 
 
 class TestCtfFormat:
