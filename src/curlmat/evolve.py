@@ -9,9 +9,13 @@ being helicity band m with eigenvalue lambda = m|k|/l, and each mode turns
 by c*lambda*dt -- energy is conserved to roundoff and steps are exactly
 reversible.  `run_spectral` moves the fields to band coefficients once and
 marches those: with z+- = a +- ib for the TE and TB coefficients a and b, a
-step multiplies z+ by exp(-i*c*lambda*dt) and z- by its conjugate, and the
-diagnostics read energy, band amplitudes and divergence straight from the
-coefficients.  Fields are rebuilt only to dump a state and at the end.
+step multiplies z+ in place by exp(-i*c*lambda*dt) and z- by its conjugate,
+the same table read with its bands reversed (lambda is odd in m).  A logged
+step reads energy, band amplitudes and divergence from z+ + z- = 2a and
+z+ - z- = 2ib, each formed once in one scratch array, never from the
+expansion |z+|^2 + |z-|^2 +- 2 Re(z+ conj z-), which cancels when one field
+is near zero.  a and b themselves, and the fields, are rebuilt only to dump
+a state and at the end.
 
 `step_rk4` is the independent check on that propagator: it integrates the
 same equations with the curl symbol itself, never its eigenvectors.  The
@@ -92,7 +96,7 @@ class _Propagator:
         self.m = np.arange(-l, l + 1)  # the bands, and the spectrum of Ly and Lz
         self.shape = (self.dim, grid.n[2], grid.n[1], grid.n[0])
         kx, ky, kz = (np.broadcast_to(k, self.shape[1:]).ravel() for k in grid.deriv_k_grids())
-        self.k2 = kx ** 2 + ky ** 2 + kz ** 2
+        self.kabs = np.sqrt(kx ** 2 + ky ** 2 + kz ** 2)
         self.polar = np.exp(1j * np.arctan2(np.hypot(kx, ky), kz))
         self.azimuth = np.exp(1j * np.arctan2(ky, kx))
         # Ly is l times the curl symbol at y^; eigh sorts its eigenvalues -l..l as m
@@ -105,7 +109,11 @@ class _Propagator:
     @property
     def vals(self) -> np.ndarray:
         """Eigenvalue m|k|/l of every band (rows) at every mode (columns)."""
-        return np.multiply.outer(self.m, np.sqrt(self.k2)) / self.l
+        return np.multiply.outer(self.m, self.kabs) / self.l
+
+    def phases(self, c: float, dt: float) -> np.ndarray:
+        """exp(-i*c*lambda*dt) of every band and mode: one step of z+."""
+        return np.exp(-1j * c * dt * self.vals)
 
     def to_eigen(self, f: TensorField) -> np.ndarray:
         """Band coefficients of a field: FFT, then V^H per mode."""
@@ -124,14 +132,9 @@ class _Propagator:
         x = x.reshape(self.shape)
         return TensorField(self.l, "spherical", self.grid, _ifft(x, out=x))
 
-    def div_residual(self, coeffs: np.ndarray) -> float:
-        grad = np.abs(coeffs) ** 2 @ self.k2  # per band, sum of |k|^2 |a_m|^2
-        scale = grad.sum()
-        return float(np.sqrt(self.div_weight @ grad / scale)) if scale > 0 else 0.0
-
     def constraint_project(self, coeffs: np.ndarray) -> np.ndarray:
         """Keep only the divergence-free bands (m = +/-l) for k != 0 modes."""
-        coeffs[1:-1, self.k2 != 0] = 0
+        coeffs[1:-1, self.kabs != 0] = 0
         return coeffs
 
 
@@ -148,31 +151,58 @@ def check_dt(grid: GridSpec, c: float, dt: float) -> float:
     return phase
 
 
-def _split(zp: np.ndarray, zm: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
-    """Write a and b from z+- = a +- ib into the given arrays."""
-    # in place: a fresh array per logged step costs more than the arithmetic
-    np.add(zp, zm, out=a)
-    a *= 0.5
-    np.subtract(zp, zm, out=b)
-    b *= -0.5j
-
-
 def step_spectral(state: EvolutionState, dt: float) -> EvolutionState:
     """Advance by the exact per-mode propagator (negative dt steps backward)."""
     return run_spectral(state, dt, 1, log_every=0)[0]
 
 
-def _diag_from_modes(prop: _Propagator, t: float, a: np.ndarray,
-                     b: np.ndarray) -> Diagnostics:
-    """Diagnostics from the TE and TB eigen coefficients a and b (Parseval)."""
-    band_power = prop.mode_weight * np.array([np.vdot(row, row).real for row in a])
+def _pair(prop: _Propagator, state: EvolutionState) -> tuple[np.ndarray, ...]:
+    """z+- = a +- ib of the state's TE and TB band coefficients a and b, made
+    in the two `to_eigen` buffers, and a scratch array of their shape."""
+    zp, zm = prop.to_eigen(state.te), prop.to_eigen(state.tb)
+    scratch = np.multiply(zm, 1j)
+    np.subtract(zp, scratch, out=zm)
+    zp += scratch
+    return zp, zm, scratch
+
+
+def _band_powers(prop: _Propagator, x: np.ndarray) -> tuple[np.ndarray, float]:
+    """Per band sum |x|^2 of 2a or 2ib in `x`, and the divergence residual
+    sqrt(sum_m w_m sum |k x_m|^2 / sum |k x|^2); scales `x` by |k| in place."""
+    power = np.array([np.vdot(row, row).real for row in x])
+    x *= prop.kabs
+    grad = np.array([np.vdot(row, row).real for row in x])
+    scale = grad.sum()
+    div = float(np.sqrt(prop.div_weight @ grad / scale)) if scale > 0 else 0.0
+    return power, div
+
+
+def _diag_from_modes(prop: _Propagator, t: float, zp: np.ndarray, zm: np.ndarray,
+                     scratch: np.ndarray) -> Diagnostics:
+    """Diagnostics from z+- = a +- ib (Parseval): 2a and 2ib are formed in
+    turn in `scratch`, so each term is a sum of squares and never cancels."""
+    weight = prop.mode_weight / 4  # exact: the 1/2 of a and b, squared
+    te_power, div_te = _band_powers(prop, np.add(zp, zm, out=scratch))
+    tb_power, div_tb = _band_powers(prop, np.subtract(zp, zm, out=scratch))
     return Diagnostics(
         t=t,
-        energy=float(band_power.sum() + prop.mode_weight * np.vdot(b, b).real),
-        div_te=prop.div_residual(a),
-        div_tb=prop.div_residual(b),
-        band_te=tuple(float(v) for v in np.sqrt(band_power)),
+        energy=float(weight * (te_power.sum() + tb_power.sum())),
+        div_te=div_te,
+        div_tb=div_tb,
+        band_te=tuple(float(v) for v in np.sqrt(weight * te_power)),
     )
+
+
+def _state(prop: _Propagator, zp: np.ndarray, zm: np.ndarray, scratch: np.ndarray,
+           t: float, c: float) -> EvolutionState:
+    """The fields at z+-: a = (z+ + z-)/2, then b = (z+ - z-)/(2i), each built
+    in `scratch` and transformed back before the next."""
+    np.add(zp, zm, out=scratch)
+    scratch *= 0.5
+    te = prop.to_field(scratch)
+    np.subtract(zp, zm, out=scratch)
+    scratch *= -0.5j
+    return EvolutionState(te, prop.to_field(scratch), t, c)
 
 
 def run_spectral(state: EvolutionState, dt: float, steps: int,
@@ -181,33 +211,33 @@ def run_spectral(state: EvolutionState, dt: float, steps: int,
     """March `steps` spectral steps, staying in eigen coordinates between steps.
 
     Diagnostics are logged for the initial state, every `log_every` steps and
-    the last step; ``log_every=0`` logs none.
+    the last step; ``log_every=0`` logs none.  With `dump_fn`, the state is
+    passed to ``dump_fn(state, step)`` every `dump_every` steps.
     """
+    if steps < 0:
+        raise ValueError(f"steps must be non-negative, got {steps}")
+    if log_every < 0:
+        raise ValueError(f"log_every must be non-negative, got {log_every}")
+    if dump_every is not None and dump_every < 1:
+        raise ValueError(f"dump_every must be at least 1, got {dump_every}")
     check_dt(state.grid, state.c, dt)
     prop = _propagator(state.grid, state.l)
-    a, b = prop.to_eigen(state.te), prop.to_eigen(state.tb)
-    logs = [_diag_from_modes(prop, state.t, a, b)] if log_every else []
+    zp, zm, scratch = _pair(prop, state)
+    logs = [_diag_from_modes(prop, state.t, zp, zm, scratch)] if log_every else []
     # the rotation a' = a cos + b sin, b' = b cos - a sin by theta = c*lambda*dt
     # is z+' = z+ exp(-i theta) and z-' = z- exp(+i theta) for z+- = a +- ib
-    zp, zm = a + 1j * b, a - 1j * b
-    forward = np.exp(-1j * state.c * dt * prop.vals)
-    backward = forward.conj()
+    forward = prop.phases(state.c, dt)
     t = state.t
     for step in range(1, steps + 1):
         zp *= forward
-        zm *= backward
+        zm *= forward[::-1]  # band -m turns by -theta: forward.conj(), bit for bit
         t = state.t + step * dt
-        log = log_every and (step % log_every == 0 or step == steps)
-        dump = dump_every and dump_fn and step % dump_every == 0
-        if log or dump:
-            _split(zp, zm, a, b)
-        if log:
-            logs.append(_diag_from_modes(prop, t, a, b))
-        if dump:
-            dump_fn(EvolutionState(prop.to_field(a), prop.to_field(b), t, state.c), step)
-    _split(zp, zm, a, b)
-    final = EvolutionState(prop.to_field(a), prop.to_field(b), t, state.c)
-    return final, logs
+        if log_every and (step % log_every == 0 or step == steps):
+            logs.append(_diag_from_modes(prop, t, zp, zm, scratch))
+        if dump_every and dump_fn and step % dump_every == 0:
+            dump_fn(_state(prop, zp, zm, scratch, t, state.c), step)
+    del forward  # one array less while the fields are rebuilt
+    return _state(prop, zp, zm, scratch, t, state.c), logs
 
 
 RK4_STABILITY_BOUND = 2.8
@@ -250,8 +280,7 @@ def step_rk4(state: EvolutionState, dt: float) -> EvolutionState:
 
 def diagnostics(state: EvolutionState) -> Diagnostics:
     prop = _propagator(state.grid, state.l)
-    return _diag_from_modes(prop, state.t,
-                            prop.to_eigen(state.te), prop.to_eigen(state.tb))
+    return _diag_from_modes(prop, state.t, *_pair(prop, state))
 
 
 def complex_curl_residual(state: EvolutionState, fd_dt: float | None = None) -> float:

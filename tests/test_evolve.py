@@ -306,6 +306,16 @@ class TestPropagator:
         want = np.sqrt(volume) * np.array([5, 4, 3, 2, 1])  # m = -2..2
         np.testing.assert_allclose(d.band_te, want, rtol=1e-14)
 
+    @pytest.mark.parametrize("l", [1, 2, 3])
+    @pytest.mark.parametrize("c, dt", [(1.0, 0.02), (1.0, -0.07), (2.5, 0.3), (0.7, -1.9)])
+    def test_reversed_phases_are_conjugate(self, small, l, c, dt):
+        # run_spectral turns z- by phases[::-1] in place of phases.conj(); the
+        # eigenvalue m|k|/l is odd in m, so the two agree bit for bit, at the
+        # Nyquist-zeroed modes of this even grid too
+        phases = _Propagator(small, l).phases(c, dt)
+        assert np.array_equal(phases[::-1], phases.conj())
+        assert np.abs(phases.imag).max() > 0.1
+
     @pytest.mark.parametrize("l", range(1, MAX_SPIN + 1))
     def test_divergence_weights_closed_form(self, l):
         m = np.arange(-l, l + 1)
@@ -329,7 +339,8 @@ class TestPropagator:
         projected2 = prop.to_field(prop.constraint_project(a2.copy()) * phase)
         assert (projected2 - projected).norm() <= 1e-14 * projected.norm()
         assert projected.norm() < 0.9 * te.norm()  # the projection removed something
-        d, d2 = _diag_from_modes(prop, 0.0, a, b), _diag_from_modes(prop, 0.0, a2, b2)
+        d, d2 = (_diag_from_modes(prop, 0.0, x + 1j * y, x - 1j * y, np.empty_like(x))
+                 for x, y in ((a, b), (a2, b2)))
         assert d2.energy == pytest.approx(d.energy, rel=1e-14)
         np.testing.assert_allclose(d2.band_te, d.band_te, rtol=1e-14)
         assert d2.div_te == pytest.approx(d.div_te, rel=1e-14)
@@ -347,6 +358,52 @@ class TestDiagnostics:
     def test_band_count(self, grid):
         d = diagnostics(random_state(grid, 2, seed=10))
         assert len(d.band_te) == 5
+
+
+class TestDiagnosticsWithoutCancellation:
+    """Diagnostics read 2a = z+ + z- and 2ib = z+ - z- as sums of squares.
+
+    The expansion |z+|^2 + |z-|^2 +- 2 Re(z+ conj z-) of the same terms
+    cancels when one field is zero or small next to the other."""
+
+    @pytest.fixture(scope="class")
+    def small(self):
+        return GridSpec((8, 8, 8), (TWO_PI, 3.0, 5.0))
+
+    @staticmethod
+    def logged(state):
+        """`diagnostics` and the initial log of a `run_spectral` run."""
+        return diagnostics(state), run_spectral(state, 0.05, 2)[1][0]
+
+    @pytest.mark.parametrize("l, m", [(1, 1), (2, -1), (3, 0)])
+    def test_tb_zero(self, small, l, m):
+        state = plane_wave_state(small, l, m, (1, 2, 3), traveling=False)
+        assert not state.tb.data.any()
+        for d in self.logged(state):
+            assert d.div_tb == 0.0
+            assert d.div_te < 1e-14 if abs(m) == l else d.div_te > 0.1
+            assert d.energy == pytest.approx(state.te.norm() ** 2, rel=1e-14)
+
+    @pytest.mark.parametrize("l, m", [(1, -1), (2, 2), (3, 1)])
+    def test_te_zero(self, small, l, m):
+        state = plane_wave_state(small, l, m, (3, 0, 1), traveling=False)
+        state = EvolutionState(state.tb, state.te, 0.0)
+        for d in self.logged(state):
+            assert d.band_te == (0.0,) * (2 * l + 1)
+            assert d.div_te == 0.0
+            assert d.energy == pytest.approx(state.tb.norm() ** 2, rel=1e-14)
+
+    @pytest.mark.parametrize("l", [1, 2])
+    def test_small_partner_keeps_its_digits(self, small, l):
+        # TB is 2^-20 of TE: its divergence residual, a ratio, is that of the
+        # unscaled field to the rounding of z+- (~1e-16 / 2^-20), where the
+        # expansion would leave ~1e-16 / 2^-40
+        te = random_bandlimited(small, l, "spherical", kcut=0.5, seed=50)
+        tb = random_bandlimited(small, l, "spherical", kcut=0.5, seed=51)
+        alone = diagnostics(EvolutionState(tb, TensorField.zeros(small, l, "spherical"), 0.0))
+        assert alone.div_te > 0.1
+        for d in self.logged(EvolutionState(te, tb * 2.0 ** -20, 0.0)):
+            assert d.div_tb == pytest.approx(alone.div_te, rel=1e-8)
 
 
 class TestEigenDiagnosticsOracle:
@@ -476,6 +533,27 @@ class TestStateValidation:
         sph = random_bandlimited(grid, 1, "spherical", seed=1)
         with pytest.raises(ValueError, match="wave speed"):
             EvolutionState(sph, sph.copy(), 0.0, c)
+
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"steps": -1}, "steps"), ({"steps": -2}, "steps"),
+        ({"log_every": -1}, "log_every"),
+        ({"dump_every": 0}, "dump_every"), ({"dump_every": -1}, "dump_every"),
+    ])
+    def test_run_spectral_rejects_bad_counts(self, kwargs, name):
+        state = random_state(GridSpec((8, 8, 8), (TWO_PI,) * 3), 1, seed=3)
+        args = {"steps": 3, "dump_fn": lambda s, step: None} | kwargs
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            run_spectral(state, 0.1, **args)
+
+    def test_run_spectral_count_edges(self):
+        state = random_state(GridSpec((8, 8, 8), (TWO_PI,) * 3), 1, seed=3)
+        final, logs = run_spectral(state, 0.1, 0)
+        assert final.t == state.t and len(logs) == 1
+        assert (final.te - state.te).norm() <= 1e-14 * state.te.norm()
+        dumped = []
+        _, logs = run_spectral(state, 0.1, 3, log_every=0, dump_every=1,
+                               dump_fn=lambda s, step: dumped.append(step))
+        assert logs == [] and dumped == [1, 2, 3]
 
     # 1e308 is finite, but c*dt*kmax overflows
     @pytest.mark.parametrize("dt", [float("nan"), float("inf"), -float("inf"), 1e308, -1e308])

@@ -1,0 +1,52 @@
+"""The benchmark tracer's targets must resolve against the library.
+
+`perfbench/tracing.py` wraps curlmat functions by module and attribute name;
+a rename or a refactor that drops one would crash a traced benchmark run.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from curlmat import evolve
+from curlmat.spectral import GridSpec
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_target_resolves(tracing):
+    assert tracing.TARGETS
+    for module_name, attr, _, _ in tracing.TARGETS:
+        module = importlib.import_module(module_name)
+        owner_name, _, fn_name = attr.rpartition(".")
+        # the tracer patches a method in its class's own __dict__
+        owner = getattr(module, owner_name) if owner_name else module
+        assert fn_name in vars(owner), f"{module_name}.{attr}"
+        assert callable(getattr(owner, fn_name)), f"{module_name}.{attr}"
+
+
+def test_every_logged_step_is_traced(tracing):
+    # the benchmark counts logged diagnostics through the private routine
+    # that run_spectral calls by its module-level name
+    state = evolve.random_state(GridSpec((8, 8, 8), (2 * np.pi,) * 3), 2, seed=4)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        _, logs = evolve.run_spectral(state, 0.02, 6, log_every=2)
+    finally:
+        tracer.uninstall()
+    counts = {name: calls for name, (calls, *_) in tracing.layer_totals(tracer.spans).items()}
+    assert len(logs) == 4
+    assert counts["evolve.diagnostics"] == len(logs)
+    assert counts["evolve.run_spectral"] == 1
