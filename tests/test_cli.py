@@ -52,13 +52,15 @@ class TestUsage:
         assert code == 0
 
     def test_import_loads_no_heavy_modules(self):
-        # scipy alone adds ~0.35 s and ~27 MB to every CLI process; sympy is test-only
-        code = ("import sys, curlmat, curlmat.cli; "
-                "print(sorted({m.partition('.')[0] for m in sys.modules} & {'scipy', 'sympy'}))")
+        # scipy alone adds ~0.35 s and ~27 MB to every CLI process; sympy is
+        # test-only; and importing starts no thread (step_rk4 starts its own)
+        code = ("import sys, threading, curlmat, curlmat.cli; "
+                "print(sorted({m.partition('.')[0] for m in sys.modules} & {'scipy', 'sympy'}),"
+                " threading.active_count())")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               text=True, env=_fresh_env(), timeout=60)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        assert proc.stdout.strip() == "[] 1"
 
 
 class TestBuild:

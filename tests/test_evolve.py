@@ -1,3 +1,7 @@
+import os
+import sys
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -12,8 +16,8 @@ from curlmat.evolve import (EvolutionState, RK4_STABILITY_BOUND, _Propagator,
                             plane_wave_state, random_state, run_spectral,
                             step_rk4, step_spectral)
 from curlmat.spectral import (GridSpec, TensorField, _fft, apply_operator,
-                              gradient_scale, plane_wave, random_bandlimited,
-                              wavevector)
+                              apply_symbol, gradient_scale, plane_wave,
+                              random_bandlimited, wavevector)
 
 TWO_PI = 2 * np.pi
 
@@ -160,13 +164,18 @@ class TestRk4:
             for inp in (state.te.data, state.tb.data):
                 assert not np.shares_memory(out, inp)
 
-    def test_two_fft_calls_per_step_and_no_apply_operator(self, grid, monkeypatch):
-        state = random_state(grid, 1, seed=44)
+    def test_two_fft_calls_per_step_and_no_apply_operator(self, monkeypatch):
+        # one fftn and one ifftn per field and step, on a grid on each side of
+        # the split size, whatever the host's CPU count
+        monkeypatch.setattr(evolve, "_cpu_count", lambda: 2)
+        states = [random_state(GridSpec((n,) * 3, (TWO_PI,) * 3), 1, seed=44)
+                  for n in (16, 32)]
+        assert [s.te.data.size >= evolve.RK4_SPLIT_SAMPLES for s in states] == [False, True]
         calls = []
         for name in ("fftn", "ifftn"):
-            def counted(*args, _fn=getattr(np.fft, name), _name=name, **kwargs):
-                calls.append(_name)
-                return _fn(*args, **kwargs)
+            def counted(data, *args, _fn=getattr(np.fft, name), _name=name, **kwargs):
+                calls.append((_name, data.shape))
+                return _fn(data, *args, **kwargs)
             monkeypatch.setattr(np.fft, name, counted)
 
         def forbidden(*args, **kwargs):
@@ -174,9 +183,12 @@ class TestRk4:
         for module in (spectral, evolve):
             monkeypatch.setattr(module, "apply_operator", forbidden)
         monkeypatch.setattr(evolve, "_propagator", forbidden)  # the eigenvectors
-        for _ in range(3):
-            state = step_rk4(state, 0.05)
-        assert calls == ["fftn", "ifftn"] * 3
+        for state in states:
+            for _ in range(3):
+                calls.clear()
+                state = step_rk4(state, 0.05)
+                field = state.te.data.shape
+                assert sorted(calls) == [("fftn", field)] * 2 + [("ifftn", field)] * 2
 
     def test_order_of_convergence(self, grid):
         state = plane_wave_state(grid, 1, 1, (1, 0, 0))
@@ -221,6 +233,104 @@ class TestRk4:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             step_rk4(state, 0.01)
+
+
+def run_with_timeout(fn, *args, timeout=60.0):
+    """fn(*args) on a thread of its own, joined with a timeout, so a step
+    whose halves never meet fails instead of hanging the suite."""
+    result = []
+
+    def run():
+        try:
+            result.append((True, fn(*args)))
+        except BaseException as exc:
+            result.append((False, exc))
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive(), "the step did not return"
+    ok, value = result[0]
+    if not ok:
+        raise value
+    return value
+
+
+def no_split(*args):
+    raise AssertionError("the step ran on two threads")
+
+
+class TestRk4Split:
+    """The two-thread step against the serial one, forced on a small grid."""
+
+    @pytest.fixture
+    def split(self, monkeypatch):
+        monkeypatch.setattr(evolve, "RK4_SPLIT_SAMPLES", 0)
+        monkeypatch.setattr(evolve, "_cpu_count", lambda: 2)
+
+    @staticmethod
+    def unprojected(grid, l):
+        return EvolutionState(random_bandlimited(grid, l, "spherical", seed=50),
+                              random_bandlimited(grid, l, "spherical", seed=51), 0.1, 1.3)
+
+    @staticmethod
+    def before_each_stage(monkeypatch, tb, action):
+        """Call `action` before each kernel call of the TB or the TE half."""
+        def wrapped(op, grid, spectrum, *args, scale=1, **kwargs):
+            if (scale < 0) == tb:  # the TB half scales by -c*dt/j
+                action()
+            return apply_symbol(op, grid, spectrum, *args, scale=scale, **kwargs)
+        monkeypatch.setattr(evolve, "apply_symbol", wrapped)
+
+    @pytest.mark.parametrize("tb_slow", [False, True])
+    @pytest.mark.parametrize("l", [1, 2])
+    def test_split_is_bit_identical_to_serial(self, grid, split, monkeypatch, l, tb_slow):
+        state = self.unprojected(grid, l)
+        with monkeypatch.context() as serial:
+            serial.setattr(evolve, "RK4_SPLIT_SAMPLES", grid.ntotal * state.te.ncomp + 1)
+            serial.setattr(evolve, "_run_paired", no_split)
+            want = [state]
+            for _ in range(3):
+                want.append(step_rk4(want[-1], 0.05))
+        # a half that did not wait for the slow one would read a stage that
+        # is not written yet
+        self.before_each_stage(monkeypatch, tb_slow, lambda: time.sleep(0.002))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = state
+            for ref in want[1:]:
+                got = run_with_timeout(step_rk4, got, 0.05)
+                assert got.t == ref.t
+                assert np.array_equal(got.te.data, ref.te.data)
+                assert np.array_equal(got.tb.data, ref.tb.data)
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("tb", [False, True])
+    def test_error_in_either_half_is_raised_and_no_thread_is_left(
+            self, grid, split, monkeypatch, tb):
+        class Boom(Exception):
+            pass
+
+        def boom():
+            raise Boom("TB" if tb else "TE")
+        self.before_each_stage(monkeypatch, tb, boom)
+        before = threading.active_count()
+        with pytest.raises(Boom, match="TB" if tb else "TE"):
+            run_with_timeout(step_rk4, self.unprojected(grid, 1), 0.05)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("affinity", [True, False])
+    def test_one_cpu_runs_serially(self, grid, monkeypatch, affinity):
+        if affinity:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        else:  # where the platform has no affinity call
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        assert evolve._cpu_count() == 1
+        monkeypatch.setattr(evolve, "RK4_SPLIT_SAMPLES", 0)
+        monkeypatch.setattr(evolve, "_run_paired", no_split)
+        step_rk4(self.unprojected(grid, 1), 0.05)
 
 
 def per_entry_symbol(grid: GridSpec, op) -> np.ndarray:
@@ -271,6 +381,17 @@ class TestPropagator:
         assert np.abs(diag - want).max() <= 1e-13 * np.abs(oracle).max()
         unitary = np.einsum("kji,kjm->kim", frame.conj(), frame)
         assert np.abs(unitary - np.eye(prop.dim)).max() <= 1e-13
+
+    @pytest.mark.parametrize("l", [1, 2, 3, MAX_SPIN])
+    def test_turn_matches_complex_power(self, grid, l):
+        prop = _Propagator(grid, l)
+        for phase in (prop.polar, prop.azimuth):
+            for sign in (1, -1):
+                x = np.ones((prop.dim, phase.size), dtype=np.complex128)
+                evolve._turn(x, phase, sign)
+                # each product and conjugate adds at most a rounding or two
+                want = phase ** (sign * prop.m[:, None])
+                assert np.abs(x - want).max() <= 2 * l * np.finfo(float).eps
 
     @pytest.mark.parametrize("l", [1, 2, 3])
     def test_round_trip(self, small, l):

@@ -6,12 +6,14 @@ a rename or a refactor that drops one would crash a traced benchmark run.
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from curlmat import evolve
+from curlmat import evolve, spectral
+from curlmat.builders import build_curl_ldotgrad
 from curlmat.spectral import GridSpec
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -50,3 +52,33 @@ def test_every_logged_step_is_traced(tracing):
     assert len(logs) == 4
     assert counts["evolve.diagnostics"] == len(logs)
     assert counts["evolve.run_spectral"] == 1
+
+
+def test_split_step_is_traced_whole(tracing, monkeypatch):
+    # the TB half's FFTs run on a thread of their own but still land in the
+    # one span list, and the tracer's stack comes back as it was; the curl
+    # symbol is built once, not by both halves at once, so counts repeat
+    monkeypatch.setattr(evolve, "RK4_SPLIT_SAMPLES", 0)
+    monkeypatch.setattr(evolve, "_cpu_count", lambda: 2)
+    grid = GridSpec((8, 8, 8), (2 * np.pi,) * 3)
+    state = evolve.random_state(grid, 1, seed=4)
+    spectral.symbol_entries.cache_clear()
+    tracer = tracing.Tracer()
+    tracer.install()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # so a race to the symbol cache would show
+    try:
+        with tracer.span("outer"):
+            stack = list(tracer._stack)
+            for _ in range(3):
+                state = evolve.step_rk4(state, 0.02)
+            assert tracer._stack == stack
+    finally:
+        sys.setswitchinterval(interval)
+        tracer.uninstall()
+    assert tracer._stack == []
+    counts = {name: calls for name, (calls, *_) in tracing.layer_totals(tracer.spans).items()}
+    assert counts["evolve.step_rk4"] == 3
+    assert counts["fft"] == 4 * 3
+    entries = spectral.symbol_entries(build_curl_ldotgrad(1), grid)
+    assert counts["diffop.symbol"] == len(entries)
