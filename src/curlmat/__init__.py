@@ -17,7 +17,7 @@ from .identities import verify_all, verify_core_identities
 from .spectral import (GridSpec, TensorField, apply_operator,
                        complex_curl_field, helmholtz, read_ctf, write_ctf)
 from .evolve import (EvolutionState, complex_curl_residual, diagnostics,
-                     plane_wave_state, random_state, run_spectral,
+                     plane_wave_state, random_state, run_rk4, run_spectral,
                      step_rk4, step_spectral)
 
 __version__ = "0.1.0"
@@ -34,7 +34,7 @@ __all__ = [
     "GridSpec", "TensorField", "apply_operator", "complex_curl_field",
     "helmholtz", "read_ctf", "write_ctf",
     "EvolutionState", "complex_curl_residual", "diagnostics",
-    "plane_wave_state", "random_state", "run_spectral", "step_rk4",
+    "plane_wave_state", "random_state", "run_rk4", "run_spectral", "step_rk4",
     "step_spectral",
     "__version__",
 ]

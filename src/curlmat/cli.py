@@ -17,27 +17,18 @@ import numpy as np
 from . import builders, evolve, identities, spectral
 from .angular import clebsch_gordan
 
-_BUILD_OPS = ("div", "grad", "curl", "curl-h", "curl-c", "cartesian-curl")
-
-
-def _op_matrix(name: str, l: int):
-    if name == "div":
-        return builders.build_div(l)
-    if name == "grad":
-        return builders.build_grad(l)
-    if name == "curl":
-        return builders.build_curl_cg(l)
-    if name == "curl-h":
-        return builders.build_curl_hermitian(l)
-    if name == "curl-c":
-        return builders.build_curl_complex(l)
-    if name == "cartesian-curl":
-        return builders.build_cartesian_curls().curl
-    raise ValueError(f"unknown operator {name!r}")
+_OPS = {
+    "div": builders.build_div,
+    "grad": builders.build_grad,
+    "curl": builders.build_curl_cg,
+    "curl-h": builders.build_curl_hermitian,
+    "curl-c": builders.build_curl_complex,
+    "cartesian-curl": lambda l: builders.build_cartesian_curls().curl,
+}
 
 
 def _cmd_build(args) -> int:
-    op = _op_matrix(args.op, args.l)
+    op = _OPS[args.op](args.l)
     if args.format == "text":
         print(op.to_text())
     elif args.format == "latex":
@@ -83,7 +74,7 @@ def _cmd_verify(args) -> int:
 def _cmd_apply(args) -> int:
     f = spectral.read_ctf(args.infile)
     l = args.l if args.l is not None else f.l
-    op = _op_matrix(args.op, l)
+    op = _OPS[args.op](l)
     spectral.write_ctf(spectral.apply_operator(op, f), args.outfile)
     return 0
 
@@ -106,6 +97,8 @@ def _parse_grid(args) -> spectral.GridSpec:
 
 
 def _cmd_gen(args) -> int:
+    if args.seed < 0:
+        raise ValueError(f"--seed must be non-negative, got {args.seed}")
     grid = _parse_grid(args)
     if args.preset == "planewave":
         f = spectral.plane_wave(grid, args.l, args.m, (args.jx, args.jy, args.jz),
@@ -128,6 +121,8 @@ def _cmd_evolve(args) -> int:
         raise ValueError(f"--dump-every must be at least 1, got {args.dump_every}")
     if not (math.isfinite(args.c) and args.c > 0):
         raise ValueError(f"--c must be positive and finite, got {args.c}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be non-negative, got {args.seed}")
     grid = _parse_grid(args)
     try:
         phase = evolve.check_dt(grid, args.c, args.dt)
@@ -150,37 +145,22 @@ def _cmd_evolve(args) -> int:
         print(f"unknown init {args.init!r}", file=sys.stderr)
         return 2
 
-    dump_fn = None
-    if args.dump_every:
-        def dump_fn(s, step):
-            spectral.write_ctf(s.te, f"{args.out_prefix}_te_{step:06d}.ctf")
-            spectral.write_ctf(s.tb, f"{args.out_prefix}_tb_{step:06d}.ctf")
+    def dump_fn(s, step):
+        spectral.write_ctf(s.te, f"{args.out_prefix}_te_{step:06d}.ctf")
+        spectral.write_ctf(s.tb, f"{args.out_prefix}_tb_{step:06d}.ctf")
 
     # without --log only the first and last diagnostics are used, for the drift
     log_every = 1 if args.log else max(args.steps, 1)
-    if args.stepper == "spectral":
-        final, logs = evolve.run_spectral(state, args.dt, args.steps,
-                                          log_every=log_every,
-                                          dump_every=args.dump_every,
-                                          dump_fn=dump_fn)
-    else:
-        logs = [evolve.diagnostics(state)]
-        for step in range(1, args.steps + 1):
-            state = evolve.step_rk4(state, args.dt)
-            if step % log_every == 0:
-                logs.append(evolve.diagnostics(state))
-            if args.dump_every and dump_fn and step % args.dump_every == 0:
-                dump_fn(state, step)
-        final = state
+    run = evolve.run_spectral if args.stepper == "spectral" else evolve.run_rk4
+    final, logs = run(state, args.dt, args.steps, log_every=log_every,
+                      dump_every=args.dump_every, dump_fn=dump_fn)
 
     if args.log:
-        l = final.l
         with open(args.log, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["t", "energy", "divE_residual", "divB_residual"]
-                            + [f"band_m{m}" for m in range(-l, l + 1)])
-            for d in logs:
-                writer.writerow([d.t, d.energy, d.div_te, d.div_tb, *d.band_te])
+                            + [f"band_m{m}" for m in range(-args.l, args.l + 1)])
+            writer.writerows([d.t, d.energy, d.div_te, d.div_tb, *d.band_te] for d in logs)
     spectral.write_ctf(final.te, f"{args.out_prefix}_te_final.ctf")
     spectral.write_ctf(final.tb, f"{args.out_prefix}_tb_final.ctf")
     drift = abs(logs[-1].energy - logs[0].energy) / logs[0].energy if logs[0].energy else 0.0
@@ -205,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("build", help="print an operator matrix")
-    p.add_argument("--op", required=True, choices=_BUILD_OPS)
+    p.add_argument("--op", required=True, choices=_OPS)
     p.add_argument("--l", type=int, default=1)
     p.add_argument("--format", choices=("text", "json", "latex"), default="text")
 
@@ -220,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", choices=("text", "json"), default="text")
 
     p = sub.add_parser("apply", help="apply an operator to a .ctf field")
-    p.add_argument("--op", required=True, choices=_BUILD_OPS)
+    p.add_argument("--op", required=True, choices=_OPS)
     p.add_argument("--l", type=int, default=None)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", dest="outfile", required=True)

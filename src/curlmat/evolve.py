@@ -33,7 +33,8 @@ the step and a two-party barrier before each stage keeps the halves in step;
 numpy's FFTs and array arithmetic release the interpreter lock, so the halves
 overlap.  Smaller steps run both halves stage by stage on the calling thread.
 Either way every sum is formed in the same order, so the result is the same
-bit for bit.  Both steppers reject a step whose largest phase c*dt*kmax is
+bit for bit.  `run_rk4` marches `step_rk4` with `run_spectral`'s counts, log
+and dump rules.  Both steppers reject a step whose largest phase c*dt*kmax is
 not finite before building anything.
 """
 
@@ -233,6 +234,16 @@ def _state(prop: _Propagator, zp: np.ndarray, zm: np.ndarray, scratch: np.ndarra
     return EvolutionState(te, prop.to_field(scratch), t, c)
 
 
+def _check_run(state, dt, steps, log_every, dump_every) -> None:
+    if steps < 0:
+        raise ValueError(f"steps must be non-negative, got {steps}")
+    if log_every < 0:
+        raise ValueError(f"log_every must be non-negative, got {log_every}")
+    if dump_every is not None and dump_every < 1:
+        raise ValueError(f"dump_every must be at least 1, got {dump_every}")
+    check_dt(state.grid, state.c, dt)
+
+
 def run_spectral(state: EvolutionState, dt: float, steps: int,
                  log_every: int = 1, dump_every: int | None = None,
                  dump_fn=None) -> tuple[EvolutionState, list[Diagnostics]]:
@@ -242,13 +253,7 @@ def run_spectral(state: EvolutionState, dt: float, steps: int,
     the last step; ``log_every=0`` logs none.  With `dump_fn`, the state is
     passed to ``dump_fn(state, step)`` every `dump_every` steps.
     """
-    if steps < 0:
-        raise ValueError(f"steps must be non-negative, got {steps}")
-    if log_every < 0:
-        raise ValueError(f"log_every must be non-negative, got {log_every}")
-    if dump_every is not None and dump_every < 1:
-        raise ValueError(f"dump_every must be at least 1, got {dump_every}")
-    check_dt(state.grid, state.c, dt)
+    _check_run(state, dt, steps, log_every, dump_every)
     prop = _propagator(state.grid, state.l)
     zp, zm, scratch = _pair(prop, state)
     logs = [_diag_from_modes(prop, state.t, zp, zm, scratch)] if log_every else []
@@ -335,6 +340,21 @@ def step_rk4(state: EvolutionState, dt: float) -> EvolutionState:
     return EvolutionState(TensorField(state.l, "spherical", grid, te),
                           TensorField(state.l, "spherical", grid, tb),
                           state.t + dt, state.c)
+
+
+def run_rk4(state: EvolutionState, dt: float, steps: int,
+            log_every: int = 1, dump_every: int | None = None,
+            dump_fn=None) -> tuple[EvolutionState, list[Diagnostics]]:
+    """March `steps` `step_rk4` steps; logs and dumps as `run_spectral` does."""
+    _check_run(state, dt, steps, log_every, dump_every)
+    logs = [diagnostics(state)] if log_every else []
+    for step in range(1, steps + 1):
+        state = step_rk4(state, dt)
+        if log_every and (step % log_every == 0 or step == steps):
+            logs.append(diagnostics(state))
+        if dump_every and dump_fn and step % dump_every == 0:
+            dump_fn(state, step)
+    return state, logs
 
 
 def _run_paired(first, second) -> None:

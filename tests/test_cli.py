@@ -11,6 +11,7 @@ import jsonschema
 import pytest
 
 import curlmat
+from curlmat import evolve
 from curlmat.cli import main
 from curlmat.spectral import read_ctf
 
@@ -235,6 +236,15 @@ class TestFieldPipeline:
         assert err.splitlines()[-1].startswith("error:")
         assert not path.exists()
 
+    def test_gen_rejects_negative_seed(self, capsys, tmp_path):
+        path = tmp_path / "f.ctf"
+        code, out, err = run_cli(capsys, "gen", "--preset", "random-bandlimited",
+                                 "--grid", "8", "--seed", "-1", "--out", str(path))
+        assert code == 1
+        assert err.startswith("error:") and "--seed" in err
+        assert len(err.splitlines()) == 1 and out == ""
+        assert not path.exists()
+
     @pytest.mark.parametrize("amplitude", ("inf", "nan"))
     def test_gen_rejects_non_finite_amplitude(self, capsys, tmp_path, amplitude):
         path = tmp_path / "f.ctf"
@@ -305,6 +315,33 @@ class TestEvolveCommand:
         assert (tmp_path / "run_te_000010.ctf").exists()
         assert (tmp_path / "run_te_final.ctf").exists()
 
+    def test_rk4_csv_log_and_dumps(self, capsys, tmp_path, monkeypatch):
+        runs, run_rk4 = [], evolve.run_rk4
+
+        def spy(*args, **kwargs):
+            runs.append(args[2])
+            return run_rk4(*args, **kwargs)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("--stepper rk4 ran the spectral driver")
+        monkeypatch.setattr(evolve, "run_rk4", spy)
+        monkeypatch.setattr(evolve, "run_spectral", forbidden)
+        log = tmp_path / "run.csv"
+        code, out, _ = run_cli(
+            capsys, "evolve", "--l", "1", "--grid", "8", "--steps", "20",
+            "--dt", "0.05", "--stepper", "rk4", "--init", "planewave:1,1,0,0",
+            "--log", str(log), "--dump-every", "10", "--out-prefix", str(tmp_path / "run"))
+        assert code == 0 and runs == [20]
+        assert "energy drift" in out
+        with open(log) as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["t", "energy", "divE_residual", "divB_residual",
+                           "band_m-1", "band_m0", "band_m1"]
+        assert len(rows) == 22  # header + initial state + 20 steps
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "run.csv", "run_tb_000010.ctf", "run_tb_000020.ctf", "run_tb_final.ctf",
+            "run_te_000010.ctf", "run_te_000020.ctf", "run_te_final.ctf"]
+
     def test_rk4_stepper(self, capsys, tmp_path):
         code, _, _ = run_cli(
             capsys, "evolve", "--l", "1", "--grid", "8", "--steps", "5",
@@ -327,7 +364,7 @@ class TestEvolveCommand:
     @pytest.mark.parametrize("flag,value", [
         ("--steps", "-3"), ("--dump-every", "-1"), ("--dump-every", "0"),
         ("--dt", "inf"), ("--dt", "nan"), ("--dt", "1e308"), ("--c", "nan"), ("--c", "inf"),
-        ("--c", "0"), ("--c", "-1"),
+        ("--c", "0"), ("--c", "-1"), ("--seed", "-1"),
     ])
     def test_rejects_bad_flag_before_running(self, capsys, tmp_path, flag, value):
         code, out, err = run_cli(

@@ -13,7 +13,7 @@ from curlmat.builders import (build_curl_complex, build_curl_ldotgrad, build_div
                               cartesian_div, cartesian_transform, to_cartesian)
 from curlmat.evolve import (EvolutionState, RK4_STABILITY_BOUND, _Propagator,
                             _diag_from_modes, complex_curl_residual, diagnostics,
-                            plane_wave_state, random_state, run_spectral,
+                            plane_wave_state, random_state, run_rk4, run_spectral,
                             step_rk4, step_spectral)
 from curlmat.spectral import (GridSpec, TensorField, _fft, apply_operator,
                               apply_symbol, gradient_scale, plane_wave,
@@ -333,6 +333,63 @@ class TestRk4Split:
         step_rk4(self.unprojected(grid, 1), 0.05)
 
 
+def rk4_march_by_hand(state, dt, steps, log_every, dump_every, dump_fn):
+    """Reference for `run_rk4`: `step_rk4` and `diagnostics` called one by
+    one, logging the steps of the driver contract written out as a set."""
+    logged = set(range(0, steps + 1, log_every)) | {steps} if log_every else set()
+    logs = [diagnostics(state)] if 0 in logged else []
+    for step in range(1, steps + 1):
+        state = step_rk4(state, dt)
+        if step in logged:
+            logs.append(diagnostics(state))
+        if dump_every and step % dump_every == 0:
+            dump_fn(state, step)
+    return state, logs
+
+
+class TestRunRk4:
+    """`run_rk4` against the march by hand, bit for bit."""
+
+    @staticmethod
+    def both(state, dt, steps, log_every, dump_every):
+        results = []
+        for march in (run_rk4, rk4_march_by_hand):
+            dumps = []
+            final, logs = march(state, dt, steps, log_every, dump_every,
+                                lambda s, step: dumps.append((step, s)))
+            results.append((final, logs, dumps))
+        return results
+
+    @staticmethod
+    def assert_same(got, want):
+        (final, logs, dumps), (ref, ref_logs, ref_dumps) = got, want
+        assert logs == ref_logs
+        assert [step for step, _ in dumps] == [step for step, _ in ref_dumps]
+        for a, b in zip([final] + [s for _, s in dumps], [ref] + [s for _, s in ref_dumps]):
+            assert a.t == b.t  # t grows by dt a step, unlike run_spectral's t0 + step*dt
+            assert np.array_equal(a.te.data, b.te.data)
+            assert np.array_equal(a.tb.data, b.tb.data)
+
+    @pytest.mark.parametrize("dump_every", [None, 2])
+    @pytest.mark.parametrize("steps, log_every", sorted(
+        {(steps, every) for steps in (0, 5, 7) for every in (0, 1, 3, steps)}))
+    def test_matches_march_by_hand(self, steps, log_every, dump_every):
+        state = random_state(GridSpec((8, 8, 8), (TWO_PI,) * 3), 1, seed=7)
+        got, want = self.both(state, 0.05, steps, log_every, dump_every)
+        self.assert_same(got, want)
+
+    def test_split_step_matches_march_by_hand(self, monkeypatch):
+        # 20^3, l = 2 is past RK4_SPLIT_SAMPLES: every step runs on two threads
+        monkeypatch.setattr(evolve, "_cpu_count", lambda: 2)
+        paired, run_paired = [], evolve._run_paired
+        monkeypatch.setattr(evolve, "_run_paired",
+                            lambda *halves: paired.append(1) or run_paired(*halves))
+        state = random_state(GridSpec((20, 20, 20), (TWO_PI,) * 3), 2, seed=8)
+        got, want = self.both(state, 0.05, 5, 3, 2)
+        self.assert_same(got, want)
+        assert len(paired) == 10 and len(got[1]) == 3  # logs at steps 0, 3 and 5
+
+
 def per_entry_symbol(grid: GridSpec, op) -> np.ndarray:
     """(modes, rows, cols) symbol of an operator, entry by entry."""
     kx, ky, kz = grid.deriv_k_grids()
@@ -640,6 +697,16 @@ class TestComplexCurlResidual:
         assert abs(got - max(expected)) <= 1e-12 * got
 
 
+def for_each_driver(argnames, cases, ids):
+    """Parametrize a test over both drivers, which check their input alike:
+    the `run_spectral` cases are named by `ids`, the `run_rk4` ones by
+    ``rk4-`` and `ids`."""
+    return pytest.mark.parametrize(
+        "driver, " + argnames,
+        [(driver, *case) for driver in (run_spectral, run_rk4) for case in cases],
+        ids=ids + [f"rk4-{i}" for i in ids])
+
+
 class TestStateValidation:
     def test_requires_spherical(self, grid):
         cart = random_bandlimited(grid, 1, "cartesian", seed=1)
@@ -655,25 +722,27 @@ class TestStateValidation:
         with pytest.raises(ValueError, match="wave speed"):
             EvolutionState(sph, sph.copy(), 0.0, c)
 
-    @pytest.mark.parametrize("kwargs, name", [
+    @for_each_driver("kwargs, name", [
         ({"steps": -1}, "steps"), ({"steps": -2}, "steps"),
         ({"log_every": -1}, "log_every"),
         ({"dump_every": 0}, "dump_every"), ({"dump_every": -1}, "dump_every"),
-    ])
-    def test_run_spectral_rejects_bad_counts(self, kwargs, name):
+    ], ids=["kwargs0-steps", "kwargs1-steps", "kwargs2-log_every",
+            "kwargs3-dump_every", "kwargs4-dump_every"])
+    def test_run_spectral_rejects_bad_counts(self, driver, kwargs, name):
         state = random_state(GridSpec((8, 8, 8), (TWO_PI,) * 3), 1, seed=3)
         args = {"steps": 3, "dump_fn": lambda s, step: None} | kwargs
         with pytest.raises(ValueError, match=f"^{name} must be"):
-            run_spectral(state, 0.1, **args)
+            driver(state, 0.1, **args)
 
-    def test_run_spectral_count_edges(self):
+    @pytest.mark.parametrize("driver", [run_spectral, run_rk4], ids=["spectral", "rk4"])
+    def test_run_spectral_count_edges(self, driver):
         state = random_state(GridSpec((8, 8, 8), (TWO_PI,) * 3), 1, seed=3)
-        final, logs = run_spectral(state, 0.1, 0)
+        final, logs = driver(state, 0.1, 0)
         assert final.t == state.t and len(logs) == 1
         assert (final.te - state.te).norm() <= 1e-14 * state.te.norm()
         dumped = []
-        _, logs = run_spectral(state, 0.1, 3, log_every=0, dump_every=1,
-                               dump_fn=lambda s, step: dumped.append(step))
+        _, logs = driver(state, 0.1, 3, log_every=0, dump_every=1,
+                         dump_fn=lambda s, step: dumped.append(step))
         assert logs == [] and dumped == [1, 2, 3]
 
     # 1e308 is finite, but c*dt*kmax overflows
@@ -684,10 +753,11 @@ class TestStateValidation:
             step_rk4(state, dt)
 
     # 1e308 is finite, but c*dt*kmax overflows
-    @pytest.mark.parametrize("dt", [float("nan"), float("inf"), -float("inf"), 1e308, -1e308])
-    def test_run_spectral_rejects_non_finite_dt(self, dt):
+    @for_each_driver("dt", [(float("nan"),), (float("inf"),), (-float("inf"),), (1e308,),
+                            (-1e308,)], ids=["nan", "inf", "-inf", "1e+308", "-1e+308"])
+    def test_run_spectral_rejects_non_finite_dt(self, driver, dt):
         state = random_state(GridSpec((8, 8, 8), (TWO_PI,) * 3), 1, seed=3)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # rejected before any numpy work
             with pytest.raises(ValueError, match="dt must be finite"):
-                run_spectral(state, dt, 2)
+                driver(state, dt, 2)

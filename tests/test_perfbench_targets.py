@@ -54,6 +54,21 @@ def test_every_logged_step_is_traced(tracing):
     assert counts["evolve.run_spectral"] == 1
 
 
+def test_every_rk4_step_and_log_is_traced(tracing):
+    # run_rk4 is no target of its own: it calls step_rk4 and diagnostics by
+    # their module-level names, so each step and each log is a top-level span
+    state = evolve.random_state(GridSpec((8, 8, 8), (2 * np.pi,) * 3), 1, seed=4)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        _, logs = evolve.run_rk4(state, 0.02, 7, log_every=3)
+    finally:
+        tracer.uninstall()
+    top = [name for name, _, _, parent, _, _ in tracer.spans if parent == -1]
+    assert top.count("evolve.step_rk4") == 7
+    assert top.count("evolve.diagnostics") == len(logs) == 4
+
+
 def test_split_step_is_traced_whole(tracing, monkeypatch):
     # the TB half's FFTs run on a thread of their own but still land in the
     # one span list, and the tracer's stack comes back as it was; the curl
