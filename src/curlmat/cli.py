@@ -17,13 +17,19 @@ import numpy as np
 from . import builders, evolve, identities, spectral
 from .angular import clebsch_gordan
 
+def _cartesian_curl(l: int):
+    if l != 1:
+        raise ValueError(f"cartesian-curl is the rank-1 curl and needs l = 1, got {l}")
+    return builders.build_cartesian_curls().curl
+
+
 _OPS = {
     "div": builders.build_div,
     "grad": builders.build_grad,
     "curl": builders.build_curl_cg,
     "curl-h": builders.build_curl_hermitian,
     "curl-c": builders.build_curl_complex,
-    "cartesian-curl": lambda l: builders.build_cartesian_curls().curl,
+    "cartesian-curl": _cartesian_curl,
 }
 
 

@@ -15,7 +15,18 @@ step reads energy, band amplitudes and divergence from z+ + z- = 2a and
 z+ - z- = 2ib, each formed once in one scratch array, never from the
 expansion |z+|^2 + |z-|^2 +- 2 Re(z+ conj z-), which cancels when one field
 is near zero.  a and b themselves, and the fields, are rebuilt only to dump
-a state and at the end.
+a state and at the end.  No step couples two modes, so from
+`RK4_SPLIT_SAMPLES` samples per field the mode columns march in two halves,
+each through every step on its own: it turns its columns and, on a logged
+step, writes its per-band sums of |2a|^2 and |2ib|^2, bare and weighted by
+|k|^2; the calling thread adds the halves' sums after the march.  Given a
+second CPU the second half runs on a thread started for the run, with the
+gate and hand-off of `step_rk4` below; else the halves run in turn.  They
+meet only at a dump: both stop at the step, the first writes the state, and
+both go on.  Where the columns split depends on the size alone, so every
+host logs the same bits.  Fields and dumps are the bits of a whole-array
+march; the logged sums, added in another order, move only at roundoff
+(within 1e-14 relative), and below the split size not at all.
 
 `step_rk4` is the independent check on that propagator: it integrates the
 same equations with the curl symbol itself, never its eigenvectors.  The
@@ -124,6 +135,12 @@ class _Propagator:
         """Eigenvalue m|k|/l of every band (rows) at every mode (columns)."""
         return np.multiply.outer(self.m, self.kabs) / self.l
 
+    def kscale(self) -> np.ndarray:
+        """|k| as complex128: a complex array scaled in place by it needs no
+        casting loop, and the products are the same bits.  Made per use, so
+        the cached propagator holds no second copy of |k|."""
+        return self.kabs.astype(np.complex128)
+
     def phases(self, c: float, dt: float) -> np.ndarray:
         """exp(-i*c*lambda*dt) of every band and mode: one step of z+."""
         return np.exp(-1j * c * dt * self.vals)
@@ -195,29 +212,35 @@ def _pair(prop: _Propagator, state: EvolutionState) -> tuple[np.ndarray, ...]:
     return zp, zm, scratch
 
 
-def _band_powers(prop: _Propagator, x: np.ndarray) -> tuple[np.ndarray, float]:
-    """Per band sum |x|^2 of 2a or 2ib in `x`, and the divergence residual
-    sqrt(sum_m w_m sum |k x_m|^2 / sum |k x|^2); scales `x` by |k| in place."""
-    power = np.array([np.vdot(row, row).real for row in x])
-    x *= prop.kabs
-    grad = np.array([np.vdot(row, row).real for row in x])
-    scale = grad.sum()
-    div = float(np.sqrt(prop.div_weight @ grad / scale)) if scale > 0 else 0.0
-    return power, div
+def _band_sums(kscale: np.ndarray, zp: np.ndarray, zm: np.ndarray, x: np.ndarray,
+               out: np.ndarray) -> np.ndarray:
+    """Into the rows of `out`, per band: sum |2a|^2, sum |k 2a|^2, sum |2ib|^2
+    and sum |k 2ib|^2 over the columns of z+- = a +- ib.  2a and 2ib are
+    formed in turn in `x`, so each term is a sum of squares and never cancels;
+    `kscale` is |k| at those columns."""
+    for i, combine in ((0, np.add), (2, np.subtract)):
+        combine(zp, zm, out=x)
+        out[i] = [np.vdot(row, row).real for row in x]
+        x *= kscale
+        out[i + 1] = [np.vdot(row, row).real for row in x]
+    return out
 
 
-def _diag_from_modes(prop: _Propagator, t: float, zp: np.ndarray, zm: np.ndarray,
-                     scratch: np.ndarray) -> Diagnostics:
-    """Diagnostics from z+- = a +- ib (Parseval): 2a and 2ib are formed in
-    turn in `scratch`, so each term is a sum of squares and never cancels."""
+def _diag_from_modes(prop: _Propagator, t: float, sums: np.ndarray) -> Diagnostics:
+    """Diagnostics from the `_band_sums` of z+- (Parseval).  The divergence
+    residual is sqrt(sum_m w_m sum |k x_m|^2 / sum |k x|^2) for x = 2a, 2ib."""
+    te_power, te_grad, tb_power, tb_grad = sums
     weight = prop.mode_weight / 4  # exact: the 1/2 of a and b, squared
-    te_power, div_te = _band_powers(prop, np.add(zp, zm, out=scratch))
-    tb_power, div_tb = _band_powers(prop, np.subtract(zp, zm, out=scratch))
+
+    def div(grad):
+        scale = grad.sum()
+        return float(np.sqrt(prop.div_weight @ grad / scale)) if scale > 0 else 0.0
+
     return Diagnostics(
         t=t,
         energy=float(weight * (te_power.sum() + tb_power.sum())),
-        div_te=div_te,
-        div_tb=div_tb,
+        div_te=div(te_grad),
+        div_tb=div(tb_grad),
         band_te=tuple(float(v) for v in np.sqrt(weight * te_power)),
     )
 
@@ -251,32 +274,64 @@ def run_spectral(state: EvolutionState, dt: float, steps: int,
 
     Diagnostics are logged for the initial state, every `log_every` steps and
     the last step; ``log_every=0`` logs none.  With `dump_fn`, the state is
-    passed to ``dump_fn(state, step)`` every `dump_every` steps.
+    passed to ``dump_fn(state, step)`` every `dump_every` steps.  From
+    `RK4_SPLIT_SAMPLES` samples per field the mode columns march in two
+    halves, the second on a thread of its own given a second CPU; they meet
+    only to dump (module docstring).
     """
     _check_run(state, dt, steps, log_every, dump_every)
     prop = _propagator(state.grid, state.l)
     zp, zm, scratch = _pair(prop, state)
-    logs = [_diag_from_modes(prop, state.t, zp, zm, scratch)] if log_every else []
     # the rotation a' = a cos + b sin, b' = b cos - a sin by theta = c*lambda*dt
     # is z+' = z+ exp(-i theta) and z-' = z- exp(+i theta) for z+- = a +- ib
     forward = prop.phases(state.c, dt)
-    t = state.t
-    for step in range(1, steps + 1):
-        zp *= forward
-        zm *= forward[::-1]  # band -m turns by -theta: forward.conj(), bit for bit
-        t = state.t + step * dt
-        if log_every and (step % log_every == 0 or step == steps):
-            logs.append(_diag_from_modes(prop, t, zp, zm, scratch))
-        if dump_every and dump_fn and step % dump_every == 0:
-            dump_fn(_state(prop, zp, zm, scratch, t, state.c), step)
-    del forward  # one array less while the fields are rebuilt
-    return _state(prop, zp, zm, scratch, t, state.c), logs
+    kscale = prop.kscale()
+    logged = set(range(0, steps + 1, log_every)) | {steps} if log_every else set()
+    dumped = dump_every if dump_fn else None
+    samples = state.te.data.size
+    modes = zp.shape[1]
+    # a split that depends on the size alone, so every host logs the same bits
+    bounds = (0, modes // 2, modes) if samples >= RK4_SPLIT_SAMPLES else (0, modes)
+    sums = np.empty((len(bounds) - 1, len(logged), 4, prop.dim))
+
+    def at(step):
+        return state.t + step * dt if step else state.t
+
+    def half(h):
+        """Columns h of the march, its sums in sums[h]; it yields before and
+        after each dump, which the first half writes meanwhile."""
+        cols = slice(bounds[h], bounds[h + 1])
+        zp_h, zm_h, x = zp[:, cols], zm[:, cols], scratch[:, cols]
+        fwd, bwd = forward[:, cols], forward[::-1, cols]  # band -m turns by -theta
+        k_h = kscale[cols]
+        out = iter(sums[h])
+        if 0 in logged:
+            _band_sums(k_h, zp_h, zm_h, x, next(out))
+        for step in range(1, steps + 1):
+            zp_h *= fwd
+            zm_h *= bwd  # forward.conj(), bit for bit
+            if step in logged:
+                _band_sums(k_h, zp_h, zm_h, x, next(out))
+            if dumped and step % dumped == 0:
+                yield
+                if h == 0:
+                    dump_fn(_state(prop, zp, zm, scratch, at(step), state.c), step)
+                yield
+
+    _in_step(samples, *(half(h) for h in range(len(bounds) - 1)))
+    del forward, kscale  # two arrays less while the fields are rebuilt
+    logs = [_diag_from_modes(prop, at(step), s)
+            for step, s in zip(sorted(logged), sums.sum(axis=0))]
+    return _state(prop, zp, zm, scratch, at(steps), state.c), logs
 
 
 RK4_STABILITY_BOUND = 2.8
-# Samples per field, (2l+1) n^3, from which step_rk4 splits: on 2 cores the
-# split step took 1.5-1.7x the serial time at 16^3, l = 1, 0.97-1.16x at
-# 20^3, l = 1, 0.83-0.85x at 20^3, l = 2 and 0.58-0.62x at 32^3, l = 1
+# Samples per field, (2l+1) n^3, from which step_rk4 and run_spectral split:
+# on 2 cores the split step took 1.5-1.7x the serial time at 16^3, l = 1,
+# 0.97-1.16x at 20^3, l = 1, 0.83-0.85x at 20^3, l = 2 and 0.58-0.62x at
+# 32^3, l = 1; 200 logged run_spectral steps in two halves took 1.55x at
+# 16^3, l = 2, 1.29x at 20^3, l = 1, 0.84x at 20^3, l = 2 and 0.58x at
+# 32^3, l = 1
 RK4_SPLIT_SAMPLES = 2 ** 15
 
 
@@ -330,12 +385,8 @@ def step_rk4(state: EvolutionState, dt: float) -> EvolutionState:
             y = out
         _ifft(y[h], out=y[h])
 
-    if fields[0].size >= RK4_SPLIT_SAMPLES and _cpu_count() > 1:
-        symbol_entries(curl, grid)  # cached here, or both halves would build it
-        _run_paired(half(0), half(1))
-    else:
-        for _ in zip_longest(half(0), half(1)):
-            pass
+    symbol_entries(curl, grid)  # cached here, or both halves would build it
+    _in_step(fields[0].size, half(0), half(1))
     te, tb = nxt[1]
     return EvolutionState(TensorField(state.l, "spherical", grid, te),
                           TensorField(state.l, "spherical", grid, tb),
@@ -357,6 +408,17 @@ def run_rk4(state: EvolutionState, dt: float, steps: int,
     return state, logs
 
 
+def _in_step(samples: int, *halves) -> None:
+    """Run the generators `halves` in step: from `RK4_SPLIT_SAMPLES` samples
+    per field, and when the process may use more than one CPU, the second of
+    two on a thread of its own (`_run_paired`); else in turn on this thread."""
+    if samples >= RK4_SPLIT_SAMPLES and _cpu_count() > 1:
+        _run_paired(*halves)
+    else:
+        for _ in zip_longest(*halves):
+            pass
+
+
 def _run_paired(first, second) -> None:
     """Run two generators, `second` on a thread of its own, each resuming
     only when both have reached the same yield.  An exception in either is
@@ -375,7 +437,7 @@ def _run_paired(first, second) -> None:
             failed.append(exc)
             barrier.abort()
 
-    worker = threading.Thread(target=run_second, name="curlmat-rk4-tb")
+    worker = threading.Thread(target=run_second, name="curlmat-second-half")
     worker.start()
     try:
         drain(first)
@@ -392,7 +454,8 @@ def _run_paired(first, second) -> None:
 
 def diagnostics(state: EvolutionState) -> Diagnostics:
     prop = _propagator(state.grid, state.l)
-    return _diag_from_modes(prop, state.t, *_pair(prop, state))
+    sums = _band_sums(prop.kscale(), *_pair(prop, state), np.empty((4, prop.dim)))
+    return _diag_from_modes(prop, state.t, sums)
 
 
 def complex_curl_residual(state: EvolutionState, fd_dt: float | None = None) -> float:

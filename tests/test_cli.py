@@ -93,6 +93,15 @@ class TestBuild:
         assert code == 0
         assert "dx" in out and "dy" in out
 
+    @pytest.mark.parametrize("l", ["-4", "0", "2"])
+    def test_cartesian_curl_rejects_other_ranks(self, capsys, l):
+        # the cartesian curl is the rank-1 curl; it used to ignore --l
+        code, out, err = run_cli(capsys, "build", "--op", "cartesian-curl", "--l", l)
+        assert code == 1
+        assert out == ""
+        assert err.splitlines()[-1] == (
+            f"error: cartesian-curl is the rank-1 curl and needs l = 1, got {l}")
+
     def test_invalid_rank(self, capsys):
         code, _, err = run_cli(capsys, "build", "--op", "div", "--l", "0")
         assert code == 1
@@ -208,6 +217,22 @@ class TestFieldPipeline:
         # a pure curl splits fully into the transverse part
         par = read_ctf(tmp_path / "h_par.ctf")
         assert par.norm() <= 1e-10 * curl_field.norm()
+
+    @pytest.mark.parametrize("l", ["-4", "0", "2"])
+    def test_apply_cartesian_curl_rejects_other_ranks(self, capsys, tmp_path, l):
+        src, out = tmp_path / "in.ctf", tmp_path / "curl.ctf"
+        code, _, _ = run_cli(capsys, "gen", "--preset", "random-bandlimited",
+                             "--grid", "8", "--out", str(src))
+        assert code == 0
+        code, _, err = run_cli(capsys, "apply", "--op", "cartesian-curl", "--l", l,
+                               "--in", str(src), "--out", str(out))
+        assert code == 1
+        assert err.splitlines()[-1] == (
+            f"error: cartesian-curl is the rank-1 curl and needs l = 1, got {l}")
+        assert not out.exists()
+        code, _, _ = run_cli(capsys, "apply", "--op", "cartesian-curl", "--l", "1",
+                             "--in", str(src), "--out", str(out))
+        assert code == 0 and out.exists()
 
     def test_gen_planewave_spherical(self, capsys, tmp_path):
         path = tmp_path / "pw.ctf"

@@ -11,10 +11,10 @@ from curlmat import evolve, spectral
 from curlmat.angular import MAX_SPIN
 from curlmat.builders import (build_curl_complex, build_curl_ldotgrad, build_div,
                               cartesian_div, cartesian_transform, to_cartesian)
-from curlmat.evolve import (EvolutionState, RK4_STABILITY_BOUND, _Propagator,
-                            _diag_from_modes, complex_curl_residual, diagnostics,
-                            plane_wave_state, random_state, run_rk4, run_spectral,
-                            step_rk4, step_spectral)
+from curlmat.evolve import (Diagnostics, EvolutionState, RK4_STABILITY_BOUND, _Propagator,
+                            _band_sums, _diag_from_modes, complex_curl_residual,
+                            diagnostics, plane_wave_state, random_state, run_rk4,
+                            run_spectral, step_rk4, step_spectral)
 from curlmat.spectral import (GridSpec, TensorField, _fft, apply_operator,
                               apply_symbol, gradient_scale, plane_wave,
                               random_bandlimited, wavevector)
@@ -390,6 +390,157 @@ class TestRunRk4:
         assert len(paired) == 10 and len(got[1]) == 3  # logs at steps 0, 3 and 5
 
 
+def spectral_march_by_hand(state, dt, steps, log_every, dump_every):
+    """Reference for `run_spectral`: the whole-array march, and each log from
+    single-pass `np.vdot` sums over every mode of 2a = z+ + z- and
+    2ib = z+ - z- and of the same scaled by |k|."""
+    prop = evolve._propagator(state.grid, state.l)
+    zp, zm, scratch = evolve._pair(prop, state)
+    forward = prop.phases(state.c, dt)
+    weight = prop.mode_weight / 4
+
+    def log(t):
+        power, grad = [], []
+        for x in (zp + zm, zp - zm):
+            power.append(np.array([np.vdot(row, row).real for row in x]))
+            grad.append(np.array([np.vdot(row, row).real for row in x * prop.kabs]))
+        return Diagnostics(t, weight * (power[0].sum() + power[1].sum()),
+                           *(np.sqrt(prop.div_weight @ g / g.sum()) for g in grad),
+                           tuple(np.sqrt(weight * power[0])))
+
+    logged = set(range(0, steps + 1, log_every)) | {steps} if log_every else set()
+    logs = [log(state.t)] if 0 in logged else []
+    dumps = []
+    t = state.t
+    for step in range(1, steps + 1):
+        zp *= forward
+        zm *= forward[::-1]
+        t = state.t + step * dt
+        if step in logged:
+            logs.append(log(t))
+        if dump_every and step % dump_every == 0:
+            dumps.append((step, evolve._state(prop, zp, zm, scratch, t, state.c)))
+    return evolve._state(prop, zp, zm, scratch, t, state.c), logs, dumps
+
+
+class TestSpectralSplit:
+    """`run_spectral` in two column halves, forced on a small grid: on two
+    threads, in turn on one, and against the whole-array march."""
+
+    STEPS, DT = 7, 0.05
+
+    @pytest.fixture
+    def halves(self, monkeypatch):
+        monkeypatch.setattr(evolve, "RK4_SPLIT_SAMPLES", 0)
+
+    @staticmethod
+    def unprojected(grid, l):
+        # O(1) divergence residuals, so the logs compare relative to O(1) values
+        return EvolutionState(random_bandlimited(grid, l, "spherical", seed=60),
+                              random_bandlimited(grid, l, "spherical", seed=61), 0.1, 1.3)
+
+    @classmethod
+    def run(cls, state, log_every, dump_every, dump_fn=None):
+        """`run_spectral` in a helper thread; the dumps, and the thread count
+        before and after, come back with its result."""
+        dumps = []
+        dump_fn = dump_fn or (lambda s, step: dumps.append((step, s)))
+        before = threading.active_count()
+        final, logs = run_with_timeout(
+            lambda: run_spectral(state, cls.DT, cls.STEPS, log_every, dump_every, dump_fn))
+        assert threading.active_count() == before
+        return final, logs, dumps
+
+    @staticmethod
+    def assert_same_fields(got, want):
+        (final, _, dumps), (ref, _, ref_dumps) = got, want
+        assert [step for step, _ in dumps] == [step for step, _ in ref_dumps]
+        for a, b in zip([final] + [s for _, s in dumps], [ref] + [s for _, s in ref_dumps]):
+            assert a.t == b.t
+            assert np.array_equal(a.te.data, b.te.data)
+            assert np.array_equal(a.tb.data, b.tb.data)
+
+    @pytest.mark.parametrize("dump_every", [None, 2])
+    @pytest.mark.parametrize("log_every", [0, 1, 3])
+    @pytest.mark.parametrize("l", [1, 2])
+    def test_two_threads_match_one(self, grid, halves, monkeypatch, l, log_every, dump_every):
+        state = self.unprojected(grid, l)
+        with monkeypatch.context() as serial:
+            serial.setattr(evolve, "_cpu_count", lambda: 1)
+            serial.setattr(evolve, "_run_paired", no_split)
+            want = self.run(state, log_every, dump_every)
+        paired, run_paired = [], evolve._run_paired
+        monkeypatch.setattr(evolve, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(evolve, "_run_paired",
+                            lambda *gens: paired.append(1) or run_paired(*gens))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = self.run(state, log_every, dump_every)
+        finally:
+            sys.setswitchinterval(interval)
+        assert paired == [1]
+        assert got[1] == want[1]
+        self.assert_same_fields(got, want)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("dump_every", [None, 2])
+    @pytest.mark.parametrize("l", [1, 2])
+    def test_matches_whole_array_march(self, grid, halves, monkeypatch, l, dump_every, cpus):
+        monkeypatch.setattr(evolve, "_cpu_count", lambda: cpus)
+        state = self.unprojected(grid, l)
+        got = self.run(state, 3, dump_every)
+        want = spectral_march_by_hand(state, self.DT, self.STEPS, 3, dump_every)
+        self.assert_same_fields(got, want)
+        # the halves' sums are added after the march: the logs move at roundoff
+        assert [d.t for d in got[1]] == [d.t for d in want[1]]
+        assert [d.t for d in got[1]] == [0.1 + step * self.DT for step in (0, 3, 6, 7)]
+        for d, ref in zip(got[1], want[1]):
+            for value, oracle in zip((d.energy, d.div_te, d.div_tb, *d.band_te),
+                                     (ref.energy, ref.div_te, ref.div_tb, *ref.band_te)):
+                assert oracle > 0.01
+                assert value == pytest.approx(oracle, rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("where", ["worker", "worker-before-dump", "dump_fn"])
+    def test_error_is_raised_and_no_thread_is_left(self, grid, halves, monkeypatch, where):
+        class Boom(Exception):
+            pass
+
+        monkeypatch.setattr(evolve, "_cpu_count", lambda: 2)
+        callers, run_paired, band_sums = [], evolve._run_paired, evolve._band_sums
+        monkeypatch.setattr(evolve, "_run_paired",
+                            lambda *gens: callers.append(threading.current_thread())
+                            or run_paired(*gens))
+
+        def sums_then_boom(*args):
+            if threading.current_thread() is not callers[0]:
+                raise Boom("worker")
+            return band_sums(*args)
+
+        def dump_boom(s, step):
+            raise Boom("dump_fn")
+
+        if where != "dump_fn":
+            monkeypatch.setattr(evolve, "_band_sums", sums_then_boom)
+        before = threading.active_count()
+        with pytest.raises(Boom, match=where.partition("-")[0]):
+            self.run(self.unprojected(grid, 1), 1, None if where == "worker" else 2, dump_boom)
+        assert len(callers) == 1
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("affinity", [True, False])
+    def test_one_cpu_runs_in_turn(self, grid, halves, monkeypatch, affinity):
+        if affinity:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        else:  # where the platform has no affinity call
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        assert evolve._cpu_count() == 1
+        monkeypatch.setattr(evolve, "_run_paired", no_split)
+        _, logs, dumps = self.run(self.unprojected(grid, 1), 1, 2)
+        assert len(logs) == self.STEPS + 1 and len(dumps) == 3
+
+
 def per_entry_symbol(grid: GridSpec, op) -> np.ndarray:
     """(modes, rows, cols) symbol of an operator, entry by entry."""
     kx, ky, kz = grid.deriv_k_grids()
@@ -517,7 +668,9 @@ class TestPropagator:
         projected2 = prop.to_field(prop.constraint_project(a2.copy()) * phase)
         assert (projected2 - projected).norm() <= 1e-14 * projected.norm()
         assert projected.norm() < 0.9 * te.norm()  # the projection removed something
-        d, d2 = (_diag_from_modes(prop, 0.0, x + 1j * y, x - 1j * y, np.empty_like(x))
+        d, d2 = (_diag_from_modes(prop, 0.0, _band_sums(prop.kscale(), x + 1j * y, x - 1j * y,
+                                                        np.empty_like(x),
+                                                        np.empty((4, prop.dim))))
                  for x, y in ((a, b), (a2, b2)))
         assert d2.energy == pytest.approx(d.energy, rel=1e-14)
         np.testing.assert_allclose(d2.band_te, d.band_te, rtol=1e-14)

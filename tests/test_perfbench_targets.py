@@ -7,6 +7,7 @@ a rename or a refactor that drops one would crash a traced benchmark run.
 import importlib
 import importlib.util
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +53,53 @@ def test_every_logged_step_is_traced(tracing):
     assert len(logs) == 4
     assert counts["evolve.diagnostics"] == len(logs)
     assert counts["evolve.run_spectral"] == 1
+
+
+@pytest.mark.parametrize("dump_every", [None, 3])
+def test_every_logged_step_of_a_split_run_is_traced(tracing, monkeypatch, dump_every):
+    # the second column half runs on a thread of its own and calls no traced
+    # function: the logs are formed from both halves' sums on this thread,
+    # and only a dump or the final fields transform, so counts repeat exactly
+    monkeypatch.setattr(evolve, "RK4_SPLIT_SAMPLES", 0)
+    monkeypatch.setattr(evolve, "_cpu_count", lambda: 2)
+    paired, run_paired = [], evolve._run_paired
+    monkeypatch.setattr(evolve, "_run_paired",
+                        lambda *gens: paired.append(1) or run_paired(*gens))
+    state = evolve.random_state(GridSpec((8, 8, 8), (2 * np.pi,) * 3), 2, seed=4)
+    ffts = []
+    for name in ("fftn", "ifftn"):
+        def counted(*args, _fn=getattr(np.fft, name), _name=name, **kwargs):
+            ffts.append((_name, threading.current_thread()))
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    runs = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # so a traced call on the worker would show
+    try:
+        for _ in range(2):
+            tracer = tracing.Tracer()
+            tracer.install()
+            try:
+                _, logs = evolve.run_spectral(state, 0.02, 6, log_every=2, dump_every=dump_every,
+                                              dump_fn=lambda s, step: None)
+            finally:
+                tracer.uninstall()
+            assert tracer._stack == []
+            runs.append({name: calls for name, (calls, *_)
+                         in tracing.layer_totals(tracer.spans).items()})
+    finally:
+        sys.setswitchinterval(interval)
+    assert paired == [1, 1]
+    assert runs[0] == runs[1]
+    counts = runs[0]
+    assert len(logs) == 4
+    assert counts["evolve.diagnostics"] == len(logs)
+    assert counts["evolve.run_spectral"] == 1
+    # 2 fftn into the eigen frame, then 2 ifftn per state rebuilt: final and dumps
+    assert counts["fft"] == 2 + 2 * (1 + (2 if dump_every else 0))
+    assert {thread for _, thread in ffts} == {threading.current_thread()}
+    if dump_every is None:
+        assert sorted(name for name, _ in ffts) == ["fftn"] * 4 + ["ifftn"] * 4  # two runs
 
 
 def test_every_rk4_step_and_log_is_traced(tracing):
