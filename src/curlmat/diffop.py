@@ -9,7 +9,6 @@ equality of canonical forms.
 
 from __future__ import annotations
 
-import os
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,30 +20,6 @@ from .exactnum import ExactScalar, ONE, ZERO, PartAcc, _mac, _part_done
 
 Mono = tuple[int, int, int]
 
-DEGREE_CAP_ENV = "CURLMAT_DEGREE_CAP"
-DEFAULT_DEGREE_CAP = 16
-
-
-class DegreeCapError(ValueError):
-    """A construction exceeded the configured total-degree cap."""
-
-
-def degree_cap() -> int:
-    """The total-degree cap: ``CURLMAT_DEGREE_CAP`` if set, else 16.
-
-    Read where a monomial can first exceed it: once per public ``DiffPoly``
-    construction with terms, product of two polynomials, ``compose`` and
-    ``laplacian_times``.  Sums, negation, conjugation and scalar multiples
-    keep the monomials of their operands and do not read it.
-    """
-    value = os.environ.get(DEGREE_CAP_ENV)
-    if not value:
-        return DEFAULT_DEGREE_CAP
-    if not (value.isascii() and value.isdigit()) or int(value) < 1:
-        raise ValueError(f"{DEGREE_CAP_ENV} must be a positive integer, got {value!r}")
-    return int(value)
-
-
 ScalarLike = Union[ExactScalar, int, Fraction]
 
 
@@ -54,16 +29,11 @@ class DiffPoly:
     __slots__ = ("_terms", "_hash")
 
     def __init__(self, terms: Mapping[Mono, ScalarLike] | Iterable[tuple[Mono, ScalarLike]] = ()):
-        items = list(terms.items() if isinstance(terms, Mapping) else terms)
-        cap = degree_cap() if items else 0
         out: dict[Mono, ExactScalar] = {}
-        for mono, coeff in items:
+        for mono, coeff in (terms.items() if isinstance(terms, Mapping) else terms):
             ax, ay, az = mono
             if min(ax, ay, az) < 0:
                 raise ValueError("derivative exponents must be nonnegative")
-            if ax + ay + az > cap:
-                raise DegreeCapError(
-                    f"monomial degree {ax + ay + az} exceeds cap {cap}")
             c = ExactScalar._coerce(coeff)
             prev = out.get(mono)
             c = c if prev is None else prev + c
@@ -79,7 +49,7 @@ class DiffPoly:
     @classmethod
     def _make(cls, terms: dict[Mono, ExactScalar]) -> "DiffPoly":
         """Trusted constructor: ``terms`` has no zero coefficient and no
-        monomial above the cap, and is not copied."""
+        negative exponent, and is not copied."""
         out = object.__new__(cls)
         out._terms = terms
         out._hash = None
@@ -135,7 +105,7 @@ class DiffPoly:
         if isinstance(other, DiffPoly):
             acc: PolyAcc = {}
             _poly_mac(acc, self, other)
-            return _poly_done(acc, degree_cap())
+            return _poly_done(acc)
         # a scalar keeps every monomial, and nonzero times nonzero is nonzero
         coeff = ExactScalar._coerce(other)
         if coeff.is_zero:
@@ -230,19 +200,10 @@ def _poly_mac(acc: PolyAcc, p: DiffPoly, q: DiffPoly) -> None:
             _mac(cell[0], cell[1], c1, c2)
 
 
-def _poly_done(acc: PolyAcc, cap: int) -> DiffPoly:
-    """The polynomial of ``acc``, one ExactScalar per surviving monomial.
-
-    Every monomial a product formed is checked against the cap, whether or
-    not it cancelled in the sum: one product of nonzero polynomials keeps its
-    top-degree part, so this fires exactly when the degrees of some factor
-    pair add up past the cap.
-    """
+def _poly_done(acc: PolyAcc) -> DiffPoly:
+    """The polynomial of ``acc``, one ExactScalar per surviving monomial."""
     terms: dict[Mono, ExactScalar] = {}
     for mono, (re, im) in acc.items():
-        degree = mono[0] + mono[1] + mono[2]
-        if degree > cap:
-            raise DegreeCapError(f"monomial degree {degree} exceeds cap {cap}")
         re_part = _part_done(re)
         im_part = _part_done(im)
         if re_part or im_part:
@@ -299,11 +260,10 @@ def _latex_pair_xy(poly: DiffPoly) -> str | None:
     return body + inner
 
 
-# Built without reading the degree cap, so importing never depends on it.
-DX = DiffPoly._make({(1, 0, 0): ONE})
-DY = DiffPoly._make({(0, 1, 0): ONE})
-DZ = DiffPoly._make({(0, 0, 1): ONE})
-LAPLACIAN = DiffPoly._make({(2, 0, 0): ONE, (0, 2, 0): ONE, (0, 0, 2): ONE})
+DX = DiffPoly.monomial(1, 0, 0)
+DY = DiffPoly.monomial(0, 1, 0)
+DZ = DiffPoly.monomial(0, 0, 1)
+LAPLACIAN = DiffPoly({(2, 0, 0): ONE, (0, 2, 0): ONE, (0, 0, 2): ONE})
 
 
 @dataclass(frozen=True)
@@ -436,7 +396,6 @@ class OpMatrix:
             raise ValueError(
                 f"shape mismatch: {self.shape} cannot compose with {other.shape}")
         tag = _compose_tag(self.tag, other.tag)
-        cap = degree_cap()
         n = self.cols
         entries = []
         for i in range(self.rows):
@@ -445,7 +404,7 @@ class OpMatrix:
                 acc: PolyAcc = {}
                 for left, right in zip(row, other._entries[j::other.cols]):
                     _poly_mac(acc, left, right)
-                entries.append(_poly_done(acc, cap))
+                entries.append(_poly_done(acc))
         return OpMatrix(self.rows, other.cols, entries, tag)
 
     def __matmul__(self, other: "OpMatrix") -> "OpMatrix":
@@ -484,9 +443,6 @@ class OpMatrix:
         """Multiply every entry by (dx^2 + dy^2 + dz^2)**n."""
         if n < 0:
             raise ValueError("laplacian power must be nonnegative")
-        if self.max_degree + 2 * n > degree_cap():
-            raise DegreeCapError(
-                f"degree {self.max_degree + 2 * n} exceeds cap {degree_cap()}")
         poly = DiffPoly.scalar(ONE)
         for _ in range(n):
             poly = poly * LAPLACIAN

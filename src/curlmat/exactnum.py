@@ -143,8 +143,15 @@ def _part_neg(a: dict[int, Fraction]) -> dict[int, Fraction]:
     return {d: -c for d, c in a.items()}
 
 
+def _term_float(d: int, c: Fraction) -> float:
+    try:
+        return float(c) * math.sqrt(d)
+    except OverflowError:  # d is past the float range, c*sqrt(d) need not be
+        return math.copysign(math.sqrt(c * c * d), c)
+
+
 def _part_float(a: dict[int, Fraction]) -> float:
-    return float(sum(float(c) * math.sqrt(d) for d, c in a.items()))
+    return float(sum(_term_float(d, c) for d, c in a.items()))
 
 
 class ExactScalar:

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -115,6 +116,16 @@ class TestClebschGordan:
                             assert ours == theirs, (l1, m1, l2, m2, l)
                             checked += 1
         assert checked == 2501
+
+
+    def test_float_of_large_labels_against_sympy(self):
+        # the radicand is past the float range, so sqrt(d) alone overflows
+        sympy = pytest.importorskip("sympy")
+        from sympy.physics.wigner import clebsch_gordan as sympy_cg
+        ours = clebsch_gordan(300, 0, 300, 0, 600, 0).to_complex()
+        theirs = float(sympy_cg(300, 300, 600, 0, 0, 0))
+        assert ours.imag == 0
+        assert math.isclose(ours.real, theirs, rel_tol=4e-16)
 
 
 class TestWigner3j:

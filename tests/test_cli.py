@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import shlex
 import subprocess
 import sys
 import warnings
@@ -11,7 +12,7 @@ import jsonschema
 import pytest
 
 import curlmat
-from curlmat import evolve
+from curlmat import evolve, identities
 from curlmat.cli import main
 from curlmat.spectral import read_ctf
 
@@ -116,6 +117,15 @@ class TestCg:
         assert "exact: (1/3)*sqrt(6)" in out
         assert "0.816496" in out
 
+    def test_large_labels(self, capsys):
+        # the exact value's radicand is past the float range
+        code, out, err = run_cli(capsys, "cg", "--l1", "300", "--m1", "0", "--l2", "300",
+                                 "--m2", "0", "--l", "600", "--m", "0")
+        assert (code, err) == (0, "")
+        last = out.splitlines()[-1]
+        assert last.startswith("float: ")
+        assert float(last.split()[1]) == pytest.approx(0.21456258860546004, rel=1e-15)
+
     def test_invalid_labels(self, capsys):
         code, _, err = run_cli(capsys, "cg", "--l1", "1", "--m1", "2",
                                "--l2", "1", "--m2", "0", "--l", "2", "--m", "2")
@@ -132,16 +142,34 @@ class TestVerify:
 
     @pytest.mark.parametrize("value", ["abc", "2.5", "0", "-3"])
     def test_bad_degree_cap(self, value):
-        # a fresh interpreter, so that importing curlmat under the bad value is covered
+        # curlmat reads no environment variable: a stale CURLMAT_DEGREE_CAP,
+        # even one that is not a number, changes nothing
         env = _fresh_env(CURLMAT_DEGREE_CAP=value)
         proc = subprocess.run(
             [sys.executable, "-c", "from curlmat.cli import entry; entry()",
-             "verify", "--suite", "core", "--max-l", "2"],
+             "verify", "--suite", "powers", "--max-n", "8"],
             capture_output=True, text=True, env=env, timeout=60)
-        assert proc.returncode == 1
-        assert proc.stderr.startswith("error: CURLMAT_DEGREE_CAP must be a positive integer")
-        assert "Traceback" not in proc.stderr
-        assert proc.stdout == ""
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        assert proc.stdout.endswith("total: 6 checks, all_pass=True\n")
+
+    @pytest.mark.parametrize("suite", ["powers", "exp"])
+    def test_order_past_old_degree_cap(self, capsys, suite):
+        # powers at n = 8 reach degree 17, the exponential series degree 18
+        code, out, err = run_cli(capsys, "verify", "--suite", suite, "--max-n", "8",
+                                 "--report", "json")
+        assert (code, err) == (0, "")
+        reports = json.loads(out)["reports"]
+        assert reports and all(r["status"] == "exact-pass" for r in reports)
+
+    @pytest.mark.parametrize("suite", ["powers", "exp", "all"])
+    def test_max_n_past_max_order(self, capsys, suite):
+        code, out, err = run_cli(capsys, "verify", "--suite", suite,
+                                 "--max-n", str(identities.MAX_ORDER + 1))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"n <= {identities.MAX_ORDER}" in err
 
     def test_json_report_validates(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--suite", "core",
@@ -419,3 +447,27 @@ class TestEvolveCommand:
             capsys, "evolve", "--init", "planewave:oops",
             "--out-prefix", str(tmp_path / "x"))
         assert code == 2
+
+
+def readme_cli_commands() -> list[list[str]]:
+    """The ``curlmat`` command lines of the README's CLI block, in order, as
+    argument lists (continuation lines joined, comments dropped)."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text().split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line, comments=True)[1:] for line in lines
+            if line.startswith("curlmat ")]
+
+
+class TestReadme:
+    def test_cli_block_runs(self, capsys, tmp_path, monkeypatch):
+        # chained as written: later commands read the files earlier ones write
+        monkeypatch.chdir(tmp_path)
+        commands = readme_cli_commands()
+        assert {"build", "cg", "verify", "ledger", "gen", "apply", "helmholtz",
+                "evolve"} <= {argv[0] for argv in commands}
+        for argv in commands:
+            code, _, err = run_cli(capsys, *argv)
+            assert code == 0, (argv, err)
+        assert {"f.ctf", "curl_f.ctf", "h_perp.ctf", "h_par.ctf", "run.csv"} <= {
+            p.name for p in tmp_path.iterdir()}

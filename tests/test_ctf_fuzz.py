@@ -1,14 +1,17 @@
-"""`.ctf` headers drawn by hypothesis: `read_ctf` either raises `ValueError`
-or returns the field the header describes.  The module skips without
-hypothesis, which is test-only."""
+"""`.ctf` files drawn by hypothesis: `read_ctf` either raises `ValueError`
+or returns the field the header describes, with exactly the samples the
+payload holds.  The module skips without hypothesis, which is test-only."""
 
 import json
+import struct
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 
 from hypothesis import example, given, settings, strategies as st
+
+import numpy as np
 
 from curlmat.spectral import read_ctf
 
@@ -73,3 +76,43 @@ def test_header_is_rejected_or_honoured(path, grid, box, l, basis, offset):
     assert isinstance(box, list) and all(type(v) in (int, float) for v in box)
     assert list(field.grid.box) == box
     assert field.data.shape == (field.ncomp, grid[2], grid[1], grid[0])
+
+
+# float64 samples drawn as bits: finite ones (ordinary floats or any bit
+# pattern short of an all-ones exponent) and non-finite ones (inf, and NaNs
+# with any sign and payload)
+EXPONENT = 0x7FF << 52
+finite_bits = (st.floats(allow_nan=False, allow_infinity=False).map(
+                   lambda x: struct.unpack("<Q", struct.pack("<d", x))[0])
+               | st.integers(0, 2 ** 64 - 1).filter(lambda b: b & EXPONENT != EXPONENT))
+nonfinite_bits = st.tuples(st.booleans(), st.integers(0, 2 ** 52 - 1)).map(
+    lambda sm: sm[0] << 63 | EXPONENT | sm[1])
+# (l, basis) -> components, on a 2 x 2 x 2 grid
+LAYOUTS = {(0, "spherical"): 1, (1, "spherical"): 3, (0, "cartesian"): 1, (1, "cartesian"): 3}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), layout=st.sampled_from(sorted(LAYOUTS)),
+       cut=st.sampled_from([0, 0, 0, -16, -8, -1, 1, 8, 16]))
+def test_payload_is_rejected_or_returned(path, data, layout, cut):
+    l, basis = layout
+    count = 2 * LAYOUTS[layout] * 8
+    bits = data.draw(st.lists(finite_bits, min_size=count, max_size=count))
+    for i, b in data.draw(st.lists(st.tuples(st.integers(0, count - 1), nonfinite_bits),
+                                   max_size=2)):
+        bits[i] = b
+    payload = struct.pack(f"<{count}Q", *bits)
+    # truncated, or extended by bytes that are themselves samples' bits
+    payload = payload[:cut] if cut < 0 else payload + payload[:cut]
+    header = {"magic": "CTF1", "l": l, "basis": basis, "grid": [2, 2, 2], "box": [1, 1, 1],
+              "dtype": "c128", "order": "component,z,y,x"}
+    path.write_bytes(json.dumps(header).encode("ascii") + b"\n" + payload)
+    finite = np.isfinite(np.frombuffer(payload[:len(payload) // 8 * 8], "<f8")).all()
+    try:
+        field = read_ctf(path)
+    except ValueError:
+        assert cut != 0 or not finite
+        return
+    assert cut == 0 and finite
+    assert field.data.shape == (LAYOUTS[layout], 2, 2, 2)
+    assert field.data.astype("<c16").tobytes() == payload

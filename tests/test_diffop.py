@@ -6,8 +6,8 @@ import pytest
 
 from curlmat.builders import (build_cartesian_curls, build_curl_cg,
                               build_curl_hermitian)
-from curlmat.diffop import (CARTESIAN, DX, DY, DZ, DegreeCapError, DiffPoly,
-                            LAPLACIAN, OpMatrix, degree_cap, spherical_tag)
+from curlmat.diffop import (CARTESIAN, DX, DY, DZ, DiffPoly, LAPLACIAN, OpMatrix,
+                            spherical_tag)
 from curlmat.exactnum import ExactScalar, I, imag, rational, root
 
 from reference_matrices import curl1_squared_matrix
@@ -41,40 +41,13 @@ class TestDiffPoly:
         p = DX * rational(1, 2) + DZ * imag(-1)
         assert str(p) == "(1/2)*dx + (i*(-1))*dz"
 
-    def test_degree_cap(self, monkeypatch):
-        monkeypatch.setenv("CURLMAT_DEGREE_CAP", "4")
-        assert degree_cap() == 4
-        with pytest.raises(DegreeCapError):
-            DiffPoly.monomial(3, 2, 0)
-        p = DiffPoly.monomial(2, 0, 0)
-        with pytest.raises(DegreeCapError):
-            p * p * p
-        assert (p * p).max_degree == 4  # a product at the cap passes
-
-    def test_degree_cap_compose(self, monkeypatch):
-        monkeypatch.setenv("CURLMAT_DEGREE_CAP", "4")
-        m = OpMatrix(2, 2, [DiffPoly.monomial(2, 0, 0), DX, DiffPoly(), DY], CARTESIAN)
-        assert (m @ m).max_degree == 4
-        with pytest.raises(DegreeCapError):
-            m @ m @ m
-        eye = OpMatrix.identity(1, CARTESIAN)
-        assert eye.laplacian_times(2).max_degree == 4
-        with pytest.raises(DegreeCapError):
-            eye.laplacian_times(3)
-
-    def test_degree_cap_unset_or_empty(self, monkeypatch):
-        monkeypatch.delenv("CURLMAT_DEGREE_CAP", raising=False)
-        assert degree_cap() == 16
-        monkeypatch.setenv("CURLMAT_DEGREE_CAP", "")
-        assert degree_cap() == 16
-
-    @pytest.mark.parametrize("value", ["abc", "2.5", "0", "-3"])
-    def test_degree_cap_rejects_bad_value(self, monkeypatch, value):
-        monkeypatch.setenv("CURLMAT_DEGREE_CAP", value)
-        for use in (degree_cap, lambda: DX * DX, lambda: DiffPoly.monomial(1, 0, 0),
-                    lambda: build_curl_cg(1) @ build_curl_cg(1)):
-            with pytest.raises(ValueError, match="CURLMAT_DEGREE_CAP must be a positive integer"):
-                use()
+    def test_no_degree_cap(self):
+        # degrees are unbounded: only the suites bound the orders they take
+        p = DiffPoly.monomial(20, 0, 1)
+        assert p.max_degree == 21
+        assert (p * p).coefficient((40, 0, 2)) == rational(1)
+        with pytest.raises(ValueError, match="nonnegative"):
+            DiffPoly.monomial(1, -1, 0)
 
 
 class TestCompose:
@@ -239,10 +212,13 @@ class TestLaplacianTimes:
         direct = curl @ curl @ curl @ curl
         assert direct == (curl @ curl).laplacian_times(1).scale(-1)
 
-    def test_cap_error(self, monkeypatch):
-        monkeypatch.setenv("CURLMAT_DEGREE_CAP", "3")
-        with pytest.raises(DegreeCapError):
-            build_curl_cg(1).laplacian_times(2)
+    def test_past_degree_sixteen(self):
+        # curl^17 = curl lap^8 (degree 17) and curl^18 = curl^2 lap^8 (degree 18)
+        curl = build_curl_cg(1)
+        power = curl.power(17)
+        assert power == curl.laplacian_times(8)
+        assert power @ curl == (curl @ curl).laplacian_times(8)
+        assert OpMatrix.identity(1, CARTESIAN).laplacian_times(20).max_degree == 40
 
 
 class TestSplitSymmetry:

@@ -130,6 +130,13 @@ class TestFieldAxioms:
             rhs = a.to_complex() + b.to_complex()
             assert abs(lhs - rhs) <= 1e-14 * (1 + abs(rhs))
 
+    def test_to_complex_radicand_past_float_range(self):
+        # sqrt(d) alone overflows a float, the term c*sqrt(d) = -2**-50 does not;
+        # _make skips canonicalisation, which would factor d
+        d = 2 ** 1100 + 1
+        z = ExactScalar._make({d: Fraction(-1, 2 ** 600)}, {2: Fraction(1, 3)})
+        assert z.to_complex() == complex(-(2.0 ** -50), float(Fraction(1, 3)) * math.sqrt(2))
+
     def test_conj_properties_random(self):
         rng = random.Random(5)
         for _ in range(100):

@@ -3,14 +3,18 @@ import pytest
 
 from curlmat import identities
 from curlmat.builders import build_cartesian_curls, build_curl_cg
-from curlmat.diffop import DegreeCapError
+from curlmat.diffop import OpMatrix
 from curlmat.exactnum import I, ONE
-from curlmat.identities import (OperatorSet, all_pass, cartesian_identity_pairs,
-                                curl_alpha_pairs, exponential_pair,
+from curlmat.identities import (MAX_ORDER, OperatorSet, all_pass,
+                                cartesian_identity_pairs, curl_alpha_pairs, exponential_pair,
                                 power_identity_pairs, power_walk, verify_all,
                                 verify_complex_suite, verify_core_identities,
                                 verify_exponential, verify_hermitian_suite,
                                 verify_power_laws, verify_suite)
+
+
+def _no_compose(self, other):
+    raise AssertionError("an order past MAX_ORDER must be refused before any compose")
 
 
 class TestCoreSuite:
@@ -50,9 +54,9 @@ class TestPowerLaws:
         assert "cartesian-power-parity" in ids
 
     def test_cap_exceeded(self, monkeypatch):
-        monkeypatch.setenv("CURLMAT_DEGREE_CAP", "5")
-        with pytest.raises(DegreeCapError):
-            verify_power_laws(3)
+        monkeypatch.setattr(OpMatrix, "compose", _no_compose)
+        with pytest.raises(ValueError, match=f"n <= {MAX_ORDER}, got {MAX_ORDER + 1}"):
+            verify_power_laws(MAX_ORDER + 1)
 
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError):
@@ -87,9 +91,9 @@ class TestExponential:
             assert report.l_range == [n]
 
     def test_cap_exceeded_no_partial_report(self, monkeypatch):
-        monkeypatch.setenv("CURLMAT_DEGREE_CAP", "6")
-        with pytest.raises(DegreeCapError):
-            verify_exponential(3)
+        monkeypatch.setattr(OpMatrix, "compose", _no_compose)
+        with pytest.raises(ValueError, match=f"n <= {MAX_ORDER}, got {MAX_ORDER + 1}"):
+            verify_exponential(MAX_ORDER + 1)
 
 
 def _hermitian_complex(l_max, ops=None):
