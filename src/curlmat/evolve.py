@@ -33,20 +33,26 @@ same equations with the curl symbol itself, never its eigenvectors.  The
 system is linear and autonomous, so the classical step is the polynomial
 R(dt A) = 1 + dt A + (dt A)^2/2 + (dt A)^3/6 + (dt A)^4/24, which it
 evaluates in Horner form on the spectrum.  A couples each field only to the
-other, so the step splits into a TE half and a TB half: each FFTs its own
-field, runs the four Horner stages x + (+-c*dt/j) CURL y, each one fused
-symbol pass (the curl entries cached per (operator, grid)), and inverse-FFTs
-its own result -- one `fftn` and one `ifftn` per field and step.  A stage
-reads all of the other half's previous stage, so the halves meet only
-between stages.  From `RK4_SPLIT_SAMPLES` samples per field, and when the
-process may use more than one CPU, the TB half runs on a thread started for
-the step and a two-party barrier before each stage keeps the halves in step;
-numpy's FFTs and array arithmetic release the interpreter lock, so the halves
-overlap.  Smaller steps run both halves stage by stage on the calling thread.
-Either way every sum is formed in the same order, so the result is the same
-bit for bit.  `run_rk4` marches `step_rk4` with `run_spectral`'s counts, log
-and dump rules.  Both steppers reject a step whose largest phase c*dt*kmax is
-not finite before building anything.
+other, so the step splits into a TE half and a TB half: each takes its own
+field's spectrum, runs the four Horner stages x + (+-c*dt/j) CURL y, each one
+fused symbol pass (the curl entries cached per (operator, grid)), and
+inverse-FFTs its own result.  The state a step returns keeps the spectra of
+its last stage, read-only like its fields, and the next step starts from
+them while both fields are still the arrays made from them; a fresh state,
+or one whose fields were replaced, is FFT'd.  So a march makes one `fftn`
+per field, at its first step, and one `ifftn` per field and step, and
+`diagnostics` of a stepped state reads the same spectra.  A stage reads all
+of the other half's previous stage, so the halves meet only between stages,
+and once more before the inverse FFT, which overwrites the buffer the other
+half's last stage reads.  From `RK4_SPLIT_SAMPLES` samples per field, and
+when the process may use more than one CPU, the TB half runs on a thread
+started for the step and a two-party barrier at each meeting keeps the
+halves in step; numpy's FFTs and array arithmetic release the interpreter
+lock, so the halves overlap.  Smaller steps run both halves stage by stage
+on the calling thread.  Either way every sum is formed in the same order, so
+the result is the same bit for bit.  `run_rk4` marches `step_rk4` with
+`run_spectral`'s counts, log and dump rules.  Both steppers reject a step
+whose largest phase c*dt*kmax is not finite before building anything.
 """
 
 from __future__ import annotations
@@ -55,7 +61,7 @@ import math
 import os
 import threading
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import zip_longest
 
@@ -75,6 +81,9 @@ class EvolutionState:
     tb: TensorField
     t: float
     c: float = 1.0
+    # set by step_rk4 alone: the (TE, TB) spectra the fields were made from,
+    # and the two field arrays; a state built anew starts without it
+    _carry: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.te.basis != "spherical" or self.tb.basis != "spherical":
@@ -90,6 +99,17 @@ class EvolutionState:
     @property
     def grid(self) -> GridSpec:
         return self.te.grid
+
+    def _spectra(self) -> np.ndarray | None:
+        """The carried (TE, TB) spectra while both fields are still the
+        read-only arrays made from them; else None."""
+        if self._carry is None:
+            return None
+        spectra, te, tb = self._carry
+        if self.te.data is te and self.tb.data is tb and not (
+                te.flags.writeable or tb.flags.writeable):
+            return spectra
+        return None
 
 
 @dataclass
@@ -145,9 +165,10 @@ class _Propagator:
         """exp(-i*c*lambda*dt) of every band and mode: one step of z+."""
         return np.exp(-1j * c * dt * self.vals)
 
-    def to_eigen(self, f: TensorField) -> np.ndarray:
-        """Band coefficients of a field: FFT, then V^H per mode."""
-        x = _fft(f.data).reshape(self.dim, -1)
+    def to_eigen(self, f: TensorField, spectrum: np.ndarray | None = None) -> np.ndarray:
+        """Band coefficients of a field: FFT, then V^H per mode.  Given f's
+        `spectrum`, that is used instead of the FFT and overwritten."""
+        x = (_fft(f.data) if spectrum is None else spectrum).reshape(self.dim, -1)
         _turn(x, self.azimuth, -1)  # components are m = l..-l
         x = self.ly_vecs.conj().T @ x
         _turn(x, self.polar, 1)
@@ -204,8 +225,11 @@ def step_spectral(state: EvolutionState, dt: float) -> EvolutionState:
 
 def _pair(prop: _Propagator, state: EvolutionState) -> tuple[np.ndarray, ...]:
     """z+- = a +- ib of the state's TE and TB band coefficients a and b, made
-    in the two `to_eigen` buffers, and a scratch array of their shape."""
-    zp, zm = prop.to_eigen(state.te), prop.to_eigen(state.tb)
+    in the two `to_eigen` buffers, and a scratch array of their shape.  The
+    spectra a `step_rk4` state carries are copied in place of two FFTs."""
+    spectra = state._spectra()
+    te, tb = (None, None) if spectra is None else spectra.copy()
+    zp, zm = prop.to_eigen(state.te, te), prop.to_eigen(state.tb, tb)
     scratch = np.multiply(zm, 1j)
     np.subtract(zp, scratch, out=zm)
     zp += scratch
@@ -351,8 +375,12 @@ def _cpu_count() -> int:
 def step_rk4(state: EvolutionState, dt: float) -> EvolutionState:
     """Classical 4th-order step; cross-validates the exact propagator.
 
-    From `RK4_SPLIT_SAMPLES` samples per field, given a second CPU, the TB
-    half runs on a thread joined before this returns (module docstring).
+    The returned fields' arrays are read-only, and the returned state also
+    holds the spectra they were made from, so that the next step and
+    `diagnostics` make no FFT (module docstring): a kept state costs twice
+    its field pair, which a caller keeping many states pays.  From
+    `RK4_SPLIT_SAMPLES` samples per field, given a second CPU, the TB half
+    runs on a thread joined before this returns (module docstring).
     """
     phase = check_dt(state.grid, state.c, dt)
     if abs(phase) >= RK4_STABILITY_BOUND:  # |R(i*theta)| is even in theta
@@ -363,14 +391,21 @@ def step_rk4(state: EvolutionState, dt: float) -> EvolutionState:
     curl = build_curl_ldotgrad(state.l)
     grid = state.grid
     fields = (state.te.data, state.tb.data)
-    # x holds the (TE, TB) spectra; d/dt x = A x = (+c CURL x[1], -c CURL x[0])
-    x = np.empty((2,) + fields[0].shape, dtype=np.complex128)
+    # x holds the (TE, TB) spectra, only read by the stages; d/dt x = A x =
+    # (+c CURL x[1], -c CURL x[0])
+    x = state._spectra()
+    carried = x is not None
+    if not carried:
+        x = np.empty((2,) + fields[0].shape, dtype=np.complex128)
     nxt = (np.empty_like(x), np.empty_like(x))
 
     def half(h):
         """Field h's part of the step; it yields where it needs all of the
-        other half's previous stage, and leaves its result in nxt[1][h]."""
-        _fft(fields[h], out=x[h])
+        other half's previous stage, or is about to overwrite what the other
+        half still reads, and leaves its spectrum in nxt[1][h] and its field
+        in nxt[0][h]."""
+        if not carried:
+            _fft(fields[h], out=x[h])
         # R(dt A) x in Horner form (module docstring): y <- x + (dt/j) A y for
         # j = 4, 3, 2, 1, from y = x itself.  Each stage writes to whichever
         # of two buffers the stage before it did not: while it runs, the
@@ -383,14 +418,19 @@ def step_rk4(state: EvolutionState, dt: float) -> EvolutionState:
             apply_symbol(curl, grid, y[1 - h], out=out[h],
                          scale=-weight if h else weight, base=x[h])
             y = out
-        _ifft(y[h], out=y[h])
+        yield  # the other half's last stage reads nxt[0][h] until here
+        _ifft(y[h], out=nxt[0][h])
 
     symbol_entries(curl, grid)  # cached here, or both halves would build it
     _in_step(fields[0].size, half(0), half(1))
-    te, tb = nxt[1]
-    return EvolutionState(TensorField(state.l, "spherical", grid, te),
-                          TensorField(state.l, "spherical", grid, tb),
-                          state.t + dt, state.c)
+    for buffer in nxt:  # before the views are taken, so they stay read-only
+        buffer.flags.writeable = False
+    te, tb = nxt[0]
+    new = EvolutionState(TensorField(state.l, "spherical", grid, te),
+                         TensorField(state.l, "spherical", grid, tb),
+                         state.t + dt, state.c)
+    new._carry = (nxt[1], te, tb)
+    return new
 
 
 def run_rk4(state: EvolutionState, dt: float, steps: int,

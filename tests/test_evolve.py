@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import os
 import sys
 import threading
@@ -156,17 +158,24 @@ class TestRk4:
         assert (fast.te - state.te).norm() > 1e-2 * state.te.norm()
 
     def test_leaves_input_alone(self, grid):
+        # a fresh input, then the carried one it steps to
         state = random_state(grid, 1, seed=42)
-        te, tb = state.te.data.copy(), state.tb.data.copy()
-        new = step_rk4(state, 0.05)
-        assert np.array_equal(state.te.data, te) and np.array_equal(state.tb.data, tb)
-        for out in (new.te.data, new.tb.data):
-            for inp in (state.te.data, state.tb.data):
-                assert not np.shares_memory(out, inp)
+        for carried in (False, True):
+            inputs = [state.te.data, state.tb.data]
+            if carried:
+                inputs.append(state._spectra())
+            before = [a.copy() for a in inputs]
+            new = step_rk4(state, 0.05)
+            assert all(np.array_equal(a, b) for a, b in zip(inputs, before))
+            for out in (new.te.data, new.tb.data, new._spectra()):
+                for inp in inputs:
+                    assert not np.shares_memory(out, inp)
+            state = new
 
     def test_two_fft_calls_per_step_and_no_apply_operator(self, monkeypatch):
-        # one fftn and one ifftn per field and step, on a grid on each side of
-        # the split size, whatever the host's CPU count
+        # from a fresh state one fftn and one ifftn per field, then one ifftn
+        # per field and step from the carried spectra, on a grid on each side
+        # of the split size, whatever the host's CPU count
         monkeypatch.setattr(evolve, "_cpu_count", lambda: 2)
         states = [random_state(GridSpec((n,) * 3, (TWO_PI,) * 3), 1, seed=44)
                   for n in (16, 32)]
@@ -184,11 +193,12 @@ class TestRk4:
             monkeypatch.setattr(module, "apply_operator", forbidden)
         monkeypatch.setattr(evolve, "_propagator", forbidden)  # the eigenvectors
         for state in states:
-            for _ in range(3):
+            for step in range(3):
                 calls.clear()
                 state = step_rk4(state, 0.05)
                 field = state.te.data.shape
-                assert sorted(calls) == [("fftn", field)] * 2 + [("ifftn", field)] * 2
+                ffts = [] if step else [("fftn", field)] * 2
+                assert sorted(calls) == ffts + [("ifftn", field)] * 2
 
     def test_order_of_convergence(self, grid):
         state = plane_wave_state(grid, 1, 1, (1, 0, 0))
@@ -233,6 +243,113 @@ class TestRk4:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             step_rk4(state, 0.01)
+
+
+def count_ffts(monkeypatch) -> list[str]:
+    """The names of the numpy FFT calls made from here on, in call order."""
+    calls = []
+    for name in ("fftn", "ifftn"):
+        def counted(*args, _fn=getattr(np.fft, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls
+
+
+def rebuilt(state: EvolutionState) -> EvolutionState:
+    """The state's fields, time and speed in a state built anew from copies."""
+    return EvolutionState(state.te.copy(), state.tb.copy(), state.t, state.c)
+
+
+def assert_same_bits(got: EvolutionState, want: EvolutionState) -> None:
+    assert got.t == want.t and got.c == want.c
+    assert np.array_equal(got.te.data, want.te.data)
+    assert np.array_equal(got.tb.data, want.tb.data)
+
+
+class TestRk4Carry:
+    """`step_rk4` starting from the spectra its previous step left."""
+
+    @pytest.fixture
+    def carried(self, grid):
+        state = step_rk4(step_rk4(random_state(grid, 1, seed=60), 0.05), 0.05)
+        assert state._spectra() is not None
+        return state
+
+    def test_carried_arrays_are_read_only(self, carried):
+        spectra = carried._spectra()
+        for array in (carried.te.data, carried.tb.data, spectra[0], spectra[1]):
+            with pytest.raises(ValueError, match="read-only"):
+                array[(0,) * array.ndim] = 1
+            with pytest.raises(ValueError, match="read-only"):
+                array *= 2
+        for array in (carried.te.data, carried.tb.data):
+            with pytest.raises(ValueError):
+                array.flags.writeable = True
+
+    @pytest.mark.parametrize("rebuild", [
+        lambda s: setattr(s, "te", s.te * 1) or s,
+        lambda s: setattr(s.tb, "data", s.tb.data.copy()) or s,
+        lambda s: dataclasses.replace(s, c=s.c),
+        rebuilt,
+        copy.deepcopy,  # writeable copies of the fields and the spectra
+    ], ids=["te-assigned", "tb-data-assigned", "dataclasses-replace", "from-copies",
+            "deepcopy"])
+    def test_rebuilt_state_is_transformed_again(self, carried, monkeypatch, rebuild):
+        state = rebuild(carried)
+        want = step_rk4(rebuilt(state), 0.05)
+        calls = count_ffts(monkeypatch)
+        got = step_rk4(state, 0.05)
+        assert sorted(calls) == ["fftn"] * 2 + ["ifftn"] * 2
+        assert_same_bits(got, want)
+
+    def test_one_state_stepped_twice_gives_the_same_bits(self, carried):
+        first, second = step_rk4(carried, 0.05), step_rk4(carried, 0.05)
+        assert_same_bits(second, first)
+        assert np.array_equal(second._spectra(), first._spectra())
+
+    @pytest.mark.parametrize("l", [1, 2])
+    def test_matches_a_march_transforming_every_step(self, grid, monkeypatch, l):
+        # the carried march against one whose every step starts from a fresh
+        # state: the same arithmetic but for an fftn of each step's ifftn
+        start = EvolutionState(random_bandlimited(grid, l, "spherical", seed=62),
+                               random_bandlimited(grid, l, "spherical", seed=63), 0.2, 1.1)
+        want = start
+        for _ in range(20):
+            want = step_rk4(rebuilt(want), 0.05)
+        calls = count_ffts(monkeypatch)
+        got = start
+        for _ in range(20):
+            got = step_rk4(got, 0.05)
+        assert calls.count("fftn") == 2 and calls.count("ifftn") == 40
+        assert got.t == want.t
+        for a, b in ((got.te, want.te), (got.tb, want.tb)):
+            assert (a - b).norm() <= 1e-13 * b.norm()
+        # 20 steps must have moved the state, or the comparison is vacuous
+        assert (got.te - start.te).norm() > 0.1 * start.te.norm()
+
+    def test_diagnostics_read_the_carried_spectra(self, carried, monkeypatch):
+        want = diagnostics(rebuilt(carried))
+        spectra = carried._spectra().copy()
+        calls = count_ffts(monkeypatch)
+        got = diagnostics(carried)
+        assert calls == []
+        assert np.array_equal(carried._spectra(), spectra)
+        assert got.t == want.t
+        assert got.energy == pytest.approx(want.energy, rel=1e-13)
+        assert got.band_te == pytest.approx(want.band_te, rel=1e-13, abs=1e-13 * want.energy)
+        for div in ("div_te", "div_tb"):
+            assert getattr(got, div) == pytest.approx(getattr(want, div), abs=1e-13)
+
+    def test_spectral_step_reads_the_carried_spectra(self, carried, monkeypatch):
+        # run_spectral moves to band coefficients the way diagnostics does
+        want = step_spectral(rebuilt(carried), 0.05)
+        calls = count_ffts(monkeypatch)
+        got = step_spectral(carried, 0.05)
+        assert calls == ["ifftn"] * 2
+        assert got.t == want.t
+        for a, b in ((got.te, want.te), (got.tb, want.tb)):
+            assert (a - b).norm() <= 1e-13 * b.norm()
 
 
 def run_with_timeout(fn, *args, timeout=60.0):
@@ -377,6 +494,21 @@ class TestRunRk4:
         state = random_state(GridSpec((8, 8, 8), (TWO_PI,) * 3), 1, seed=7)
         got, want = self.both(state, 0.05, steps, log_every, dump_every)
         self.assert_same(got, want)
+
+    @pytest.mark.parametrize("split", [False, True])
+    def test_logged_run_transforms_each_field_once(self, monkeypatch, split):
+        # the first log and the first step FFT the fresh state; later steps
+        # and logs read the carried spectra, and each step inverse-FFTs once
+        # per field
+        if split:
+            monkeypatch.setattr(evolve, "RK4_SPLIT_SAMPLES", 0)
+            monkeypatch.setattr(evolve, "_cpu_count", lambda: 2)
+        state = random_state(GridSpec((8, 8, 8), (TWO_PI,) * 3), 1, seed=7)
+        calls = count_ffts(monkeypatch)
+        _, logs = run_rk4(state, 0.05, 7, log_every=2)
+        assert len(logs) == 5  # steps 0, 2, 4, 6 and 7
+        assert calls[:2] == ["fftn"] * 2  # the first log's
+        assert sorted(calls) == ["fftn"] * 4 + ["ifftn"] * 14
 
     def test_split_step_matches_march_by_hand(self, monkeypatch):
         # 20^3, l = 2 is past RK4_SPLIT_SAMPLES: every step runs on two threads
