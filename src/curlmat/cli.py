@@ -90,7 +90,14 @@ def _cmd_helmholtz(args) -> int:
     perp, par = spectral.helmholtz(f)
     spectral.write_ctf(perp, f"{args.out_prefix}_perp.ctf")
     spectral.write_ctf(par, f"{args.out_prefix}_par.ctf")
-    recon = (f - (perp + par)).norm() / f.norm() if f.norm() > 0 else 0.0
+    # f - (perp + par) in one scratch array; f - perp - par would be
+    # par - par, exactly 0, since par is f - perp
+    diff = np.add(perp.data, par.data)
+    np.subtract(f.data, diff, out=diff)
+    scale = f.norm()
+    recon = (math.sqrt(np.vdot(diff, diff).real * f.grid.cell_volume) / scale
+             if scale > 0 else 0.0)
+    del f, diff  # freed before the residual checks, which need more memory
     print(f"div(perp) residual: {spectral.relative_divergence(perp):.3e}")
     print(f"curl_c(par) residual: {spectral.relative_complex_curl(par):.3e}")
     print(f"reconstruction residual: {recon:.3e}")

@@ -58,8 +58,6 @@ whose largest phase c*dt*kmax is not finite before building anything.
 from __future__ import annotations
 
 import math
-import os
-import threading
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -68,9 +66,9 @@ from itertools import zip_longest
 import numpy as np
 
 from .builders import build_curl_complex, build_curl_ldotgrad, build_div
-from .spectral import (GridSpec, TensorField, _fft, _ifft, _relative_residual,
-                       apply_operator, apply_symbol, plane_wave,
-                       random_bandlimited, symbol_entries)
+from .spectral import (GridSpec, TensorField, _cpu_count, _fft, _ifft,
+                       _relative_residual, _run_paired, apply_operator, apply_symbol,
+                       plane_wave, random_bandlimited, symbol_entries)
 
 
 @dataclass
@@ -102,13 +100,15 @@ class EvolutionState:
 
     def _spectra(self) -> np.ndarray | None:
         """The carried (TE, TB) spectra while both fields are still the
-        read-only arrays made from them; else None."""
+        read-only arrays made from them; else None, and a stale carry is
+        dropped so that its buffers are freed."""
         if self._carry is None:
             return None
         spectra, te, tb = self._carry
         if self.te.data is te and self.tb.data is tb and not (
                 te.flags.writeable or tb.flags.writeable):
             return spectra
+        self._carry = None
         return None
 
 
@@ -359,17 +359,10 @@ RK4_STABILITY_BOUND = 2.8
 RK4_SPLIT_SAMPLES = 2 ** 15
 
 
+@lru_cache(maxsize=16)
 def _max_wavenumber(grid: GridSpec) -> float:
     return float(np.sqrt(sum(np.max(np.abs(grid.deriv_k_axis(a))) ** 2
                              for a in range(3))))
-
-
-def _cpu_count() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
 
 
 def step_rk4(state: EvolutionState, dt: float) -> EvolutionState:
@@ -457,39 +450,6 @@ def _in_step(samples: int, *halves) -> None:
     else:
         for _ in zip_longest(*halves):
             pass
-
-
-def _run_paired(first, second) -> None:
-    """Run two generators, `second` on a thread of its own, each resuming
-    only when both have reached the same yield.  An exception in either is
-    raised here, after the thread has ended."""
-    barrier = threading.Barrier(2)
-    failed = []
-
-    def drain(gen):
-        for _ in gen:
-            barrier.wait()
-
-    def run_second():
-        try:
-            drain(second)
-        except BaseException as exc:  # raised again on the calling thread
-            failed.append(exc)
-            barrier.abort()
-
-    worker = threading.Thread(target=run_second, name="curlmat-second-half")
-    worker.start()
-    try:
-        drain(first)
-    except threading.BrokenBarrierError:
-        pass  # only `run_second` aborts while this thread waits; its error is below
-    except BaseException:
-        barrier.abort()
-        raise
-    finally:
-        worker.join()
-    if failed:
-        raise failed[0]
 
 
 def diagnostics(state: EvolutionState) -> Diagnostics:

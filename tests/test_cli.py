@@ -246,6 +246,23 @@ class TestFieldPipeline:
         par = read_ctf(tmp_path / "h_par.ctf")
         assert par.norm() <= 1e-10 * curl_field.norm()
 
+    def test_helmholtz_prints_the_reconstruction_residual(self, capsys, tmp_path):
+        # f - (perp + par), which is roundoff but not 0 here; f - perp - par
+        # would print exactly 0, since par is f - perp
+        src = tmp_path / "in.ctf"
+        code, _, _ = run_cli(capsys, "gen", "--preset", "random-bandlimited",
+                             "--grid", "16", "--seed", "2", "--out", str(src))
+        assert code == 0
+        code, printed, _ = run_cli(capsys, "helmholtz", "--in", str(src),
+                                   "--out-prefix", str(tmp_path / "h"))
+        assert code == 0
+        f, perp, par = (read_ctf(path) for path in
+                        (src, tmp_path / "h_perp.ctf", tmp_path / "h_par.ctf"))
+        want = (f - (perp + par)).norm() / f.norm()
+        assert want > 0
+        lines = dict(line.split(": ") for line in printed.splitlines())
+        assert lines["reconstruction residual"] == f"{want:.3e}"
+
     @pytest.mark.parametrize("l", ["-4", "0", "2"])
     def test_apply_cartesian_curl_rejects_other_ranks(self, capsys, tmp_path, l):
         src, out = tmp_path / "in.ctf", tmp_path / "curl.ctf"
@@ -325,6 +342,30 @@ class TestFieldPipeline:
         assert code == 1
 
 
+@pytest.mark.parametrize("cut", [0, -16, 16], ids=["whole", "short", "long"])
+def test_apply_reads_a_pipe(tmp_path, cut):
+    # a pipe has no size to check before reading: the payload is read into
+    # the field and then must have been neither short nor long
+    src, out = tmp_path / "in.ctf", tmp_path / "curl.ctf"
+    assert main(["gen", "--preset", "random-bandlimited", "--grid", "8", "--seed", "3",
+                 "--out", str(src)]) == 0
+    data = src.read_bytes()
+    data = data[:cut] if cut < 0 else data + data[-cut:] if cut else data
+    proc = subprocess.run([sys.executable, "-c", "from curlmat.cli import entry; entry()",
+                           "apply", "--op", "cartesian-curl", "--in", "/dev/stdin",
+                           "--out", str(out)],
+                          input=data, capture_output=True, env=_fresh_env(), timeout=60)
+    if cut:
+        assert proc.returncode == 1 and not out.exists()
+        assert proc.stderr.decode().splitlines() == [
+            f"error: payload does not hold the {3 * 8 ** 3 * 16} bytes expected"]
+    else:
+        assert proc.returncode == 0, proc.stderr
+        assert main(["apply", "--op", "cartesian-curl", "--in", str(src),
+                     "--out", str(tmp_path / "want.ctf")]) == 0
+        assert out.read_bytes() == (tmp_path / "want.ctf").read_bytes()
+
+
 class TestBadInputFiles:
     @pytest.mark.parametrize("header,payload", (
         (b"[1, 2]", b""),
@@ -337,14 +378,21 @@ class TestBadInputFiles:
         (b'{"magic": "CTF1", "l": 1, "basis": "spherical", "grid": [4, 4, 4],'
          b' "box": ["1", true, 2.5], "dtype": "c128", "order": "component,z,y,x"}',
          bytes(3 * 4 ** 3 * 16)),
-    ), ids=("not-an-object", "negative-l", "non-integral-grid", "non-real-box"))
+        # a grid that implies about 3 TB, over a 4^3 payload
+        (b'{"magic": "CTF1", "l": 1, "basis": "spherical", "grid": [4096, 4096, 4096],'
+         b' "box": [1, 1, 1], "dtype": "c128", "order": "component,z,y,x"}',
+         bytes(3 * 4 ** 3 * 16)),
+    ), ids=("not-an-object", "negative-l", "non-integral-grid", "non-real-box",
+            "grid-beyond-the-file"))
     def test_apply_reports_error(self, capsys, tmp_path, header, payload):
         src = tmp_path / "bad.ctf"
         src.write_bytes(header + b"\n" + payload)
-        code, _, err = run_cli(capsys, "apply", "--op", "curl", "--in", str(src),
-                               "--out", str(tmp_path / "out.ctf"))
+        code, out, err = run_cli(capsys, "apply", "--op", "curl", "--in", str(src),
+                                 "--out", str(tmp_path / "out.ctf"))
         assert code == 1
         assert err.startswith("error:")
+        assert len(err.splitlines()) == 1 and out == ""
+        assert not (tmp_path / "out.ctf").exists()
 
 
 class TestEvolveCommand:

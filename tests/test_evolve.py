@@ -1,10 +1,13 @@
 import copy
 import dataclasses
+import gc
+import math
 import os
 import sys
 import threading
 import time
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -200,6 +203,22 @@ class TestRk4:
                 ffts = [] if step else [("fftn", field)] * 2
                 assert sorted(calls) == ffts + [("ifftn", field)] * 2
 
+    def test_max_wavenumber_is_computed_once_per_grid(self, grid):
+        evolve._max_wavenumber.cache_clear()
+        state = step_rk4(plane_wave_state(grid, 1, 1, (1, 0, 0)), 0.01)
+        first = evolve._max_wavenumber.cache_info()
+        step_rk4(state, 0.01)
+        second = evolve._max_wavenumber.cache_info()
+        assert (first.misses, second.misses, second.hits) == (1, 1, first.hits + 1)
+        # the cached value is the computed one: |k| <= 2 pi (n/2 - 1) / box on
+        # each axis once Nyquist is zeroed, 7 for 16 points over 2 pi
+        for g in (grid, GridSpec((8, 12, 16), (1.0, 2.5, 3.0))):
+            got = evolve._max_wavenumber(g)
+            assert got == evolve._max_wavenumber.__wrapped__(g)
+            assert got == pytest.approx(math.sqrt(sum(
+                (2 * math.pi * (n // 2 - 1) / box) ** 2 for n, box in zip(g.n, g.box))),
+                rel=1e-15)
+
     def test_order_of_convergence(self, grid):
         state = plane_wave_state(grid, 1, 1, (1, 0, 0))
         omega = np.linalg.norm(wavevector(grid, (1, 0, 0)))
@@ -302,6 +321,19 @@ class TestRk4Carry:
         got = step_rk4(state, 0.05)
         assert sorted(calls) == ["fftn"] * 2 + ["ifftn"] * 2
         assert_same_bits(got, want)
+
+    def test_stale_carry_is_freed(self, carried):
+        # once a field is replaced, the next look drops the carry: the
+        # spectra pair is freed, and the field pair with the last old field
+        spectra, fields = (weakref.ref(a) for a in (carried._spectra(), carried.te.data.base))
+        carried.te = carried.te * 1
+        diagnostics(carried)
+        assert carried._carry is None
+        gc.collect()
+        assert spectra() is None and fields() is not None
+        carried.tb = carried.tb * 1
+        gc.collect()
+        assert fields() is None
 
     def test_one_state_stepped_twice_gives_the_same_bits(self, carried):
         first, second = step_rk4(carried, 0.05), step_rk4(carried, 0.05)

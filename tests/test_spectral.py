@@ -1,11 +1,14 @@
 import json
+import threading
 
 import numpy as np
 import pytest
 
+from curlmat import evolve, spectral
 from curlmat.builders import (build_cartesian_curls, build_curl_cg,
                               build_div, build_grad, cartesian_grad)
 from curlmat.diffop import DiffPoly, OpMatrix, spherical_tag
+from curlmat.evolve import random_state, run_spectral, step_rk4
 from curlmat.exactnum import ONE
 from curlmat.identities import curl_alpha_pairs
 from curlmat.spectral import (GridSpec, TensorField, _fft, _ifft, apply_operator,
@@ -83,6 +86,118 @@ class TestFftLayer:
     def test_real_input(self):
         data = np.random.default_rng(8).standard_normal((4, 4, 4))
         assert np.array_equal(_fft(data), np.fft.fftn(data))
+
+
+def count_pairs(monkeypatch) -> list[int]:
+    """One entry per `spectral._run_paired` call from here on; a second CPU."""
+    calls, run_paired = [], spectral._run_paired
+    monkeypatch.setattr(spectral, "_run_paired",
+                        lambda *gens: calls.append(1) or run_paired(*gens))
+    monkeypatch.setattr(spectral, "_cpu_count", lambda: 2)
+    return calls
+
+
+class TestSplitFft:
+    """`_fft`/`_ifft` with ``split``: two batches on two threads from
+    `FFT_SPLIT_SAMPLES` samples, the bits of one numpy call either way."""
+
+    @pytest.mark.parametrize("side", ["below", "above"])
+    @pytest.mark.parametrize("shape", [(1, 8, 6, 4), (3, 8, 6, 4), (5, 8, 6, 4),
+                                       (2, 3, 8, 6, 4), (8, 6, 4)])
+    @pytest.mark.parametrize("ours,numpy_fn", ((_fft, np.fft.fftn), (_ifft, np.fft.ifftn)))
+    def test_bit_identical_to_numpy(self, monkeypatch, ours, numpy_fn, shape, side):
+        paired = count_pairs(monkeypatch)
+        size = int(np.prod(shape))
+        monkeypatch.setattr(spectral, "FFT_SPLIT_SAMPLES", size + (side == "below"))
+        rng = np.random.default_rng(9)
+        data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        want = numpy_fn(data, axes=(-3, -2, -1))
+        kept = data.copy()
+        before = threading.active_count()
+        assert np.array_equal(ours(data, split=True), want)
+        assert np.array_equal(data, kept)
+        fresh = np.empty_like(data)
+        assert ours(data, out=fresh, split=True) is fresh and np.array_equal(fresh, want)
+        assert ours(data, out=data, split=True) is data and np.array_equal(data, want)
+        real = rng.standard_normal(shape)
+        assert np.array_equal(ours(real, split=True), numpy_fn(real, axes=(-3, -2, -1)))
+        assert threading.active_count() == before
+        # a 3-D input or a single component has no batch to split
+        splits = side == "above" and len(shape) > 3 and shape[0] > 1
+        assert len(paired) == (4 if splits else 0)
+
+    def test_at_the_gate(self, monkeypatch):
+        paired = count_pairs(monkeypatch)
+        shape = (3, 32, 32, 32)
+        assert np.prod(shape) == spectral.FFT_SPLIT_SAMPLES
+        rng = np.random.default_rng(10)
+        data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        for part in (data, data[:, 1:]):  # 3 x 31 x 32 x 32 is below the gate
+            assert np.array_equal(_fft(part, split=True), np.fft.fftn(part, axes=(1, 2, 3)))
+        assert len(paired) == 1
+
+    def test_one_cpu_runs_one_call(self, monkeypatch):
+        monkeypatch.setattr(spectral, "FFT_SPLIT_SAMPLES", 0)
+        monkeypatch.setattr(spectral, "_cpu_count", lambda: 1)
+        monkeypatch.setattr(spectral, "_run_paired", no_split)
+        data = np.random.default_rng(11).standard_normal((3, 4, 4, 4)).astype(complex)
+        assert np.array_equal(_fft(data, split=True), np.fft.fftn(data, axes=(1, 2, 3)))
+
+    @pytest.mark.parametrize("where", ["worker", "caller"])
+    def test_error_is_raised_here_and_no_thread_is_left(self, monkeypatch, where):
+        class Boom(Exception):
+            pass
+
+        count_pairs(monkeypatch)
+        monkeypatch.setattr(spectral, "FFT_SPLIT_SAMPLES", 0)
+        caller, fftn = threading.current_thread(), np.fft.fftn
+
+        def boom(data, *args, **kwargs):
+            if (threading.current_thread() is caller) == (where == "caller"):
+                raise Boom(where)
+            return fftn(data, *args, **kwargs)
+        monkeypatch.setattr(np.fft, "fftn", boom)
+        before = threading.active_count()
+        with pytest.raises(Boom, match=where):
+            _fft(np.ones((3, 4, 4, 4), dtype=complex), split=True)
+        assert threading.active_count() == before
+
+    def test_whole_field_transforms_split(self, grid, monkeypatch):
+        # apply_operator, helmholtz, the residuals and random_bandlimited give
+        # the bits of their serial transforms, each of which is split
+        curl = build_cartesian_curls().curl
+
+        def results():
+            f = random_bandlimited(grid, 1, "cartesian", seed=12)
+            perp, par = helmholtz(f)
+            return [f.data, apply_operator(curl, f).data, perp.data, par.data,
+                    gradient_scale(f), relative_divergence(f), relative_complex_curl(f)]
+
+        want = results()
+        paired = count_pairs(monkeypatch)
+        monkeypatch.setattr(spectral, "FFT_SPLIT_SAMPLES", 0)
+        got = results()
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        # an ifftn in random_bandlimited, an fftn and an ifftn in each of
+        # apply_operator and helmholtz, an fftn in each residual
+        assert len(paired) == 1 + 2 + 2 + 3
+
+    @pytest.mark.parametrize("halves", ["serial", "split"])
+    def test_evolve_transforms_stay_on_one_thread(self, grid, monkeypatch, halves):
+        # its halves already keep both cores busy
+        state = random_state(grid, 1, seed=13)
+        count_pairs(monkeypatch)
+        if halves == "split":
+            monkeypatch.setattr(evolve, "RK4_SPLIT_SAMPLES", 0)
+            monkeypatch.setattr(evolve, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(spectral, "FFT_SPLIT_SAMPLES", 0)
+        monkeypatch.setattr(spectral, "_run_paired", no_split)
+        step_rk4(step_rk4(state, 0.02), 0.02)
+        run_spectral(state, 0.02, 2)
+
+
+def no_split(*args):
+    raise AssertionError("the transform ran on two threads")
 
 
 class TestTensorField:
@@ -450,6 +565,40 @@ class TestCtfFormat:
         path.write_bytes(header + b"\n")
         with pytest.raises(ValueError):
             read_ctf(path)
+
+    def test_payload_is_the_samples_in_order(self, grid, tmp_path):
+        # the bytes of astype("<c16").tobytes(), also for a transposed view
+        # and for the read-only arrays step_rk4 returns
+        f = random_bandlimited(grid, 1, "cartesian", seed=22)
+        stepped = step_rk4(random_state(grid, 1, seed=22), 0.02).te
+        assert not stepped.data.flags.writeable
+        fields = [f, TensorField(1, "cartesian", grid, f.data.transpose(0, 3, 2, 1)), stepped]
+        assert not fields[1].data.flags.c_contiguous
+        path = tmp_path / "field.ctf"
+        for field in fields:
+            write_ctf(field, path)
+            with open(path, "rb") as fh:
+                fh.readline()
+                assert fh.read() == field.data.astype("<c16").tobytes()
+            assert np.array_equal(read_ctf(path).data, field.data)
+
+    @pytest.mark.parametrize("grid_n,extra", [([4096, 4096, 4096], 0), ([4, 4, 4], 16)],
+                             ids=["grid-beyond-the-file", "bytes-past-the-payload"])
+    def test_payload_size_is_checked_before_allocating(self, tmp_path, monkeypatch,
+                                                       grid_n, extra):
+        header = {"magic": "CTF1", "l": 1, "basis": "cartesian", "grid": grid_n,
+                  "box": [1, 1, 1], "dtype": "c128", "order": "component,z,y,x"}
+        payload = bytes(3 * 4 ** 3 * 16 + extra)
+        path = tmp_path / "bad.ctf"
+        path.write_bytes(json.dumps(header).encode("ascii") + b"\n" + payload)
+        allocated, empty = [], np.empty
+        monkeypatch.setattr(np, "empty", lambda shape, *a, **k: allocated.append(shape)
+                            or empty(shape, *a, **k))
+        expected = 3 * int(np.prod(grid_n)) * 16
+        with pytest.raises(ValueError, match=f"payload holds {len(payload)} bytes, "
+                                             f"expected {expected}"):
+            read_ctf(path)
+        assert allocated == []
 
     def test_rejects_truncated_payload(self, grid, tmp_path):
         f = random_bandlimited(grid, 1, "cartesian", seed=21)
