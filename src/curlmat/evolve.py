@@ -33,24 +33,23 @@ same equations with the curl symbol itself, never its eigenvectors.  The
 system is linear and autonomous, so the classical step is the polynomial
 R(dt A) = 1 + dt A + (dt A)^2/2 + (dt A)^3/6 + (dt A)^4/24, which it
 evaluates in Horner form on the spectrum.  A couples each field only to the
-other, so the step splits into a TE half and a TB half: each takes its own
-field's spectrum, runs the four Horner stages x + (+-c*dt/j) CURL y, each one
+other, so the step splits into a TE half and a TB half: each runs the four
+Horner stages x + (+-c*dt/j) CURL y on its own field's spectrum, each one
 fused symbol pass (the curl entries cached per (operator, grid)), and
-inverse-FFTs its own result.  The state a step returns keeps the spectra of
-its last stage, read-only like its fields, and the next step starts from
-them while both fields are still the arrays made from them; a fresh state,
-or one whose fields were replaced, is FFT'd.  So a march makes one `fftn`
-per field, at its first step, and one `ifftn` per field and step, and
-`diagnostics` of a stepped state reads the same spectra.  A stage reads all
-of the other half's previous stage, so the halves meet only between stages,
-and once more before the inverse FFT, which overwrites the buffer the other
-half's last stage reads.  From `RK4_SPLIT_SAMPLES` samples per field, and
-when the process may use more than one CPU, the TB half runs on a thread
-started for the step and a two-party barrier at each meeting keeps the
-halves in step; numpy's FFTs and array arithmetic release the interpreter
+checks that its result is finite.  No stage needs the grid, so the state a
+step returns holds the spectra of its last stage, read-only, in place of
+its fields, and makes both fields with one inverse FFT only when one is
+read (`EvolutionState`).  The next step and `diagnostics` read the
+spectra; a fresh state, or one whose fields were replaced, is FFT'd.  So a
+march of bare steps makes one `fftn` per field, at its first step, and no
+`ifftn`.  A stage reads all of the other half's previous stage, so the
+halves meet between stages.  From `RK4_SPLIT_SAMPLES` samples per field,
+and when the process may use more than one CPU, the TB half runs on a
+thread started for the step and a two-party barrier at each meeting keeps
+the halves in step; numpy's array arithmetic releases the interpreter
 lock, so the halves overlap.  Smaller steps run both halves stage by stage
-on the calling thread.  Either way every sum is formed in the same order, so
-the result is the same bit for bit.  `run_rk4` marches `step_rk4` with
+on the calling thread.  Either way every sum is formed in the same order,
+so the result is the same bit for bit.  `run_rk4` marches `step_rk4` with
 `run_spectral`'s counts, log and dump rules.  Both steppers reject a step
 whose largest phase c*dt*kmax is not finite before building anything.
 """
@@ -59,8 +58,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import lru_cache, partial
 from itertools import zip_longest
 
 import numpy as np
@@ -73,15 +72,23 @@ from .spectral import (GridSpec, TensorField, _cpu_count, _fft, _ifft,
 
 @dataclass
 class EvolutionState:
-    """Paired (TE, TB) rank-l spherical fields with time and wave speed."""
+    """Paired (TE, TB) rank-l spherical fields with time and wave speed.
+
+    A state `step_rk4` returns holds its (TE, TB) spectra instead: `te` and
+    `tb` are made from them together on first read, with read-only arrays,
+    and kept.  The spectra stay the state's truth while its fields are unread
+    or still those arrays; assigning `te` or `tb`, or a field's `data`,
+    drops them, and the state is then its fields alone.
+    """
 
     te: TensorField
     tb: TensorField
     t: float
     c: float = 1.0
-    # set by step_rk4 alone: the (TE, TB) spectra the fields were made from,
-    # and the two field arrays; a state built anew starts without it
-    _carry: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    # class attributes, not dataclass fields: the `te` and `tb` properties
+    # keep the fields in _te and _tb, None while a state holding spectra has
+    # not made them, and step_rk4's spectra in _carry
+    _te = _tb = _carry = None
 
     def __post_init__(self):
         if self.te.basis != "spherical" or self.tb.basis != "spherical":
@@ -90,26 +97,69 @@ class EvolutionState:
         if not (math.isfinite(self.c) and self.c > 0):
             raise ValueError(f"wave speed must be positive and finite, got {self.c}")
 
+    @classmethod
+    def _of_spectra(cls, spectra: np.ndarray, l: int, grid: GridSpec,
+                    t: float, c: float) -> EvolutionState:
+        """A state holding the (TE, TB) `spectra` and no fields yet."""
+        state = cls.__new__(cls)
+        state._carry, state.t, state.c = _Carry(spectra, l, grid), t, c
+        return state
+
     @property
     def l(self) -> int:
-        return self.te.l
+        return self._carry.l if self._te is None else self._te.l
 
     @property
     def grid(self) -> GridSpec:
-        return self.te.grid
+        return self._carry.grid if self._te is None else self._te.grid
+
+    def _field(self, h: int) -> TensorField:
+        if self._te is None:  # one inverse FFT of the stacked pair makes both
+            carry = self._carry
+            pair = _ifft(carry.spectra, split=True)
+            pair.flags.writeable = False  # before the views, so they stay read-only
+            self._te, self._tb = (TensorField(carry.l, "spherical", carry.grid, f)
+                                  for f in pair)
+            carry.made = (self._te.data, self._tb.data)
+        return self._tb if h else self._te
+
+    def _set_field(self, value: TensorField, h: int) -> None:
+        if self._carry is not None:
+            self._field(h)  # the other field is made before the spectra go
+            self._carry = None
+        setattr(self, "_tb" if h else "_te", value)
 
     def _spectra(self) -> np.ndarray | None:
-        """The carried (TE, TB) spectra while both fields are still the
-        read-only arrays made from them; else None, and a stale carry is
-        dropped so that its buffers are freed."""
-        if self._carry is None:
+        """The (TE, TB) spectra while they are the state's truth: its fields
+        unread, or still the read-only arrays made from them.  Else None, and
+        a stale carry is dropped so that its buffers are freed."""
+        carry = self._carry
+        if carry is None:
             return None
-        spectra, te, tb = self._carry
-        if self.te.data is te and self.tb.data is tb and not (
-                te.flags.writeable or tb.flags.writeable):
-            return spectra
+        if self._te is None or all(
+                f.data is a and not a.flags.writeable
+                for f, a in zip((self._te, self._tb), carry.made)):
+            return carry.spectra
         self._carry = None
         return None
+
+
+# After the class, so that dataclass sees te and tb as fields without defaults
+EvolutionState.te = property(partial(EvolutionState._field, h=0),
+                             partial(EvolutionState._set_field, h=0))
+EvolutionState.tb = property(partial(EvolutionState._field, h=1),
+                             partial(EvolutionState._set_field, h=1))
+
+
+@dataclass
+class _Carry:
+    """The (TE, TB) spectra a `step_rk4` state holds, the rank and grid its
+    fields are made with, and the two field arrays once made."""
+
+    spectra: np.ndarray
+    l: int
+    grid: GridSpec
+    made: tuple[np.ndarray, np.ndarray] | None = None
 
 
 @dataclass
@@ -165,10 +215,10 @@ class _Propagator:
         """exp(-i*c*lambda*dt) of every band and mode: one step of z+."""
         return np.exp(-1j * c * dt * self.vals)
 
-    def to_eigen(self, f: TensorField, spectrum: np.ndarray | None = None) -> np.ndarray:
-        """Band coefficients of a field: FFT, then V^H per mode.  Given f's
-        `spectrum`, that is used instead of the FFT and overwritten."""
-        x = (_fft(f.data) if spectrum is None else spectrum).reshape(self.dim, -1)
+    def to_eigen(self, spectrum: np.ndarray) -> np.ndarray:
+        """Band coefficients of a field's spectrum: V^H per mode.  The
+        spectrum is overwritten."""
+        x = spectrum.reshape(self.dim, -1)
         _turn(x, self.azimuth, -1)  # components are m = l..-l
         x = self.ly_vecs.conj().T @ x
         _turn(x, self.polar, 1)
@@ -225,11 +275,17 @@ def step_spectral(state: EvolutionState, dt: float) -> EvolutionState:
 
 def _pair(prop: _Propagator, state: EvolutionState) -> tuple[np.ndarray, ...]:
     """z+- = a +- ib of the state's TE and TB band coefficients a and b, made
-    in the two `to_eigen` buffers, and a scratch array of their shape.  The
-    spectra a `step_rk4` state carries are copied in place of two FFTs."""
+    in the two `to_eigen` buffers, and a scratch array of their shape.  Each
+    field's spectrum is a copy of the one a `step_rk4` state holds, or else
+    the field's FFT, made in turn so that one is alive at a time."""
     spectra = state._spectra()
-    te, tb = (None, None) if spectra is None else spectra.copy()
-    zp, zm = prop.to_eigen(state.te, te), prop.to_eigen(state.tb, tb)
+
+    def spectrum(h):
+        if spectra is not None:
+            return spectra[h].copy()
+        return _fft((state.tb if h else state.te).data)
+
+    zp, zm = prop.to_eigen(spectrum(0)), prop.to_eigen(spectrum(1))
     scratch = np.multiply(zm, 1j)
     np.subtract(zp, scratch, out=zm)
     zp += scratch
@@ -312,8 +368,7 @@ def run_spectral(state: EvolutionState, dt: float, steps: int,
     kscale = prop.kscale()
     logged = set(range(0, steps + 1, log_every)) | {steps} if log_every else set()
     dumped = dump_every if dump_fn else None
-    samples = state.te.data.size
-    modes = zp.shape[1]
+    samples, modes = zp.shape[0] * zp.shape[1], zp.shape[1]
     # a split that depends on the size alone, so every host logs the same bits
     bounds = (0, modes // 2, modes) if samples >= RK4_SPLIT_SAMPLES else (0, modes)
     sums = np.empty((len(bounds) - 1, len(logged), 4, prop.dim))
@@ -365,15 +420,27 @@ def _max_wavenumber(grid: GridSpec) -> float:
                              for a in range(3))))
 
 
+def _spectra_of(state: EvolutionState) -> np.ndarray:
+    """The (TE, TB) spectra the state holds, or else one FFT per field."""
+    spectra = state._spectra()
+    if spectra is None:
+        spectra = np.empty((2,) + state.te.data.shape, dtype=np.complex128)
+        for h, f in enumerate((state.te, state.tb)):
+            _fft(f.data, out=spectra[h])
+    return spectra
+
+
 def step_rk4(state: EvolutionState, dt: float) -> EvolutionState:
     """Classical 4th-order step; cross-validates the exact propagator.
 
-    The returned fields' arrays are read-only, and the returned state also
-    holds the spectra they were made from, so that the next step and
-    `diagnostics` make no FFT (module docstring): a kept state costs twice
-    its field pair, which a caller keeping many states pays.  From
-    `RK4_SPLIT_SAMPLES` samples per field, given a second CPU, the TB half
-    runs on a thread joined before this returns (module docstring).
+    The returned state holds the last stage's spectra, read-only, and makes
+    its fields from them only when they are read (`EvolutionState`), so a
+    march of bare steps makes one `fftn` per field, at its first step, and
+    no `ifftn`.  A kept state costs its spectra pair, and its field pair as
+    well once read.  A ValueError is raised at the step whose new spectra
+    hold a value that is not finite.  From `RK4_SPLIT_SAMPLES` samples per
+    field, given a second CPU, the TB half runs on a thread joined before
+    this returns (module docstring).
     """
     phase = check_dt(state.grid, state.c, dt)
     if abs(phase) >= RK4_STABILITY_BOUND:  # |R(i*theta)| is even in theta
@@ -383,62 +450,53 @@ def step_rk4(state: EvolutionState, dt: float) -> EvolutionState:
             RuntimeWarning, stacklevel=2)
     curl = build_curl_ldotgrad(state.l)
     grid = state.grid
-    fields = (state.te.data, state.tb.data)
     # x holds the (TE, TB) spectra, only read by the stages; d/dt x = A x =
     # (+c CURL x[1], -c CURL x[0])
-    x = state._spectra()
-    carried = x is not None
-    if not carried:
-        x = np.empty((2,) + fields[0].shape, dtype=np.complex128)
+    x = _spectra_of(state)
     nxt = (np.empty_like(x), np.empty_like(x))
 
     def half(h):
         """Field h's part of the step; it yields where it needs all of the
-        other half's previous stage, or is about to overwrite what the other
-        half still reads, and leaves its spectrum in nxt[1][h] and its field
-        in nxt[0][h]."""
-        if not carried:
-            _fft(fields[h], out=x[h])
+        other half's previous stage, and leaves its spectrum in nxt[1][h]."""
         # R(dt A) x in Horner form (module docstring): y <- x + (dt/j) A y for
         # j = 4, 3, 2, 1, from y = x itself.  Each stage writes to whichever
         # of two buffers the stage before it did not: while it runs, the
         # other half still reads this half's previous stage
         y = x
         for i, j in enumerate((4, 3, 2, 1)):
-            yield
+            if i:
+                yield
             weight = state.c * dt / j
             out = nxt[i % 2]
             apply_symbol(curl, grid, y[1 - h], out=out[h],
                          scale=-weight if h else weight, base=x[h])
             y = out
-        yield  # the other half's last stage reads nxt[0][h] until here
-        _ifft(y[h], out=nxt[0][h])
+        if not np.isfinite(y[h].view(np.float64)).all():  # twice as fast as on complex
+            raise ValueError("field contains non-finite samples")
 
     symbol_entries(curl, grid)  # cached here, or both halves would build it
-    _in_step(fields[0].size, half(0), half(1))
-    for buffer in nxt:  # before the views are taken, so they stay read-only
-        buffer.flags.writeable = False
-    te, tb = nxt[0]
-    new = EvolutionState(TensorField(state.l, "spherical", grid, te),
-                         TensorField(state.l, "spherical", grid, tb),
-                         state.t + dt, state.c)
-    new._carry = (nxt[1], te, tb)
-    return new
+    _in_step(x[0].size, half(0), half(1))
+    nxt[1].flags.writeable = False
+    return EvolutionState._of_spectra(nxt[1], state.l, grid, state.t + dt, state.c)
 
 
 def run_rk4(state: EvolutionState, dt: float, steps: int,
             log_every: int = 1, dump_every: int | None = None,
             dump_fn=None) -> tuple[EvolutionState, list[Diagnostics]]:
-    """March `steps` `step_rk4` steps; logs and dumps as `run_spectral` does."""
+    """March `steps` `step_rk4` steps; logs and dumps as `run_spectral` does.
+    A state holding fields only is transformed once, for the first log and
+    the first step alike; with no step, `state` itself is returned."""
     _check_run(state, dt, steps, log_every, dump_every)
-    logs = [diagnostics(state)] if log_every else []
+    cur = EvolutionState._of_spectra(_spectra_of(state), state.l, state.grid,
+                                     state.t, state.c)
+    logs = [diagnostics(cur)] if log_every else []
     for step in range(1, steps + 1):
-        state = step_rk4(state, dt)
+        cur = step_rk4(cur, dt)
         if log_every and (step % log_every == 0 or step == steps):
-            logs.append(diagnostics(state))
+            logs.append(diagnostics(cur))
         if dump_every and dump_fn and step % dump_every == 0:
-            dump_fn(state, step)
-    return state, logs
+            dump_fn(cur, step)
+    return (cur if steps else state), logs
 
 
 def _in_step(samples: int, *halves) -> None:
@@ -512,5 +570,5 @@ def random_state(grid: GridSpec, l: int, c: float = 1.0, seed: int = 0,
     fields = []
     for offset in (0, 1):
         raw = random_bandlimited(grid, l, "spherical", kcut, seed=seed + offset)
-        fields.append(prop.to_field(prop.constraint_project(prop.to_eigen(raw))))
+        fields.append(prop.to_field(prop.constraint_project(prop.to_eigen(_fft(raw.data)))))
     return EvolutionState(fields[0], fields[1], 0.0, c)

@@ -115,7 +115,10 @@ class TensorField:
         if self.data.shape != (ncomp, nz, ny, nx):
             raise ValueError(
                 f"expected data shape {(ncomp, nz, ny, nx)}, got {self.data.shape}")
-        if not np.isfinite(self.data).all():
+        # a sample is finite when both its parts are: numpy checks a float
+        # view of the parts twice as fast as the complex samples
+        parts = self.data.view(np.float64) if self.data.flags.c_contiguous else self.data
+        if not np.isfinite(parts).all():
             raise ValueError("field contains non-finite samples")
 
     @property
@@ -301,23 +304,41 @@ def apply_symbol(op: OpMatrix, grid: GridSpec, spectrum: np.ndarray,
     if out is None:
         out = np.empty(spectrum.shape[:-4] + (op.rows,) + spectrum.shape[-3:],
                        dtype=np.complex128)
-    written, scratch = set(), None
-    for r, c, sym in symbol_entries(op, grid):
-        row, term = out[..., r, :, :, :], spectrum[..., c, :, :, :]
-        if scale != 1:
-            sym = sym * scale
-        if r in written:
-            if scratch is None:
-                scratch = np.empty(row.shape, dtype=np.complex128)
-            row += np.multiply(sym, term, out=scratch)
-        else:
-            np.multiply(sym, term, out=row)
-            written.add(r)
-    for r in set(range(op.rows)) - written:
-        out[..., r, :, :, :] = 0
+    scratch = None
+    for r, entries in enumerate(_symbol_rows(op, grid)):
+        scratch = _sum_row(entries, spectrum, out[..., r, :, :, :], scale, scratch)
     if base is not None:
         out += base
     return out
+
+
+def _symbol_rows(op: OpMatrix, grid: GridSpec) -> list[list[tuple[int, np.ndarray]]]:
+    """`symbol_entries` by row: each row's ``(col, symbol)`` in entry order."""
+    rows = [[] for _ in range(op.rows)]
+    for r, c, sym in symbol_entries(op, grid):
+        rows[r].append((c, sym))
+    return rows
+
+
+def _sum_row(entries, spectrum: np.ndarray, row: np.ndarray, scale: complex = 1,
+             scratch: np.ndarray | None = None) -> np.ndarray | None:
+    """Write the sum of ``scale * symbol * spectrum[..., col, :, :, :]`` over
+    ``entries`` to `row`, in entry order; zeros for none.  The second and
+    later products go through `scratch`, made here on first need and
+    returned for the next row."""
+    if not entries:
+        row[...] = 0
+    for i, (c, sym) in enumerate(entries):
+        if scale != 1:
+            sym = sym * scale
+        term = spectrum[..., c, :, :, :]
+        if not i:
+            np.multiply(sym, term, out=row)
+            continue
+        if scratch is None:
+            scratch = np.empty(row.shape, dtype=np.complex128)
+        row += np.multiply(sym, term, out=scratch)
+    return scratch
 
 
 def complex_curl_field(u: TensorField, v: TensorField) -> TensorField:
@@ -371,11 +392,17 @@ def gradient_scale(f: TensorField) -> float:
 
 
 def _relative_residual(op: OpMatrix, f: TensorField) -> float:
-    """|op f| relative to the gradient scale |k||f|, both from one FFT of f."""
+    """|op f| relative to the gradient scale |k||f|, both from one FFT of f.
+    op f is made one row at a time in one buffer, its squares summed row by
+    row: the whole output is never held."""
     spectrum = _fft(f.data, split=True)
     scale = _gradient_scale(f.grid, spectrum)
-    residual = np.linalg.norm(apply_symbol(op, f.grid, spectrum))
-    return float(residual / scale) if scale > 0 else 0.0
+    row = np.empty(spectrum.shape[1:], dtype=np.complex128)
+    scratch, squares = None, 0.0
+    for entries in _symbol_rows(op, f.grid):
+        scratch = _sum_row(entries, spectrum, row, scratch=scratch)
+        squares += np.vdot(row, row).real
+    return float(np.sqrt(squares) / scale) if scale > 0 else 0.0
 
 
 def relative_divergence(f: TensorField) -> float:
@@ -431,8 +458,13 @@ def random_bandlimited(grid: GridSpec, l: int = 1, basis: str = "cartesian",
     rng = rng or np.random.default_rng(seed)
     ncomp = _expected_components(basis, l)
     nz, ny, nx = grid.n[2], grid.n[1], grid.n[0]
-    spectrum = (rng.standard_normal((ncomp, nz, ny, nx))
-                + 1j * rng.standard_normal((ncomp, nz, ny, nx)))
+    # real parts from the first draw, imaginary from the second, as
+    # draw1 + 1j*draw2 has them; one call makes both draws, the same
+    # stream, and no complex temporary is formed
+    draws = rng.standard_normal((2, ncomp, nz, ny, nx))
+    spectrum = np.empty(draws.shape[1:], dtype=np.complex128)
+    spectrum.real, spectrum.imag = draws
+    del draws
     masks = []
     for axis in range(3):
         j = np.fft.fftfreq(grid.n[axis]) * grid.n[axis]

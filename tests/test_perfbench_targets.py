@@ -118,11 +118,15 @@ def test_every_rk4_step_and_log_is_traced(tracing):
 
 
 def test_split_step_is_traced_whole(tracing, monkeypatch):
-    # the TB half's FFTs run on a thread of their own but still land in the
-    # one span list, and the tracer's stack comes back as it was; the curl
-    # symbol is built once, not by both halves at once, so counts repeat
+    # the TB half runs on a thread of its own, and so does the second batch
+    # of the split inverse FFT that makes a step's fields when they are
+    # read; its spans still land in the one span list, and the tracer's
+    # stack comes back as it was.  The curl symbol is built once, not by
+    # both halves at once, so counts repeat
+    for module in (evolve, spectral):
+        monkeypatch.setattr(module, "_cpu_count", lambda: 2)
     monkeypatch.setattr(evolve, "RK4_SPLIT_SAMPLES", 0)
-    monkeypatch.setattr(evolve, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(spectral, "FFT_SPLIT_SAMPLES", 0)
     grid = GridSpec((8, 8, 8), (2 * np.pi,) * 3)
     state = evolve.random_state(grid, 1, seed=4)
     spectral.symbol_entries.cache_clear()
@@ -135,6 +139,7 @@ def test_split_step_is_traced_whole(tracing, monkeypatch):
             stack = list(tracer._stack)
             for _ in range(3):
                 state = evolve.step_rk4(state, 0.02)
+                assert state.te.data.shape == state.tb.data.shape
             assert tracer._stack == stack
     finally:
         sys.setswitchinterval(interval)
@@ -142,7 +147,7 @@ def test_split_step_is_traced_whole(tracing, monkeypatch):
     assert tracer._stack == []
     counts = {name: calls for name, (calls, *_) in tracing.layer_totals(tracer.spans).items()}
     assert counts["evolve.step_rk4"] == 3
-    # an fftn per field at the first step only, then one ifftn per field and step
+    # an fftn per field at the first step only, then one ifftn per batch and read
     assert counts["fft"] == 2 + 2 * 3
     entries = spectral.symbol_entries(build_curl_ldotgrad(1), grid)
     assert counts["diffop.symbol"] == len(entries)

@@ -6,7 +6,7 @@ import pytest
 
 from curlmat import evolve, spectral
 from curlmat.builders import (build_cartesian_curls, build_curl_cg,
-                              build_div, build_grad, cartesian_grad)
+                              build_div, build_grad, cartesian_div, cartesian_grad)
 from curlmat.diffop import DiffPoly, OpMatrix, spherical_tag
 from curlmat.evolve import random_state, run_spectral, step_rk4
 from curlmat.exactnum import ONE
@@ -184,7 +184,9 @@ class TestSplitFft:
 
     @pytest.mark.parametrize("halves", ["serial", "split"])
     def test_evolve_transforms_stay_on_one_thread(self, grid, monkeypatch, halves):
-        # its halves already keep both cores busy
+        # its halves already keep both cores busy; only the inverse transform
+        # that makes a step's fields when they are read is split
+        # (test_evolve.py, TestRk4SpectralState)
         state = random_state(grid, 1, seed=13)
         count_pairs(monkeypatch)
         if halves == "split":
@@ -462,6 +464,32 @@ class TestHelmholtz:
             perp, par = helmholtz(f)
             assert perp.norm() <= 1e-13, jx
             assert (par - f).norm() <= 1e-13, jx
+
+
+@pytest.mark.parametrize("l, basis", [(1, "cartesian"), (2, "spherical")])
+def test_random_bandlimited_keeps_the_bits_of_its_draws(grid, l, basis):
+    # the spectrum is filled part by part, with the bits the expression
+    # draw1 + 1j*draw2 gives it, then masked and transformed as before
+    shape = (2 * l + 1 if basis == "spherical" else 3,) + (16,) * 3
+    rng = np.random.default_rng(31)
+    spectrum = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    kept = np.abs(np.fft.fftfreq(16) * 16) <= 0.25 * 16
+    spectrum *= kept[:, None, None] & kept[None, :, None] & kept[None, None, :]
+    want = np.fft.ifftn(spectrum, axes=(-3, -2, -1))
+    assert np.array_equal(random_bandlimited(grid, l, basis, seed=31).data, want)
+
+
+@pytest.mark.parametrize("op", [build_cartesian_curls().curl, cartesian_div()],
+                         ids=["curl", "div"])
+def test_residual_matches_the_norm_of_the_whole_output(grid, op):
+    # summed row by row, the squares are added in another order than
+    # np.linalg.norm of the whole output adds them: equal to roundoff
+    f = random_bandlimited(grid, 1, "cartesian", seed=32)
+    spectrum = _fft(f.data)
+    want = np.linalg.norm(apply_symbol(op, grid, spectrum))
+    want /= spectral._gradient_scale(grid, spectrum)
+    assert spectral._relative_residual(op, f) == pytest.approx(want, rel=1e-14)
+    assert want > 0.1
 
 
 @pytest.mark.parametrize("kcut", (float("nan"), -1.0))
