@@ -10,11 +10,10 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 
-import numpy as np
-
-from . import builders, evolve, identities, spectral
+from . import builders, identities
 from .angular import clebsch_gordan
 
 def _cartesian_curl(l: int):
@@ -78,6 +77,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_apply(args) -> int:
+    from . import spectral
     f = spectral.read_ctf(args.infile)
     l = args.l if args.l is not None else f.l
     op = _OPS[args.op](l)
@@ -86,30 +86,27 @@ def _cmd_apply(args) -> int:
 
 
 def _cmd_helmholtz(args) -> int:
+    from . import spectral
     f = spectral.read_ctf(args.infile)
     perp, par = spectral.helmholtz(f)
     spectral.write_ctf(perp, f"{args.out_prefix}_perp.ctf")
     spectral.write_ctf(par, f"{args.out_prefix}_par.ctf")
-    # f - (perp + par) in one scratch array; f - perp - par would be
-    # par - par, exactly 0, since par is f - perp
-    diff = np.add(perp.data, par.data)
-    np.subtract(f.data, diff, out=diff)
-    scale = f.norm()
-    recon = (math.sqrt(np.vdot(diff, diff).real * f.grid.cell_volume) / scale
-             if scale > 0 else 0.0)
-    del f, diff  # freed before the residual checks, which need more memory
+    recon = spectral.reconstruction_residual(f, perp, par)
+    del f  # freed before the residual checks, which need more memory
     print(f"div(perp) residual: {spectral.relative_divergence(perp):.3e}")
     print(f"curl_c(par) residual: {spectral.relative_complex_curl(par):.3e}")
     print(f"reconstruction residual: {recon:.3e}")
     return 0
 
 
-def _parse_grid(args) -> spectral.GridSpec:
+def _parse_grid(args):
+    from . import spectral
     n = args.grid
     return spectral.GridSpec((n, n, n), (args.box, args.box, args.box))
 
 
 def _cmd_gen(args) -> int:
+    from . import spectral
     if args.seed < 0:
         raise ValueError(f"--seed must be non-negative, got {args.seed}")
     grid = _parse_grid(args)
@@ -128,6 +125,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_evolve(args) -> int:
+    from . import evolve, spectral
     if args.steps < 0:
         raise ValueError(f"--steps must be non-negative, got {args.steps}")
     if args.dump_every is not None and args.dump_every < 1:
@@ -144,6 +142,10 @@ def _cmd_evolve(args) -> int:
     if args.stepper == "rk4" and abs(phase) >= evolve.RK4_STABILITY_BOUND:
         raise ValueError(f"--dt {args.dt} gives c*dt*kmax = {phase:.3g}, at or past the "
                          f"rk4 stability bound {evolve.RK4_STABILITY_BOUND}")
+    for flag, path in (("--log", args.log), ("--out-prefix", args.out_prefix)):
+        folder = os.path.dirname(path) if path else ""
+        if folder and not os.path.isdir(folder):
+            raise ValueError(f"{flag} {path}: no directory {folder}")
     if args.init.startswith("planewave:"):
         try:
             m, jx, jy, jz = (int(v) for v in args.init.split(":", 1)[1].split(","))
@@ -232,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jy", type=int, default=0)
     p.add_argument("--jz", type=int, default=0)
     p.add_argument("--grid", type=int, default=16)
-    p.add_argument("--box", type=float, default=2 * np.pi)
+    p.add_argument("--box", type=float, default=math.tau)
     p.add_argument("--kcut", type=float, default=0.25)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--amplitude", type=float, default=1.0)
@@ -241,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evolve", help="evolve the paired free-field equations")
     p.add_argument("--l", type=int, choices=(1, 2), default=1)
     p.add_argument("--grid", type=int, default=16)
-    p.add_argument("--box", type=float, default=2 * np.pi)
+    p.add_argument("--box", type=float, default=math.tau)
     p.add_argument("--steps", type=int, default=100)
     p.add_argument("--dt", type=float, default=0.01)
     p.add_argument("--stepper", choices=("spectral", "rk4"), default="spectral")

@@ -12,11 +12,12 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Union
 
 from .exactnum import ExactScalar, ONE, ZERO, PartAcc, _mac, _part_done
+
+if TYPE_CHECKING:
+    import numpy as np
 
 Mono = tuple[int, int, int]
 
@@ -470,6 +471,7 @@ class OpMatrix:
 
     def symbol_at(self, k) -> np.ndarray:
         """Numeric matrix of the Fourier symbol at a real wavevector k."""
+        import numpy as np
         kx, ky, kz = (float(v) for v in k)
         out = np.empty((self.rows, self.cols), dtype=complex)
         for i in range(self.rows):

@@ -373,6 +373,20 @@ def helmholtz(f: TensorField) -> tuple[TensorField, TensorField]:
             TensorField(1, "cartesian", f.grid, f.data - perp))
 
 
+def reconstruction_residual(f: TensorField, perp: TensorField, par: TensorField) -> float:
+    """|f - (perp + par)| relative to |f|: how well a split adds back up.
+    perp + par is formed first, then subtracted from f in the same scratch
+    array; f - perp - par would be par - par, exactly 0, since helmholtz
+    makes par as f - perp."""
+    f._check_compatible(perp)
+    f._check_compatible(par)
+    diff = np.add(perp.data, par.data)
+    np.subtract(f.data, diff, out=diff)
+    scale = f.norm()
+    return (math.sqrt(np.vdot(diff, diff).real * f.grid.cell_volume) / scale
+            if scale > 0 else 0.0)
+
+
 def _gradient_scale(grid: GridSpec, spectrum: np.ndarray) -> float:
     """sqrt(sum |k|^2 |spectrum|^2) over modes and components.  |k|^2 is
     kx^2 + ky^2 + kz^2, so only the (z, y) and x marginals of |spectrum|^2

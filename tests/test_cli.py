@@ -55,14 +55,55 @@ class TestUsage:
 
     def test_import_loads_no_heavy_modules(self):
         # scipy alone adds ~0.35 s and ~27 MB to every CLI process; sympy is
-        # test-only; and importing starts no thread (step_rk4 starts its own)
+        # test-only; numpy and the numeric half load only for the commands
+        # that use them; and importing starts no thread (step_rk4 starts its own)
         code = ("import sys, threading, curlmat, curlmat.cli; "
                 "print(sorted({m.partition('.')[0] for m in sys.modules} & {'scipy', 'sympy'}),"
+                " sorted(set(sys.modules) & {'numpy', 'curlmat.spectral', 'curlmat.evolve'}),"
                 " threading.active_count())")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               text=True, env=_fresh_env(), timeout=60)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[] 1"
+        assert proc.stdout.strip() == "[] [] 1"
+
+    @staticmethod
+    def _loaded_by(*argv):
+        """Run `main(argv)` in a fresh interpreter; return its exit code and
+        which of numpy, spectral and evolve it left in sys.modules."""
+        code = ("import sys; from curlmat.cli import main; code = main(sys.argv[1:]); "
+                "print(code, sorted(set(sys.modules) & "
+                "{'numpy', 'curlmat.spectral', 'curlmat.evolve'}))")
+        proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                              text=True, env=_fresh_env(), timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        code, _, loaded = proc.stdout.splitlines()[-1].partition(" ")
+        return int(code), loaded
+
+    @pytest.mark.parametrize("argv", [
+        ("cg", "--l1", "1", "--m1", "0", "--l2", "1", "--m2", "0", "--l", "2", "--m", "0"),
+        ("build", "--op", "curl", "--l", "2"),
+        ("verify", "--suite", "core", "--max-l", "2"),
+        ("ledger",),
+    ], ids=lambda argv: argv[0])
+    def test_exact_commands_load_no_numpy(self, argv):
+        assert self._loaded_by(*argv) == (0, "[]")
+
+    @pytest.mark.parametrize("command", ["gen", "apply", "helmholtz"])
+    def test_field_commands_load_no_evolve(self, capsys, tmp_path, command):
+        src = tmp_path / "in.ctf"
+        if command != "gen":
+            code, _, _ = run_cli(capsys, "gen", "--preset", "random-bandlimited",
+                                 "--grid", "8", "--seed", "3", "--out", str(src))
+            assert code == 0
+        argv = {
+            "gen": ("gen", "--preset", "random-bandlimited", "--grid", "8",
+                    "--out", str(src)),
+            "apply": ("apply", "--op", "cartesian-curl", "--in", str(src),
+                      "--out", str(tmp_path / "curl.ctf")),
+            "helmholtz": ("helmholtz", "--in", str(src),
+                          "--out-prefix", str(tmp_path / "h")),
+        }[command]
+        assert self._loaded_by(*argv) == (0, "['curlmat.spectral', 'numpy']")
 
 
 class TestBuild:
@@ -489,6 +530,24 @@ class TestEvolveCommand:
         assert proc.stderr.startswith("error: --dt")
         assert "RuntimeWarning" not in proc.stderr and "overflow" not in proc.stderr
         assert proc.stdout == "" and not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("stepper", ("spectral", "rk4"))
+    @pytest.mark.parametrize("flag", ("--log", "--out-prefix"))
+    def test_rejects_missing_output_directory_before_running(self, capsys, tmp_path,
+                                                              monkeypatch, stepper, flag):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the march started")
+        for name in ("plane_wave_state", "random_state", "run_spectral", "run_rk4"):
+            monkeypatch.setattr(evolve, name, forbidden)
+        missing = tmp_path / "missing"
+        paths = {"--log": str(tmp_path / "run.csv"), "--out-prefix": str(tmp_path / "run"),
+                 flag: str(missing / "x")}
+        code, out, err = run_cli(
+            capsys, "evolve", "--grid", "8", "--steps", "3", "--stepper", stepper,
+            *(arg for item in paths.items() for arg in item))
+        assert code == 1 and out == ""
+        assert err.splitlines() == [f"error: {flag} {missing / 'x'}: no directory {missing}"]
+        assert not list(tmp_path.iterdir())
 
     def test_bad_init_string(self, capsys, tmp_path):
         code, _, _ = run_cli(

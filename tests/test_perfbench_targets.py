@@ -6,6 +6,9 @@ a rename or a refactor that drops one would crash a traced benchmark run.
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
 import sys
 import threading
 from pathlib import Path
@@ -37,6 +40,22 @@ def test_every_target_resolves(tracing):
         owner = getattr(module, owner_name) if owner_name else module
         assert fn_name in vars(owner), f"{module_name}.{attr}"
         assert callable(getattr(owner, fn_name)), f"{module_name}.{attr}"
+
+
+def test_traced_cli_process_resolves_every_target(tmp_path):
+    # a CLI process loads the numeric half only when a command needs it, so
+    # the tracer's install is what imports it in a traced `build`; every
+    # target still resolves, and the command's calls are traced
+    out = tmp_path / "spans.json"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(TRACING.parents[1] / "src"), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, str(TRACING.parent / "cli_launch.py"), "0", str(out),
+         "build", "--op", "curl", "--l", "2"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    names = {name for name, *_ in json.loads(out.read_text())["spans"]}
+    assert {"cli.build", "builders"} <= names
 
 
 def test_every_logged_step_is_traced(tracing):

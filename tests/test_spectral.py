@@ -1,4 +1,5 @@
 import json
+import math
 import threading
 
 import numpy as np
@@ -17,8 +18,8 @@ from curlmat.spectral import (GridSpec, TensorField, _fft, _ifft, apply_operator
                               example_rotation_fields, gradient_scale,
                               helmholtz, pack_rank2, plane_wave,
                               random_bandlimited, rank2_cartesian_basis,
-                              read_ctf, relative_complex_curl,
-                              relative_divergence,
+                              read_ctf, reconstruction_residual,
+                              relative_complex_curl, relative_divergence,
                               spherical_rank2_to_cartesian, symbol_entries,
                               unpack_rank2, wavevector, write_ctf)
 
@@ -445,6 +446,29 @@ class TestHelmholtz:
         assert (f - (perp + par)).norm() <= 1e-12 * f.norm()
         assert relative_divergence(perp) <= 1e-10
         assert relative_complex_curl(par) <= 1e-10
+
+    @pytest.mark.parametrize("seed", [2, 16, 31])
+    def test_reconstruction_residual_keeps_its_bits(self, grid, seed):
+        # the expression `curlmat helmholtz` printed before it called this
+        # function: perp + par first, so the roundoff survives
+        f = random_bandlimited(grid, 1, "cartesian", seed=seed)
+        perp, par = helmholtz(f)
+        diff = np.add(perp.data, par.data)
+        np.subtract(f.data, diff, out=diff)
+        want = math.sqrt(np.vdot(diff, diff).real * f.grid.cell_volume) / f.norm()
+        got = reconstruction_residual(f, perp, par)
+        assert isinstance(got, float) and got == want > 0
+        assert got <= 1e-12
+
+    def test_reconstruction_residual_of_a_zero_field(self, grid):
+        zero = TensorField.zeros(grid, 1, "cartesian")
+        assert reconstruction_residual(zero, *helmholtz(zero)) == 0.0
+
+    def test_reconstruction_residual_rejects_other_grids(self, grid):
+        f = random_bandlimited(grid, 1, "cartesian", seed=3)
+        g = random_bandlimited(GridSpec((8, 8, 8), (TWO_PI,) * 3), 1, "cartesian", seed=3)
+        with pytest.raises(ValueError):
+            reconstruction_residual(f, *helmholtz(g))
 
     def test_idempotent(self, grid):
         f = random_bandlimited(grid, 1, "cartesian", seed=17)
