@@ -12,16 +12,19 @@ marches those: with z+- = a +- ib for the TE and TB coefficients a and b, a
 step multiplies z+ in place by exp(-i*c*lambda*dt) and z- by its conjugate,
 the same table read with its bands reversed (lambda is odd in m).  A logged
 step reads energy, band amplitudes and divergence from z+ + z- = 2a and
-z+ - z- = 2ib, each formed once in one scratch array, never from the
-expansion |z+|^2 + |z-|^2 +- 2 Re(z+ conj z-), which cancels when one field
-is near zero.  a and b themselves, and the fields, are rebuilt only to dump
-a state and at the end.  No step couples two modes, so from
-`RK4_SPLIT_SAMPLES` samples per field the mode columns march in two halves,
-each through every step on its own: it turns its columns and, on a logged
-step, writes its per-band sums of |2a|^2 and |2ib|^2, bare and weighted by
-|k|^2; the calling thread adds the halves' sums after the march.  Given a
+z+ - z- = 2ib, each formed once in a scratch row, never from the expansion
+|z+|^2 + |z-|^2 +- 2 Re(z+ conj z-), which cancels when one field is near
+zero.  a and b themselves, and the fields, are rebuilt only to dump a state
+and at the end.  No step couples two band rows or two modes, so the march
+takes one band row at a time -- its z+ and z- rows, their two rows of the
+table, |k| and one scratch row, small enough to stay in cache -- and turns
+it through every step up to the next event, a logged step or a dump; at a
+logged step it sums that row's |2a|^2 and |2ib|^2, bare and weighted by
+|k|^2, before it moves to the next row.  From `SPECTRAL_SPLIT_MODES` modes
+per field the mode columns march in two halves, each row by row on its own,
+and the calling thread adds the halves' sums after the march.  Given a
 second CPU the second half runs on a thread started for the run, with the
-gate and hand-off of `step_rk4` below; else the halves run in turn.  They
+hand-off of `step_rk4` below; else the halves run in turn.  They
 meet only at a dump: both stop at the step, the first writes the state, and
 both go on.  Where the columns split depends on the size alone, so every
 host logs the same bits.  Fields and dumps are the bits of a whole-array
@@ -292,23 +295,32 @@ def _pair(prop: _Propagator, state: EvolutionState) -> tuple[np.ndarray, ...]:
     return zp, zm, scratch
 
 
-def _band_sums(kscale: np.ndarray, zp: np.ndarray, zm: np.ndarray, x: np.ndarray,
-               out: np.ndarray) -> np.ndarray:
-    """Into the rows of `out`, per band: sum |2a|^2, sum |k 2a|^2, sum |2ib|^2
-    and sum |k 2ib|^2 over the columns of z+- = a +- ib.  2a and 2ib are
-    formed in turn in `x`, so each term is a sum of squares and never cancels;
-    `kscale` is |k| at those columns."""
+def _row_sums(kscale: np.ndarray, zp: np.ndarray, zm: np.ndarray, x: np.ndarray,
+              out: np.ndarray) -> None:
+    """Into `out`: sum |2a|^2, sum |k 2a|^2, sum |2ib|^2 and sum |k 2ib|^2
+    over one band row of z+- = a +- ib.  2a and 2ib are formed in turn in the
+    row `x`, so each term is a sum of squares and never cancels; `kscale` is
+    |k| at those columns."""
     for i, combine in ((0, np.add), (2, np.subtract)):
         combine(zp, zm, out=x)
-        out[i] = [np.vdot(row, row).real for row in x]
+        out[i] = np.vdot(x, x).real
         x *= kscale
-        out[i + 1] = [np.vdot(row, row).real for row in x]
+        out[i + 1] = np.vdot(x, x).real
+
+
+def _band_sums(kscale: np.ndarray, zp: np.ndarray, zm: np.ndarray, x: np.ndarray,
+               out: np.ndarray) -> np.ndarray:
+    """The `_row_sums` of every band row of z+-, x their scratch, into the
+    columns of `out`."""
+    for r in range(len(zp)):
+        _row_sums(kscale, zp[r], zm[r], x[r], out[:, r])
     return out
 
 
 def _diag_from_modes(prop: _Propagator, t: float, sums: np.ndarray) -> Diagnostics:
-    """Diagnostics from the `_band_sums` of z+- (Parseval).  The divergence
-    residual is sqrt(sum_m w_m sum |k x_m|^2 / sum |k x|^2) for x = 2a, 2ib."""
+    """Diagnostics from the `_row_sums` of each band of z+- (Parseval).  The
+    divergence residual is sqrt(sum_m w_m sum |k x_m|^2 / sum |k x|^2) for
+    x = 2a, 2ib."""
     te_power, te_grad, tb_power, tb_grad = sums
     weight = prop.mode_weight / 4  # exact: the 1/2 of a and b, squared
 
@@ -354,10 +366,11 @@ def run_spectral(state: EvolutionState, dt: float, steps: int,
 
     Diagnostics are logged for the initial state, every `log_every` steps and
     the last step; ``log_every=0`` logs none.  With `dump_fn`, the state is
-    passed to ``dump_fn(state, step)`` every `dump_every` steps.  From
-    `RK4_SPLIT_SAMPLES` samples per field the mode columns march in two
-    halves, the second on a thread of its own given a second CPU; they meet
-    only to dump (module docstring).
+    passed to ``dump_fn(state, step)`` every `dump_every` steps.  Each band
+    row is turned from event to event (a log or a dump) while it is in
+    cache.  From `SPECTRAL_SPLIT_MODES` modes per field the mode columns
+    march in two halves, the second on a thread of its own given a second
+    CPU; they meet only to dump (module docstring).
     """
     _check_run(state, dt, steps, log_every, dump_every)
     prop = _propagator(state.grid, state.l)
@@ -367,37 +380,45 @@ def run_spectral(state: EvolutionState, dt: float, steps: int,
     forward = prop.phases(state.c, dt)
     kscale = prop.kscale()
     logged = set(range(0, steps + 1, log_every)) | {steps} if log_every else set()
-    dumped = dump_every if dump_fn else None
-    samples, modes = zp.shape[0] * zp.shape[1], zp.shape[1]
+    dumps = set(range(dump_every, steps + 1, dump_every)) if dump_fn and dump_every else set()
+    events = sorted(logged | dumps | {steps})
+    modes = zp.shape[1]
     # a split that depends on the size alone, so every host logs the same bits
-    bounds = (0, modes // 2, modes) if samples >= RK4_SPLIT_SAMPLES else (0, modes)
+    split = modes >= SPECTRAL_SPLIT_MODES
+    bounds = (0, modes // 2, modes) if split else (0, modes)
     sums = np.empty((len(bounds) - 1, len(logged), 4, prop.dim))
 
     def at(step):
         return state.t + step * dt if step else state.t
 
     def half(h):
-        """Columns h of the march, its sums in sums[h]; it yields before and
-        after each dump, which the first half writes meanwhile."""
+        """Columns h of the march, its sums in sums[h].  Band row by band row,
+        it turns each row to the next event and, at a log, sums it while it is
+        still in cache; it yields before and after each dump, which the first
+        half writes meanwhile."""
         cols = slice(bounds[h], bounds[h + 1])
-        zp_h, zm_h, x = zp[:, cols], zm[:, cols], scratch[:, cols]
-        fwd, bwd = forward[:, cols], forward[::-1, cols]  # band -m turns by -theta
+        # band -m turns by -theta: row r of z- by row dim-1-r of the table
+        rows = [(zp[r, cols], zm[r, cols], forward[r, cols], forward[-1 - r, cols],
+                 scratch[r, cols]) for r in range(prop.dim)]
         k_h = kscale[cols]
         out = iter(sums[h])
-        if 0 in logged:
-            _band_sums(k_h, zp_h, zm_h, x, next(out))
-        for step in range(1, steps + 1):
-            zp_h *= fwd
-            zm_h *= bwd  # forward.conj(), bit for bit
-            if step in logged:
-                _band_sums(k_h, zp_h, zm_h, x, next(out))
-            if dumped and step % dumped == 0:
+        done = 0
+        for event in events:
+            at_event = next(out) if event in logged else None
+            for r, (zp_r, zm_r, fwd, bwd, x) in enumerate(rows):
+                for _ in range(done, event):
+                    zp_r *= fwd
+                    zm_r *= bwd  # forward.conj(), bit for bit
+                if at_event is not None:
+                    _row_sums(k_h, zp_r, zm_r, x, at_event[:, r])
+            done = event
+            if event in dumps:
                 yield
                 if h == 0:
-                    dump_fn(_state(prop, zp, zm, scratch, at(step), state.c), step)
+                    dump_fn(_state(prop, zp, zm, scratch, at(event), state.c), event)
                 yield
 
-    _in_step(samples, *(half(h) for h in range(len(bounds) - 1)))
+    _in_step(split, *(half(h) for h in range(len(bounds) - 1)))
     del forward, kscale  # two arrays less while the fields are rebuilt
     logs = [_diag_from_modes(prop, at(step), s)
             for step, s in zip(sorted(logged), sums.sum(axis=0))]
@@ -405,13 +426,17 @@ def run_spectral(state: EvolutionState, dt: float, steps: int,
 
 
 RK4_STABILITY_BOUND = 2.8
-# Samples per field, (2l+1) n^3, from which step_rk4 and run_spectral split:
-# on 2 cores the split step took 1.5-1.7x the serial time at 16^3, l = 1,
-# 0.97-1.16x at 20^3, l = 1, 0.83-0.85x at 20^3, l = 2 and 0.58-0.62x at
-# 32^3, l = 1; 200 logged run_spectral steps in two halves took 1.55x at
-# 16^3, l = 2, 1.29x at 20^3, l = 1, 0.84x at 20^3, l = 2 and 0.58x at
-# 32^3, l = 1
+# Samples per field, (2l+1) n^3, from which step_rk4 splits: on 2 cores the
+# split step took 1.5-1.7x the serial time at 16^3, l = 1, 0.97-1.16x at
+# 20^3, l = 1, 0.83-0.85x at 20^3, l = 2 and 0.58-0.62x at 32^3, l = 1
 RK4_SPLIT_SAMPLES = 2 ** 15
+# Modes per field, n^3, from which run_spectral splits.  Its march makes ten
+# calls per band row and logged step, each over the half's modes, so the
+# split pays once those calls are long, whatever l is: 200 logged steps in
+# two halves took 2.6-3.2x the serial time at 16^3, l = 2, 1.5-2.6x at
+# 20^3, 1.4-1.6x at 24^3, 0.9-1.1x at 26^3, 0.8-1.15x at 28^3, 0.72x at
+# 30^3 and 0.60-0.77x at 32^3, each for l = 1 and 2
+SPECTRAL_SPLIT_MODES = 20_000
 
 
 @lru_cache(maxsize=16)
@@ -475,7 +500,7 @@ def step_rk4(state: EvolutionState, dt: float) -> EvolutionState:
             raise ValueError("field contains non-finite samples")
 
     symbol_entries(curl, grid)  # cached here, or both halves would build it
-    _in_step(x[0].size, half(0), half(1))
+    _in_step(x[0].size >= RK4_SPLIT_SAMPLES, half(0), half(1))
     nxt[1].flags.writeable = False
     return EvolutionState._of_spectra(nxt[1], state.l, grid, state.t + dt, state.c)
 
@@ -499,11 +524,11 @@ def run_rk4(state: EvolutionState, dt: float, steps: int,
     return (cur if steps else state), logs
 
 
-def _in_step(samples: int, *halves) -> None:
-    """Run the generators `halves` in step: from `RK4_SPLIT_SAMPLES` samples
-    per field, and when the process may use more than one CPU, the second of
-    two on a thread of its own (`_run_paired`); else in turn on this thread."""
-    if samples >= RK4_SPLIT_SAMPLES and _cpu_count() > 1:
+def _in_step(split: bool, *halves) -> None:
+    """Run the generators `halves` in step: given `split`, and when the
+    process may use more than one CPU, the second of two on a thread of its
+    own (`_run_paired`); else in turn on this thread."""
+    if split and _cpu_count() > 1:
         _run_paired(*halves)
     else:
         for _ in zip_longest(*halves):

@@ -691,7 +691,7 @@ class TestSpectralSplit:
 
     @pytest.fixture
     def halves(self, monkeypatch):
-        monkeypatch.setattr(evolve, "RK4_SPLIT_SAMPLES", 0)
+        monkeypatch.setattr(evolve, "SPECTRAL_SPLIT_MODES", 0)
 
     @staticmethod
     def unprojected(grid, l):
@@ -761,13 +761,55 @@ class TestSpectralSplit:
                 assert oracle > 0.01
                 assert value == pytest.approx(oracle, rel=1e-14, abs=0)
 
+    @pytest.mark.parametrize("dump_every", [None, 1, 3])
+    @pytest.mark.parametrize("log_every", [0, 1, 3])
+    @pytest.mark.parametrize("l", [1, 2])
+    @pytest.mark.parametrize("split", [False, True])
+    def test_row_march_matches_whole_array_march(self, grid, monkeypatch, split, l,
+                                                 log_every, dump_every):
+        # each band row is turned from event to event and summed on its own:
+        # fields and dumps are the whole-array march's bits; so are the logs
+        # in one half, and in two they move at roundoff
+        monkeypatch.setattr(evolve, "SPECTRAL_SPLIT_MODES", 0 if split else grid.ntotal + 1)
+        monkeypatch.setattr(evolve, "_cpu_count", lambda: 2)
+        if not split:
+            monkeypatch.setattr(evolve, "_run_paired", no_split)
+        calls, row_sums = [], evolve._row_sums
+        monkeypatch.setattr(evolve, "_row_sums",
+                            lambda *args: calls.append(args[1].ndim) or row_sums(*args))
+        state = self.unprojected(grid, l)
+        got = self.run(state, log_every, dump_every)
+        want = spectral_march_by_hand(state, self.DT, self.STEPS, log_every, dump_every)
+        self.assert_same_fields(got, want)
+        assert [d.t for d in got[1]] == [d.t for d in want[1]]
+        assert calls == [1] * (2 if split else 1) * (2 * l + 1) * len(got[1])
+        if not split:
+            assert got[1] == want[1]
+        for d, ref in zip(got[1], want[1]):
+            for value, oracle in zip((d.energy, d.div_te, d.div_tb, *d.band_te),
+                                     (ref.energy, ref.div_te, ref.div_tb, *ref.band_te)):
+                assert value == pytest.approx(oracle, rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("n, l, paired", [(26, 2, False), (28, 1, True)])
+    def test_split_depends_on_the_modes_alone(self, monkeypatch, n, l, paired):
+        # 26^3, l = 2 has more samples per field than 28^3, l = 1, but a
+        # half's calls are as long as its modes, whatever l is
+        monkeypatch.setattr(evolve, "_cpu_count", lambda: 2)
+        calls, run_paired = [], evolve._run_paired
+        monkeypatch.setattr(evolve, "_run_paired",
+                            lambda *gens: calls.append(1) or run_paired(*gens))
+        grid = GridSpec((n,) * 3, (TWO_PI,) * 3)
+        assert (grid.ntotal >= evolve.SPECTRAL_SPLIT_MODES) == paired
+        _, logs, _ = self.run(random_state(grid, l, seed=2), 3, None)
+        assert calls == [1] * paired and len(logs) == 4
+
     @pytest.mark.parametrize("where", ["worker", "worker-before-dump", "dump_fn"])
     def test_error_is_raised_and_no_thread_is_left(self, grid, halves, monkeypatch, where):
         class Boom(Exception):
             pass
 
         monkeypatch.setattr(evolve, "_cpu_count", lambda: 2)
-        callers, run_paired, band_sums = [], evolve._run_paired, evolve._band_sums
+        callers, run_paired, row_sums = [], evolve._run_paired, evolve._row_sums
         monkeypatch.setattr(evolve, "_run_paired",
                             lambda *gens: callers.append(threading.current_thread())
                             or run_paired(*gens))
@@ -775,13 +817,13 @@ class TestSpectralSplit:
         def sums_then_boom(*args):
             if threading.current_thread() is not callers[0]:
                 raise Boom("worker")
-            return band_sums(*args)
+            return row_sums(*args)
 
         def dump_boom(s, step):
             raise Boom("dump_fn")
 
         if where != "dump_fn":
-            monkeypatch.setattr(evolve, "_band_sums", sums_then_boom)
+            monkeypatch.setattr(evolve, "_row_sums", sums_then_boom)
         before = threading.active_count()
         with pytest.raises(Boom, match=where.partition("-")[0]):
             self.run(self.unprojected(grid, 1), 1, None if where == "worker" else 2, dump_boom)

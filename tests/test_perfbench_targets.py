@@ -79,7 +79,7 @@ def test_every_logged_step_of_a_split_run_is_traced(tracing, monkeypatch, dump_e
     # the second column half runs on a thread of its own and calls no traced
     # function: the logs are formed from both halves' sums on this thread,
     # and only a dump or the final fields transform, so counts repeat exactly
-    monkeypatch.setattr(evolve, "RK4_SPLIT_SAMPLES", 0)
+    monkeypatch.setattr(evolve, "SPECTRAL_SPLIT_MODES", 0)
     monkeypatch.setattr(evolve, "_cpu_count", lambda: 2)
     paired, run_paired = [], evolve._run_paired
     monkeypatch.setattr(evolve, "_run_paired",

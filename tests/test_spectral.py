@@ -192,6 +192,7 @@ class TestSplitFft:
         count_pairs(monkeypatch)
         if halves == "split":
             monkeypatch.setattr(evolve, "RK4_SPLIT_SAMPLES", 0)
+            monkeypatch.setattr(evolve, "SPECTRAL_SPLIT_MODES", 0)
             monkeypatch.setattr(evolve, "_cpu_count", lambda: 2)
         monkeypatch.setattr(spectral, "FFT_SPLIT_SAMPLES", 0)
         monkeypatch.setattr(spectral, "_run_paired", no_split)
