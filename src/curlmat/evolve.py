@@ -23,38 +23,38 @@ logged step it sums that row's |2a|^2 and |2ib|^2, bare and weighted by
 |k|^2, before it moves to the next row.  From `SPECTRAL_SPLIT_MODES` modes
 per field the mode columns march in two halves, each row by row on its own,
 and the calling thread adds the halves' sums after the march.  Given a
-second CPU the second half runs on a thread started for the run, with the
-hand-off of `step_rk4` below; else the halves run in turn.  They
-meet only at a dump: both stop at the step, the first writes the state, and
-both go on.  Where the columns split depends on the size alone, so every
-host logs the same bits.  Fields and dumps are the bits of a whole-array
-march; the logged sums, added in another order, move only at roundoff
-(within 1e-14 relative), and below the split size not at all.
+second CPU the second half runs on a thread of its own, else the halves run
+in turn.  They never meet: both march to a dump and return, the calling
+thread writes it, and both start again from there.  Where the columns split
+depends on the size alone, so every host logs the same bits.  Fields and
+dumps are the bits of a whole-array march; the logged sums, added in
+another order, move only at roundoff (within 1e-14 relative), and below the
+split size not at all.
 
 `step_rk4` is the independent check on that propagator: it integrates the
-same equations with the curl symbol itself, never its eigenvectors.  The
-system is linear and autonomous, so the classical step is the polynomial
-R(dt A) = 1 + dt A + (dt A)^2/2 + (dt A)^3/6 + (dt A)^4/24, which it
-evaluates in Horner form on the spectrum.  A couples each field only to the
-other, so the step splits into a TE half and a TB half: each runs the four
-Horner stages x + (+-c*dt/j) CURL y on its own field's spectrum, each one
-fused symbol pass (the curl entries cached per (operator, grid)), and
-checks that its result is finite.  No stage needs the grid, so the state a
-step returns holds the spectra of its last stage, read-only, in place of
-its fields, and makes both fields with one inverse FFT only when one is
-read (`EvolutionState`).  The next step and `diagnostics` read the
-spectra; a fresh state, or one whose fields were replaced, is FFT'd.  So a
-march of bare steps makes one `fftn` per field, at its first step, and no
-`ifftn`.  A stage reads all of the other half's previous stage, so the
-halves meet between stages.  From `RK4_SPLIT_SAMPLES` samples per field,
-and when the process may use more than one CPU, the TB half runs on a
-thread started for the step and a two-party barrier at each meeting keeps
-the halves in step; numpy's array arithmetic releases the interpreter
-lock, so the halves overlap.  Smaller steps run both halves stage by stage
-on the calling thread.  Either way every sum is formed in the same order,
-so the result is the same bit for bit.  `run_rk4` marches `step_rk4` with
-`run_spectral`'s counts, log and dump rules.  Both steppers reject a step
-whose largest phase c*dt*kmax is not finite before building anything.
+same equations with the curl symbol itself, never its eigenvectors.  In the
+complex fields F+- = TE +- i*TB the pair decouples, d/dt F+- = -+i*c*CURL F+-.
+The system is linear and autonomous, so the classical step is the
+polynomial R(dt A) = 1 + dt A + (dt A)^2/2 + (dt A)^3/6 + (dt A)^4/24, which
+it evaluates in Horner form on the spectrum.  The step is an F+ half and an
+F- half that never read each other: each runs the four Horner stages
+x + (-+i*c*dt/j) CURL y on its own spectrum, each one fused symbol pass (the
+curl entries cached per (operator, grid)), and checks that its result is
+finite.  No stage needs the grid, so the state a step returns holds the F+-
+spectra of its last stage, read-only, in place of its fields, and makes both
+fields, TE = (F+ + F-)/2 and TB = (F+ - F-)/(2i), with one inverse FFT only
+when one is read (`EvolutionState`).  The next step and `diagnostics` read
+the spectra; the band frame is linear, so z+- are the F+- spectra taken to
+it.  A fresh state, or one whose fields were replaced, is FFT'd.  So a march
+of bare steps makes one `fftn` per field, at its first step, and no
+`ifftn`.  From `RK4_SPLIT_SAMPLES` samples per field, and when the process
+may use more than one CPU, the F- half runs on a thread started for the
+step; numpy's array arithmetic releases the interpreter lock, so the halves
+overlap.  Smaller steps run the halves in turn on the calling thread.
+Either way each half makes the same sums in the same order, so the result is
+the same bit for bit.  `run_rk4` marches `step_rk4` with `run_spectral`'s
+counts, log and dump rules.  Both steppers reject a step whose largest
+phase c*dt*kmax is not finite before building anything.
 """
 
 from __future__ import annotations
@@ -63,22 +63,21 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import zip_longest
 
 import numpy as np
 
 from .builders import build_curl_complex, build_curl_ldotgrad, build_div
-from .spectral import (GridSpec, TensorField, _cpu_count, _fft, _ifft,
-                       _relative_residual, _run_paired, apply_operator, apply_symbol,
-                       plane_wave, random_bandlimited, symbol_entries)
+from .spectral import (GridSpec, TensorField, _fft, _ifft, _in_step, _relative_residual,
+                       apply_operator, apply_symbol, plane_wave, random_bandlimited,
+                       symbol_entries)
 
 
 @dataclass
 class EvolutionState:
     """Paired (TE, TB) rank-l spherical fields with time and wave speed.
 
-    A state `step_rk4` returns holds its (TE, TB) spectra instead: `te` and
-    `tb` are made from them together on first read, with read-only arrays,
+    A state `step_rk4` returns holds the spectra of F+- = TE +- i*TB instead:
+    `te` and `tb` are made from them together on first read, with read-only arrays,
     and kept.  The spectra stay the state's truth while its fields are unread
     or still those arrays; assigning `te` or `tb`, or a field's `data`,
     drops them, and the state is then its fields alone.
@@ -103,7 +102,7 @@ class EvolutionState:
     @classmethod
     def _of_spectra(cls, spectra: np.ndarray, l: int, grid: GridSpec,
                     t: float, c: float) -> EvolutionState:
-        """A state holding the (TE, TB) `spectra` and no fields yet."""
+        """A state holding the F+- `spectra` and no fields yet."""
         state = cls.__new__(cls)
         state._carry, state.t, state.c = _Carry(spectra, l, grid), t, c
         return state
@@ -117,9 +116,12 @@ class EvolutionState:
         return self._carry.grid if self._te is None else self._te.grid
 
     def _field(self, h: int) -> TensorField:
-        if self._te is None:  # one inverse FFT of the stacked pair makes both
+        if self._te is None:  # TE and TB from F+-, then one inverse FFT of the pair
             carry = self._carry
-            pair = _ifft(carry.spectra, split=True)
+            pair = np.empty_like(carry.spectra)
+            for i, part in enumerate(pair):
+                _part(*carry.spectra, i, part)
+            _ifft(pair, out=pair, split=True)
             pair.flags.writeable = False  # before the views, so they stay read-only
             self._te, self._tb = (TensorField(carry.l, "spherical", carry.grid, f)
                                   for f in pair)
@@ -133,7 +135,7 @@ class EvolutionState:
         setattr(self, "_tb" if h else "_te", value)
 
     def _spectra(self) -> np.ndarray | None:
-        """The (TE, TB) spectra while they are the state's truth: its fields
+        """The F+- spectra while they are the state's truth: its fields
         unread, or still the read-only arrays made from them.  Else None, and
         a stale carry is dropped so that its buffers are freed."""
         carry = self._carry
@@ -156,8 +158,8 @@ EvolutionState.tb = property(partial(EvolutionState._field, h=1),
 
 @dataclass
 class _Carry:
-    """The (TE, TB) spectra a `step_rk4` state holds, the rank and grid its
-    fields are made with, and the two field arrays once made."""
+    """The F+- = TE +- i*TB spectra a `step_rk4` state holds, the rank and
+    grid its fields are made with, and the two field arrays once made."""
 
     spectra: np.ndarray
     l: int
@@ -277,22 +279,33 @@ def step_spectral(state: EvolutionState, dt: float) -> EvolutionState:
 
 
 def _pair(prop: _Propagator, state: EvolutionState) -> tuple[np.ndarray, ...]:
-    """z+- = a +- ib of the state's TE and TB band coefficients a and b, made
-    in the two `to_eigen` buffers, and a scratch array of their shape.  Each
-    field's spectrum is a copy of the one a `step_rk4` state holds, or else
-    the field's FFT, made in turn so that one is alive at a time."""
+    """z+- = a +- ib of the state's TE and TB band coefficients a and b, and a
+    scratch array of their shape.  The band frame is linear, so a `step_rk4`
+    state's z+- are copies of its F+- spectra taken to it.  Else each field's
+    FFT is taken to the frame, in turn so that one is alive at a time, and
+    the pair is formed there."""
     spectra = state._spectra()
+    if spectra is not None:
+        zp, zm = (prop.to_eigen(s.copy()) for s in spectra)
+        return zp, zm, np.empty_like(zp)
+    zp, zm = (prop.to_eigen(_fft(f.data)) for f in (state.te, state.tb))
+    return zp, zm, _plus_minus(zp, zm)
 
-    def spectrum(h):
-        if spectra is not None:
-            return spectra[h].copy()
-        return _fft((state.tb if h else state.te).data)
 
-    zp, zm = prop.to_eigen(spectrum(0)), prop.to_eigen(spectrum(1))
-    scratch = np.multiply(zm, 1j)
-    np.subtract(zp, scratch, out=zm)
-    zp += scratch
-    return zp, zm, scratch
+def _plus_minus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a + ib and a - ib in place of a and b; returns ib, made on the way."""
+    ib = np.multiply(b, 1j)
+    np.subtract(a, ib, out=b)
+    a += ib
+    return ib
+
+
+def _part(zp: np.ndarray, zm: np.ndarray, h: int, out: np.ndarray) -> np.ndarray:
+    """Into `out`, a = (z+ + z-)/2 for h = 0, else b = (z+ - z-)/(2i), of a
+    pair z+- = a +- ib."""
+    (np.subtract if h else np.add)(zp, zm, out=out)
+    out *= -0.5j if h else 0.5
+    return out
 
 
 def _row_sums(kscale: np.ndarray, zp: np.ndarray, zm: np.ndarray, x: np.ndarray,
@@ -339,14 +352,10 @@ def _diag_from_modes(prop: _Propagator, t: float, sums: np.ndarray) -> Diagnosti
 
 def _state(prop: _Propagator, zp: np.ndarray, zm: np.ndarray, scratch: np.ndarray,
            t: float, c: float) -> EvolutionState:
-    """The fields at z+-: a = (z+ + z-)/2, then b = (z+ - z-)/(2i), each built
-    in `scratch` and transformed back before the next."""
-    np.add(zp, zm, out=scratch)
-    scratch *= 0.5
-    te = prop.to_field(scratch)
-    np.subtract(zp, zm, out=scratch)
-    scratch *= -0.5j
-    return EvolutionState(te, prop.to_field(scratch), t, c)
+    """The fields at z+-: a, then b (`_part`), each built in `scratch` and
+    transformed back before the next."""
+    te = prop.to_field(_part(zp, zm, 0, scratch))
+    return EvolutionState(te, prop.to_field(_part(zp, zm, 1, scratch)), t, c)
 
 
 def _check_run(state, dt, steps, log_every, dump_every) -> None:
@@ -370,7 +379,8 @@ def run_spectral(state: EvolutionState, dt: float, steps: int,
     row is turned from event to event (a log or a dump) while it is in
     cache.  From `SPECTRAL_SPLIT_MODES` modes per field the mode columns
     march in two halves, the second on a thread of its own given a second
-    CPU; they meet only to dump (module docstring).
+    CPU; both return at each dump, which this thread writes (module
+    docstring).
     """
     _check_run(state, dt, steps, log_every, dump_every)
     prop = _propagator(state.grid, state.l)
@@ -391,20 +401,20 @@ def run_spectral(state: EvolutionState, dt: float, steps: int,
     def at(step):
         return state.t + step * dt if step else state.t
 
-    def half(h):
-        """Columns h of the march, its sums in sums[h].  Band row by band row,
-        it turns each row to the next event and, at a log, sums it while it is
-        still in cache; it yields before and after each dump, which the first
-        half writes meanwhile."""
+    def half(h, start, segment):
+        """Columns h of the march from step `start` through the events of
+        `segment`, its sums in sums[h].  Band row by band row, it turns each
+        row to the next event and, at a log, sums it while it is still in
+        cache."""
         cols = slice(bounds[h], bounds[h + 1])
         # band -m turns by -theta: row r of z- by row dim-1-r of the table
         rows = [(zp[r, cols], zm[r, cols], forward[r, cols], forward[-1 - r, cols],
                  scratch[r, cols]) for r in range(prop.dim)]
         k_h = kscale[cols]
-        out = iter(sums[h])
-        done = 0
-        for event in events:
-            at_event = next(out) if event in logged else None
+        out = dict(zip(sorted(logged), sums[h]))
+        done = start
+        for event in segment:
+            at_event = out.get(event)
             for r, (zp_r, zm_r, fwd, bwd, x) in enumerate(rows):
                 for _ in range(done, event):
                     zp_r *= fwd
@@ -412,13 +422,16 @@ def run_spectral(state: EvolutionState, dt: float, steps: int,
                 if at_event is not None:
                     _row_sums(k_h, zp_r, zm_r, x, at_event[:, r])
             done = event
-            if event in dumps:
-                yield
-                if h == 0:
-                    dump_fn(_state(prop, zp, zm, scratch, at(event), state.c), event)
-                yield
 
-    _in_step(split, *(half(h) for h in range(len(bounds) - 1)))
+    start, segment = 0, []
+    for event in events:  # the halves march from dump to dump
+        segment.append(event)
+        if event in dumps or event == steps:
+            _in_step(split, *(partial(half, h, start, segment)
+                              for h in range(len(bounds) - 1)))
+            if event in dumps:
+                dump_fn(_state(prop, zp, zm, scratch, at(event), state.c), event)
+            start, segment = event, []
     del forward, kscale  # two arrays less while the fields are rebuilt
     logs = [_diag_from_modes(prop, at(step), s)
             for step, s in zip(sorted(logged), sums.sum(axis=0))]
@@ -446,12 +459,13 @@ def _max_wavenumber(grid: GridSpec) -> float:
 
 
 def _spectra_of(state: EvolutionState) -> np.ndarray:
-    """The (TE, TB) spectra the state holds, or else one FFT per field."""
+    """The F+- spectra the state holds, or else made from one FFT per field."""
     spectra = state._spectra()
     if spectra is None:
         spectra = np.empty((2,) + state.te.data.shape, dtype=np.complex128)
         for h, f in enumerate((state.te, state.tb)):
             _fft(f.data, out=spectra[h])
+        _plus_minus(*spectra)
     return spectra
 
 
@@ -464,7 +478,7 @@ def step_rk4(state: EvolutionState, dt: float) -> EvolutionState:
     no `ifftn`.  A kept state costs its spectra pair, and its field pair as
     well once read.  A ValueError is raised at the step whose new spectra
     hold a value that is not finite.  From `RK4_SPLIT_SAMPLES` samples per
-    field, given a second CPU, the TB half runs on a thread joined before
+    field, given a second CPU, the F- half runs on a thread joined before
     this returns (module docstring).
     """
     phase = check_dt(state.grid, state.c, dt)
@@ -475,32 +489,26 @@ def step_rk4(state: EvolutionState, dt: float) -> EvolutionState:
             RuntimeWarning, stacklevel=2)
     curl = build_curl_ldotgrad(state.l)
     grid = state.grid
-    # x holds the (TE, TB) spectra, only read by the stages; d/dt x = A x =
-    # (+c CURL x[1], -c CURL x[0])
+    # x holds the F+- spectra, only read by the stages; d/dt F+- = A F+- for
+    # A = -+i c CURL
     x = _spectra_of(state)
     nxt = (np.empty_like(x), np.empty_like(x))
 
     def half(h):
-        """Field h's part of the step; it yields where it needs all of the
-        other half's previous stage, and leaves its spectrum in nxt[1][h]."""
+        """F+ (h = 0) or F- part of the step, left in nxt[1][h]."""
         # R(dt A) x in Horner form (module docstring): y <- x + (dt/j) A y for
-        # j = 4, 3, 2, 1, from y = x itself.  Each stage writes to whichever
-        # of two buffers the stage before it did not: while it runs, the
-        # other half still reads this half's previous stage
-        y = x
+        # j = 4, 3, 2, 1, from y = x itself.  A stage cannot write the
+        # spectrum it reads, so the stages write to nxt[0] and nxt[1] in turn
+        y = x[h]
         for i, j in enumerate((4, 3, 2, 1)):
-            if i:
-                yield
             weight = state.c * dt / j
-            out = nxt[i % 2]
-            apply_symbol(curl, grid, y[1 - h], out=out[h],
-                         scale=-weight if h else weight, base=x[h])
-            y = out
-        if not np.isfinite(y[h].view(np.float64)).all():  # twice as fast as on complex
+            y = apply_symbol(curl, grid, y, out=nxt[i % 2][h],
+                             scale=weight * (1j if h else -1j), base=x[h])
+        if not np.isfinite(y.view(np.float64)).all():  # twice as fast as on complex
             raise ValueError("field contains non-finite samples")
 
     symbol_entries(curl, grid)  # cached here, or both halves would build it
-    _in_step(x[0].size >= RK4_SPLIT_SAMPLES, half(0), half(1))
+    _in_step(x[0].size >= RK4_SPLIT_SAMPLES, partial(half, 0), partial(half, 1))
     nxt[1].flags.writeable = False
     return EvolutionState._of_spectra(nxt[1], state.l, grid, state.t + dt, state.c)
 
@@ -522,17 +530,6 @@ def run_rk4(state: EvolutionState, dt: float, steps: int,
         if dump_every and dump_fn and step % dump_every == 0:
             dump_fn(cur, step)
     return (cur if steps else state), logs
-
-
-def _in_step(split: bool, *halves) -> None:
-    """Run the generators `halves` in step: given `split`, and when the
-    process may use more than one CPU, the second of two on a thread of its
-    own (`_run_paired`); else in turn on this thread."""
-    if split and _cpu_count() > 1:
-        _run_paired(*halves)
-    else:
-        for _ in zip_longest(*halves):
-            pass
 
 
 def diagnostics(state: EvolutionState) -> Diagnostics:

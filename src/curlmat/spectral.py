@@ -14,7 +14,7 @@ import os
 import stat
 import threading
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -173,8 +173,8 @@ def _fft(data: np.ndarray, out: np.ndarray | None = None,
     The result goes to ``out``, which may be ``data`` itself; without it, to
     a fresh array.  numpy's ``fftn`` then allocates nothing per axis: with
     ``out=None`` it makes a new array for each of the three.  With ``split``,
-    from `FFT_SPLIT_SAMPLES` samples and given a second CPU, the first axis
-    runs as two batches, the second on a thread of its own (`_run_paired`).
+    from `FFT_SPLIT_SAMPLES` samples, the first axis runs as two batches,
+    given a second CPU the second on a thread of its own (`_in_step`).
     Each batch is the same numpy transform of the same samples, so the
     result is the same bit for bit.  Only a caller that leaves the second
     core idle asks for it: `evolve`'s halves already keep both busy.
@@ -191,16 +191,11 @@ def _ifft(data: np.ndarray, out: np.ndarray | None = None,
 def _transform(fn, data: np.ndarray, out: np.ndarray | None, split: bool) -> np.ndarray:
     if out is None:
         out = np.empty(data.shape, dtype=np.complex128)
-    if not (split and data.ndim > 3 and len(data) > 1
-            and data.size >= FFT_SPLIT_SAMPLES and _cpu_count() > 1):
+    if not (split and data.ndim > 3 and len(data) > 1 and data.size >= FFT_SPLIT_SAMPLES):
         return fn(data, axes=(-3, -2, -1), out=out)
-
-    def batch(part):  # a generator that never yields: the halves never meet
-        fn(data[part], axes=(-3, -2, -1), out=out[part])
-        yield from ()
-
     cut = (len(data) + 1) // 2
-    _run_paired(batch(slice(cut)), batch(slice(cut, None)))
+    _in_step(True, *(partial(fn, data[part], axes=(-3, -2, -1), out=out[part])
+                     for part in (slice(cut), slice(cut, None))))
     return out
 
 
@@ -212,33 +207,32 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _run_paired(first, second) -> None:
-    """Run two generators, `second` on a thread of its own, each resuming
-    only when both have reached the same yield.  An exception in either is
-    raised here, after the thread has ended."""
-    barrier = threading.Barrier(2)
-    failed = []
+def _in_step(split: bool, *calls) -> None:
+    """Make the independent `calls`: given `split`, and when the process may
+    use more than one CPU, the second of two on a thread of its own
+    (`_run_paired`); else in turn on this thread."""
+    if split and _cpu_count() > 1:
+        _run_paired(*calls)
+    else:
+        for call in calls:
+            call()
 
-    def drain(gen):
-        for _ in gen:
-            barrier.wait()
+
+def _run_paired(first, second) -> None:
+    """Call `first` here and `second` on a thread of its own.  An exception
+    in either is raised here, after the thread has ended."""
+    failed = []
 
     def run_second():
         try:
-            drain(second)
+            second()
         except BaseException as exc:  # raised again on the calling thread
             failed.append(exc)
-            barrier.abort()
 
     worker = threading.Thread(target=run_second, name="curlmat-second-half")
     worker.start()
     try:
-        drain(first)
-    except threading.BrokenBarrierError:
-        pass  # only `run_second` aborts while this thread waits; its error is below
-    except BaseException:
-        barrier.abort()
-        raise
+        first()
     finally:
         worker.join()
     if failed:

@@ -179,7 +179,7 @@ class TestRk4:
         # from a fresh state one fftn per field, then none: a step holds its
         # spectra and makes no field, on a grid on each side of the split
         # size, whatever the host's CPU count
-        monkeypatch.setattr(evolve, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(spectral, "_cpu_count", lambda: 2)
         states = [random_state(GridSpec((n,) * 3, (TWO_PI,) * 3), 1, seed=44)
                   for n in (16, 32)]
         assert [s.te.data.size >= evolve.RK4_SPLIT_SAMPLES for s in states] == [False, True]
@@ -424,8 +424,7 @@ class TestRk4SpectralState:
     def sized(self, request, monkeypatch):
         """A fresh state below, or past, `RK4_SPLIT_SAMPLES` and
         `FFT_SPLIT_SAMPLES`, on a host with two CPUs."""
-        for module in (evolve, spectral):
-            monkeypatch.setattr(module, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(spectral, "_cpu_count", lambda: 2)
         n = request.param
         state = random_state(GridSpec((n,) * 3, (TWO_PI,) * 3), 1, seed=64)
         split = state.te.data.size >= evolve.RK4_SPLIT_SAMPLES
@@ -460,8 +459,10 @@ class TestRk4SpectralState:
         calls.clear()
         assert state.te is te and state.tb.data.shape == te.data.shape
         assert calls == []
-        for h, f in enumerate((state.te, state.tb)):
-            assert np.array_equal(f.data, np.fft.ifftn(spectra[h], axes=(-3, -2, -1)))
+        # TE = (F+ + F-)/2 and TB = (F+ - F-)/(2i), each transformed back
+        fp, fm = spectra
+        for f, combined in ((state.te, (fp + fm) * 0.5), (state.tb, (fp - fm) * -0.5j)):
+            assert np.array_equal(f.data, np.fft.ifftn(combined, axes=(-3, -2, -1)))
             assert not f.data.flags.writeable
         assert state._spectra() is spectra
 
@@ -469,7 +470,7 @@ class TestRk4SpectralState:
     def test_non_finite_stage_raises_at_its_step(self, grid, monkeypatch, split):
         if split:
             monkeypatch.setattr(evolve, "RK4_SPLIT_SAMPLES", 0)
-            monkeypatch.setattr(evolve, "_cpu_count", lambda: 2)
+            monkeypatch.setattr(spectral, "_cpu_count", lambda: 2)
         # a traveling wave with omega*dt = 8 grows by |R(-8i)| ~ 160 a step:
         # from spectra near 1e305 the first step stays finite, the second not
         state = plane_wave_state(grid, 1, 1, (1, 0, 0), amplitude=2e301)
@@ -483,7 +484,7 @@ class TestRk4SpectralState:
 
 def run_with_timeout(fn, *args, timeout=60.0):
     """fn(*args) on a thread of its own, joined with a timeout, so a step
-    whose halves never meet fails instead of hanging the suite."""
+    whose halves wait on each other fails instead of hanging the suite."""
     result = []
 
     def run():
@@ -511,7 +512,7 @@ class TestRk4Split:
     @pytest.fixture
     def split(self, monkeypatch):
         monkeypatch.setattr(evolve, "RK4_SPLIT_SAMPLES", 0)
-        monkeypatch.setattr(evolve, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(spectral, "_cpu_count", lambda: 2)
 
     @staticmethod
     def unprojected(grid, l):
@@ -519,27 +520,33 @@ class TestRk4Split:
                               random_bandlimited(grid, l, "spherical", seed=51), 0.1, 1.3)
 
     @staticmethod
-    def before_each_stage(monkeypatch, tb, action):
-        """Call `action` before each kernel call of the TB or the TE half."""
-        def wrapped(op, grid, spectrum, *args, scale=1, **kwargs):
-            if (scale < 0) == tb:  # the TB half scales by -c*dt/j
+    def minus_half(out):
+        """Whether a kernel call is the F- half's: each stage buffer holds
+        F+ and F- in turn, and the F- half writes the second slot."""
+        return out.ctypes.data != out.base.ctypes.data
+
+    @classmethod
+    def before_each_stage(cls, monkeypatch, minus, action):
+        """Call `action` before each kernel call of the F- or the F+ half."""
+        def wrapped(op, grid, spectrum, *args, out, **kwargs):
+            if cls.minus_half(out) == minus:
                 action()
-            return apply_symbol(op, grid, spectrum, *args, scale=scale, **kwargs)
+            return apply_symbol(op, grid, spectrum, *args, out=out, **kwargs)
         monkeypatch.setattr(evolve, "apply_symbol", wrapped)
 
-    @pytest.mark.parametrize("tb_slow", [False, True])
+    @pytest.mark.parametrize("minus_slow", [False, True])
     @pytest.mark.parametrize("l", [1, 2])
-    def test_split_is_bit_identical_to_serial(self, grid, split, monkeypatch, l, tb_slow):
+    def test_split_is_bit_identical_to_serial(self, grid, split, monkeypatch, l, minus_slow):
         state = self.unprojected(grid, l)
         with monkeypatch.context() as serial:
             serial.setattr(evolve, "RK4_SPLIT_SAMPLES", grid.ntotal * state.te.ncomp + 1)
-            serial.setattr(evolve, "_run_paired", no_split)
+            serial.setattr(spectral, "_run_paired", no_split)
             want = [state]
             for _ in range(3):
                 want.append(step_rk4(want[-1], 0.05))
-        # a half that did not wait for the slow one would read a stage that
-        # is not written yet
-        self.before_each_stage(monkeypatch, tb_slow, lambda: time.sleep(0.002))
+        # each half reads its own stages only, so one running late, with the
+        # other thread switched in at every chance, moves no bit
+        self.before_each_stage(monkeypatch, minus_slow, lambda: time.sleep(0.002))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -552,19 +559,41 @@ class TestRk4Split:
         finally:
             sys.setswitchinterval(interval)
 
-    @pytest.mark.parametrize("tb", [False, True])
+    @pytest.mark.parametrize("minus", [False, True])
     def test_error_in_either_half_is_raised_and_no_thread_is_left(
-            self, grid, split, monkeypatch, tb):
+            self, grid, split, monkeypatch, minus):
         class Boom(Exception):
             pass
 
         def boom():
-            raise Boom("TB" if tb else "TE")
-        self.before_each_stage(monkeypatch, tb, boom)
+            raise Boom("F-" if minus else "F+")
+        self.before_each_stage(monkeypatch, minus, boom)
         before = threading.active_count()
-        with pytest.raises(Boom, match="TB" if tb else "TE"):
+        with pytest.raises(Boom, match="F-" if minus else "F[+]"):
             run_with_timeout(step_rk4, self.unprojected(grid, 1), 0.05)
         assert threading.active_count() == before
+
+    def test_halves_never_wait_for_each_other(self, grid, split, monkeypatch):
+        # the F+ half, on the calling thread, holds its first kernel call
+        # until the F- half, on the worker, has made its last stage: halves
+        # that met between stages would never get there
+        state = self.unprojected(grid, 1)
+        want = step_rk4(state, 0.05)
+        minus_done, stages = threading.Event(), []
+
+        def wrapped(op, grid, spectrum, *args, out, **kwargs):
+            minus = self.minus_half(out)
+            stages.append(minus)
+            if not minus and stages.count(False) == 1:
+                assert minus_done.wait(10.0), "the F- half did not run on alone"
+            result = apply_symbol(op, grid, spectrum, *args, out=out, **kwargs)
+            if minus and stages.count(True) == 4:
+                minus_done.set()
+            return result
+        monkeypatch.setattr(evolve, "apply_symbol", wrapped)
+        got = run_with_timeout(step_rk4, state, 0.05, timeout=20.0)
+        assert sorted(stages) == [False] * 4 + [True] * 4
+        assert_same_bits(got, want)
 
     @pytest.mark.parametrize("affinity", [True, False])
     def test_one_cpu_runs_serially(self, grid, monkeypatch, affinity):
@@ -573,9 +602,9 @@ class TestRk4Split:
         else:  # where the platform has no affinity call
             monkeypatch.delattr(os, "sched_getaffinity", raising=False)
             monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        assert evolve._cpu_count() == 1
+        assert spectral._cpu_count() == 1
         monkeypatch.setattr(evolve, "RK4_SPLIT_SAMPLES", 0)
-        monkeypatch.setattr(evolve, "_run_paired", no_split)
+        monkeypatch.setattr(spectral, "_run_paired", no_split)
         step_rk4(self.unprojected(grid, 1), 0.05)
 
 
@@ -593,8 +622,17 @@ def rk4_march_by_hand(state, dt, steps, log_every, dump_every, dump_fn):
     return state, logs
 
 
+def carried(state: EvolutionState) -> EvolutionState:
+    """The state `run_rk4` marches from: the F+- spectra of `state`.  Its
+    `diagnostics` read them; those of a fresh state pair its fields in the
+    band frame instead, the same values to roundoff (TestRk4Carry)."""
+    return EvolutionState._of_spectra(evolve._spectra_of(state), state.l, state.grid,
+                                      state.t, state.c)
+
+
 class TestRunRk4:
-    """`run_rk4` against the march by hand, bit for bit."""
+    """`run_rk4` against the march by hand, bit for bit, both from the
+    spectra `run_rk4` takes a fresh state to."""
 
     @staticmethod
     def both(state, dt, steps, log_every, dump_every):
@@ -620,8 +658,13 @@ class TestRunRk4:
     @pytest.mark.parametrize("steps, log_every", sorted(
         {(steps, every) for steps in (0, 5, 7) for every in (0, 1, 3, steps)}))
     def test_matches_march_by_hand(self, steps, log_every, dump_every):
-        state = random_state(GridSpec((8, 8, 8), (TWO_PI,) * 3), 1, seed=7)
+        state = carried(random_state(GridSpec((8, 8, 8), (TWO_PI,) * 3), 1, seed=7))
         got, want = self.both(state, 0.05, steps, log_every, dump_every)
+        self.assert_same(got, want)
+
+    def test_fresh_state_marches_as_its_spectra(self):
+        fresh = random_state(GridSpec((8, 8, 8), (TWO_PI,) * 3), 1, seed=7)
+        got, want = (self.both(s, 0.05, 7, 3, 2)[0] for s in (fresh, carried(fresh)))
         self.assert_same(got, want)
 
     @pytest.mark.parametrize("split", [False, True])
@@ -631,7 +674,7 @@ class TestRunRk4:
         # hold, and no field is made
         if split:
             monkeypatch.setattr(evolve, "RK4_SPLIT_SAMPLES", 0)
-            monkeypatch.setattr(evolve, "_cpu_count", lambda: 2)
+            monkeypatch.setattr(spectral, "_cpu_count", lambda: 2)
         state = random_state(GridSpec((8, 8, 8), (TWO_PI,) * 3), 1, seed=7)
         calls = count_ffts(monkeypatch)
         _, logs = run_rk4(state, 0.05, 7, log_every=2)
@@ -640,11 +683,11 @@ class TestRunRk4:
 
     def test_split_step_matches_march_by_hand(self, monkeypatch):
         # 20^3, l = 2 is past RK4_SPLIT_SAMPLES: every step runs on two threads
-        monkeypatch.setattr(evolve, "_cpu_count", lambda: 2)
-        paired, run_paired = [], evolve._run_paired
-        monkeypatch.setattr(evolve, "_run_paired",
+        monkeypatch.setattr(spectral, "_cpu_count", lambda: 2)
+        paired, run_paired = [], spectral._run_paired
+        monkeypatch.setattr(spectral, "_run_paired",
                             lambda *halves: paired.append(1) or run_paired(*halves))
-        state = random_state(GridSpec((20, 20, 20), (TWO_PI,) * 3), 2, seed=8)
+        state = carried(random_state(GridSpec((20, 20, 20), (TWO_PI,) * 3), 2, seed=8))
         got, want = self.both(state, 0.05, 5, 3, 2)
         self.assert_same(got, want)
         assert len(paired) == 10 and len(got[1]) == 3  # logs at steps 0, 3 and 5
@@ -726,20 +769,20 @@ class TestSpectralSplit:
     def test_two_threads_match_one(self, grid, halves, monkeypatch, l, log_every, dump_every):
         state = self.unprojected(grid, l)
         with monkeypatch.context() as serial:
-            serial.setattr(evolve, "_cpu_count", lambda: 1)
-            serial.setattr(evolve, "_run_paired", no_split)
+            serial.setattr(spectral, "_cpu_count", lambda: 1)
+            serial.setattr(spectral, "_run_paired", no_split)
             want = self.run(state, log_every, dump_every)
-        paired, run_paired = [], evolve._run_paired
-        monkeypatch.setattr(evolve, "_cpu_count", lambda: 2)
-        monkeypatch.setattr(evolve, "_run_paired",
-                            lambda *gens: paired.append(1) or run_paired(*gens))
+        paired, run_paired = [], spectral._run_paired
+        monkeypatch.setattr(spectral, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(spectral, "_run_paired",
+                            lambda *halves: paired.append(1) or run_paired(*halves))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             got = self.run(state, log_every, dump_every)
         finally:
             sys.setswitchinterval(interval)
-        assert paired == [1]
+        assert len(paired) == len(got[2]) + 1  # one per stretch to a dump or the end
         assert got[1] == want[1]
         self.assert_same_fields(got, want)
 
@@ -747,7 +790,7 @@ class TestSpectralSplit:
     @pytest.mark.parametrize("dump_every", [None, 2])
     @pytest.mark.parametrize("l", [1, 2])
     def test_matches_whole_array_march(self, grid, halves, monkeypatch, l, dump_every, cpus):
-        monkeypatch.setattr(evolve, "_cpu_count", lambda: cpus)
+        monkeypatch.setattr(spectral, "_cpu_count", lambda: cpus)
         state = self.unprojected(grid, l)
         got = self.run(state, 3, dump_every)
         want = spectral_march_by_hand(state, self.DT, self.STEPS, 3, dump_every)
@@ -771,9 +814,9 @@ class TestSpectralSplit:
         # fields and dumps are the whole-array march's bits; so are the logs
         # in one half, and in two they move at roundoff
         monkeypatch.setattr(evolve, "SPECTRAL_SPLIT_MODES", 0 if split else grid.ntotal + 1)
-        monkeypatch.setattr(evolve, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(spectral, "_cpu_count", lambda: 2)
         if not split:
-            monkeypatch.setattr(evolve, "_run_paired", no_split)
+            monkeypatch.setattr(spectral, "_run_paired", no_split)
         calls, row_sums = [], evolve._row_sums
         monkeypatch.setattr(evolve, "_row_sums",
                             lambda *args: calls.append(args[1].ndim) or row_sums(*args))
@@ -794,10 +837,10 @@ class TestSpectralSplit:
     def test_split_depends_on_the_modes_alone(self, monkeypatch, n, l, paired):
         # 26^3, l = 2 has more samples per field than 28^3, l = 1, but a
         # half's calls are as long as its modes, whatever l is
-        monkeypatch.setattr(evolve, "_cpu_count", lambda: 2)
-        calls, run_paired = [], evolve._run_paired
-        monkeypatch.setattr(evolve, "_run_paired",
-                            lambda *gens: calls.append(1) or run_paired(*gens))
+        monkeypatch.setattr(spectral, "_cpu_count", lambda: 2)
+        calls, run_paired = [], spectral._run_paired
+        monkeypatch.setattr(spectral, "_run_paired",
+                            lambda *halves: calls.append(1) or run_paired(*halves))
         grid = GridSpec((n,) * 3, (TWO_PI,) * 3)
         assert (grid.ntotal >= evolve.SPECTRAL_SPLIT_MODES) == paired
         _, logs, _ = self.run(random_state(grid, l, seed=2), 3, None)
@@ -808,11 +851,11 @@ class TestSpectralSplit:
         class Boom(Exception):
             pass
 
-        monkeypatch.setattr(evolve, "_cpu_count", lambda: 2)
-        callers, run_paired, row_sums = [], evolve._run_paired, evolve._row_sums
-        monkeypatch.setattr(evolve, "_run_paired",
-                            lambda *gens: callers.append(threading.current_thread())
-                            or run_paired(*gens))
+        monkeypatch.setattr(spectral, "_cpu_count", lambda: 2)
+        callers, run_paired, row_sums = [], spectral._run_paired, evolve._row_sums
+        monkeypatch.setattr(spectral, "_run_paired",
+                            lambda *halves: callers.append(threading.current_thread())
+                            or run_paired(*halves))
 
         def sums_then_boom(*args):
             if threading.current_thread() is not callers[0]:
@@ -837,8 +880,8 @@ class TestSpectralSplit:
         else:  # where the platform has no affinity call
             monkeypatch.delattr(os, "sched_getaffinity", raising=False)
             monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        assert evolve._cpu_count() == 1
-        monkeypatch.setattr(evolve, "_run_paired", no_split)
+        assert spectral._cpu_count() == 1
+        monkeypatch.setattr(spectral, "_run_paired", no_split)
         _, logs, dumps = self.run(self.unprojected(grid, 1), 1, 2)
         assert len(logs) == self.STEPS + 1 and len(dumps) == 3
 

@@ -93,7 +93,7 @@ def count_pairs(monkeypatch) -> list[int]:
     """One entry per `spectral._run_paired` call from here on; a second CPU."""
     calls, run_paired = [], spectral._run_paired
     monkeypatch.setattr(spectral, "_run_paired",
-                        lambda *gens: calls.append(1) or run_paired(*gens))
+                        lambda *halves: calls.append(1) or run_paired(*halves))
     monkeypatch.setattr(spectral, "_cpu_count", lambda: 2)
     return calls
 
@@ -137,12 +137,17 @@ class TestSplitFft:
             assert np.array_equal(_fft(part, split=True), np.fft.fftn(part, axes=(1, 2, 3)))
         assert len(paired) == 1
 
-    def test_one_cpu_runs_one_call(self, monkeypatch):
+    def test_one_cpu_runs_the_batches_in_turn(self, monkeypatch):
         monkeypatch.setattr(spectral, "FFT_SPLIT_SAMPLES", 0)
         monkeypatch.setattr(spectral, "_cpu_count", lambda: 1)
         monkeypatch.setattr(spectral, "_run_paired", no_split)
         data = np.random.default_rng(11).standard_normal((3, 4, 4, 4)).astype(complex)
-        assert np.array_equal(_fft(data, split=True), np.fft.fftn(data, axes=(1, 2, 3)))
+        want = np.fft.fftn(data, axes=(1, 2, 3))
+        calls, fftn = [], np.fft.fftn
+        monkeypatch.setattr(np.fft, "fftn", lambda part, *args, **kwargs: calls.append(
+            (threading.current_thread(), part.shape)) or fftn(part, *args, **kwargs))
+        assert np.array_equal(_fft(data, split=True), want)
+        assert calls == [(threading.current_thread(), (n, 4, 4, 4)) for n in (2, 1)]
 
     @pytest.mark.parametrize("where", ["worker", "caller"])
     def test_error_is_raised_here_and_no_thread_is_left(self, monkeypatch, where):
@@ -193,11 +198,17 @@ class TestSplitFft:
         if halves == "split":
             monkeypatch.setattr(evolve, "RK4_SPLIT_SAMPLES", 0)
             monkeypatch.setattr(evolve, "SPECTRAL_SPLIT_MODES", 0)
-            monkeypatch.setattr(evolve, "_cpu_count", lambda: 2)
         monkeypatch.setattr(spectral, "FFT_SPLIT_SAMPLES", 0)
-        monkeypatch.setattr(spectral, "_run_paired", no_split)
+        caller, calls = threading.current_thread(), []
+        for name in ("fftn", "ifftn"):
+            def counted(data, *args, _fn=getattr(np.fft, name), **kwargs):
+                calls.append((threading.current_thread(), data.shape))
+                return _fn(data, *args, **kwargs)
+            monkeypatch.setattr(np.fft, name, counted)
         step_rk4(step_rk4(state, 0.02), 0.02)
         run_spectral(state, 0.02, 2)
+        # every transform is of one whole field, on the calling thread
+        assert calls and set(calls) == {(caller, state.te.data.shape)}
 
 
 def no_split(*args):
