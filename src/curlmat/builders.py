@@ -19,7 +19,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Callable, NamedTuple
 
-from .angular import angular_matrices, clebsch_gordan, wigner_3j
+from .angular import angular_matrices, basis_index, clebsch_gordan, wigner_3j
 from .diffop import (CARTESIAN, TRANSFORM, DX, DY, DZ, DiffPoly, OpMatrix,
                      spherical_tag)
 from .exactnum import ExactScalar, I, ONE, imag, rational, root
@@ -319,25 +319,6 @@ def build_curl_ldotgrad(l: int) -> OpMatrix:
     return OpMatrix.from_rows(rows, spherical_tag(l, l))
 
 
-@lru_cache(maxsize=None)
-def build_curl_ladder(l: int) -> OpMatrix:
-    """Ladder form [Lz*dz + (L+*d- + L-*d+)/2]/(i*l), with d(+/-) = dx +/- i*dy."""
-    ang = angular_matrices(l)
-    dim = 2 * l + 1
-    scale = imag(Fraction(-1, l))
-    half = Fraction(1, 2)
-    rows = []
-    for r in range(dim):
-        row = []
-        for c in range(dim):
-            poly = (DZ * ang.lz[r][c]
-                    + _X_MINUS_IY * (ang.lplus[r][c] * half)
-                    + _X_PLUS_IY * (ang.lminus[r][c] * half))
-            row.append(poly * scale)
-        rows.append(row)
-    return OpMatrix.from_rows(rows, spherical_tag(l, l))
-
-
 def build_curl_hermitian(l: int) -> OpMatrix:
     """i * CURL: the self-adjoint curl."""
     return build_curl_cg(l).scale(I)
@@ -352,29 +333,69 @@ def build_curl_complex(l: int) -> OpMatrix:
 # Cartesian side.
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=1)
-def cartesian_transform() -> OpMatrix:
-    """Unitary change of basis from spherical (descending m) to cartesian."""
+# The packed slots (T11, T12, T13, T22, T23) of a symmetric traceless tensor;
+# T33 = -T11 - T22 and the lower triangle mirrors the upper.
+RANK2_SLOTS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2))
+
+
+@lru_cache(maxsize=None)
+def cartesian_transform(l: int) -> OpMatrix:
+    """Change of basis from spherical components (descending m) to cartesian.
+
+    At l = 1 the unitary 3x3 matrix S onto (x, y, z).  At l = 2 the 5x5
+    matrix onto the `RANK2_SLOTS` packing: column m holds the slots of the
+    symmetric traceless E_m = sum CG(1 m1 1 m2 | 2 m) s_m1 s_m2^T over the
+    columns s_mu of S, and the E_m are orthonormal (Frobenius product).
+    """
+    if l not in (1, 2):
+        raise ValueError(f"the cartesian transform needs l = 1 or 2, got {l}")
     h = _rt(2, 1, 2)  # 1/sqrt(2)
     ih = imag(Fraction(1, 2), 2)  # i/sqrt(2)
-    return OpMatrix.constant([
-        [-h, ExactScalar(), h],
-        [-ih, ExactScalar(), -ih],
-        [ExactScalar(), ONE, ExactScalar()],
-    ], TRANSFORM)
+    zero = ExactScalar()
+    s = [[-h, zero, h], [-ih, zero, -ih], [zero, ONE, zero]]
+    if l == 1:
+        return OpMatrix.constant(s, TRANSFORM)
+    units = []
+    for m in range(2, -3, -1):
+        e = [[zero] * 3 for _ in range(3)]
+        for m1 in (1, 0, -1):
+            if abs(m - m1) <= 1:
+                cg = clebsch_gordan(1, m1, 1, m - m1, 2, m)
+                c1, c2 = basis_index(1, m1), basis_index(1, m - m1)
+                for i, j in product(range(3), repeat=2):
+                    e[i][j] = e[i][j] + cg * s[i][c1] * s[j][c2]
+        units.append(e)
+    return OpMatrix.constant([[e[i][j] for e in units] for i, j in RANK2_SLOTS],
+                             TRANSFORM)
 
 
-@lru_cache(maxsize=1)
-def cartesian_transform_inverse() -> OpMatrix:
-    return cartesian_transform().formal_adjoint()
+@lru_cache(maxsize=None)
+def cartesian_transform_inverse(l: int) -> OpMatrix:
+    """Inverse of `cartesian_transform(l)`: P^H at l = 1, where P is unitary;
+    P^H G at l = 2, which reads component m as the Frobenius product of E_m
+    with the packed tensor."""
+    adjoint = cartesian_transform(l).formal_adjoint()
+    if l == 1:
+        return adjoint
+    # G, the Frobenius products of the slots' unit tensors: 2 on the diagonal,
+    # as an off-diagonal slot stands for two entries and a diagonal one for
+    # its own and -1 at T33 = -T11 - T22, and 1 between T11 and T22 for that
+    # shared T33
+    gram = OpMatrix.constant([[2, 0, 0, 1, 0], [0, 2, 0, 0, 0], [0, 0, 2, 0, 0],
+                              [1, 0, 0, 2, 0], [0, 0, 0, 0, 2]], TRANSFORM)
+    return adjoint @ gram
 
 
 def to_cartesian(op: OpMatrix) -> OpMatrix:
-    """Conjugate a 3x3 rank-1 spherical operator into the cartesian basis."""
-    if op.shape != (3, 3):
-        raise ValueError("cartesian conversion expects a 3x3 rank-1 operator")
-    s = cartesian_transform()
-    return s.compose(op).compose(cartesian_transform_inverse()).retag(CARTESIAN)
+    """Conjugate a spherical rank-l operator, l_in = l_out = 1 or 2, into the
+    cartesian basis of `cartesian_transform(l)`."""
+    tag, l = op.tag, op.tag.l_in
+    if tag.kind != "spherical" or tag.l_out != l or l not in (1, 2):
+        ranks = f" from rank {l} to {tag.l_out}" if tag.kind == "spherical" else ""
+        raise ValueError("cartesian conversion expects a spherical operator from rank "
+                         f"1 or 2 to the same rank, got a {tag.kind} operator{ranks}")
+    return (cartesian_transform(l).compose(op)
+            .compose(cartesian_transform_inverse(l)).retag(CARTESIAN))
 
 
 class CartesianCurls(NamedTuple):
@@ -407,11 +428,6 @@ def cartesian_div() -> OpMatrix:
 # ---------------------------------------------------------------------------
 # Rank-2 cartesian curl (symmetric traceless tensors).
 # ---------------------------------------------------------------------------
-
-# The packed slots (T11, T12, T13, T22, T23) of a symmetric traceless tensor;
-# T33 = -T11 - T22 and the lower triangle mirrors the upper.
-RANK2_SLOTS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2))
-
 
 def curl_rank2_cartesian(tensor):
     """Curl of a symmetric traceless rank-2 cartesian tensor.

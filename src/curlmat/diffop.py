@@ -384,11 +384,6 @@ class OpMatrix:
     def retag(self, tag: BasisTag) -> "OpMatrix":
         return OpMatrix(self.rows, self.cols, self._entries, tag)
 
-    def replace_entry(self, i: int, j: int, poly: DiffPoly) -> "OpMatrix":
-        entries = list(self._entries)
-        entries[i * self.cols + j] = poly
-        return OpMatrix(self.rows, self.cols, entries, self.tag)
-
     # -- algebra -----------------------------------------------------------
 
     def compose(self, other: "OpMatrix") -> "OpMatrix":

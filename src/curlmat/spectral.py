@@ -1,9 +1,22 @@
 """Application of operator matrices to sampled fields on periodic grids.
 
-Fields are complex samples indexed ``[component, z, y, x]``.  Operators act
-per Fourier mode through their symbol (dx -> i*kx, ...); the first-derivative
-symbol at the Nyquist frequency is set to zero (symmetric convention), which
-keeps the output of real inputs conjugate-symmetric.
+Fields are complex samples indexed ``[component, z, y, x]``: 2l + 1
+spherical components (descending m), or 1, 3 or 5 cartesian ones, a rank-2
+cartesian field packed as (T11, T12, T13, T22, T23) (`builders.RANK2_SLOTS`).
+Operators act per Fourier mode through their symbol (dx -> i*kx, ...); the
+first-derivative symbol at the Nyquist frequency is set to zero (symmetric
+convention), which keeps the output of real inputs conjugate-symmetric.
+
+The whole-field FFTs of `apply_operator`, `helmholtz`, the divergence and
+curl residuals and `random_bandlimited` run the component axis as two
+batches from `FFT_SPLIT_SAMPLES` = 3 * 32^3 samples, the measured crossover,
+with the bits of one numpy call.  One function, `_in_step`, runs such a pair
+of independent calls, these batches or `evolve`'s halves, on two threads
+given a second CPU and else in turn.  `evolve`'s transforms are whole and on
+the calling thread, except the inverse transform that makes a `step_rk4`
+state's fields when they are read.  `_relative_residual` makes the
+operator's output one row at a time in one buffer, and `random_bandlimited`
+fills one complex array part by part.
 """
 
 from __future__ import annotations
@@ -18,9 +31,8 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .angular import basis_index, clebsch_gordan
-from .builders import (RANK2_SLOTS, build_cartesian_curls, build_curl_ldotgrad,
-                       cartesian_curl_rank2, cartesian_div, cartesian_transform)
+from .builders import (build_cartesian_curls, build_curl_ldotgrad, cartesian_div,
+                       cartesian_transform)
 from .diffop import OpMatrix
 
 _CART_COMPONENTS = {0: 1, 1: 3, 2: 5}
@@ -90,6 +102,8 @@ class GridSpec:
 
 
 def _expected_components(basis: str, l: int) -> int:
+    if l < 0:
+        raise ValueError(f"rank l must be a non-negative integer, got {l!r}")
     if basis == "spherical":
         return 2 * l + 1
     if basis == "cartesian":
@@ -393,12 +407,6 @@ def _gradient_scale(grid: GridSpec, spectrum: np.ndarray) -> float:
     return float(np.sqrt(kz @ zy.sum(axis=1) + ky @ zy.sum(axis=0) + kx @ x))
 
 
-def gradient_scale(f: TensorField) -> float:
-    """L2 norm of |k| * f, the natural scale for first-derivative residuals."""
-    scale = _gradient_scale(f.grid, _fft(f.data, split=True))
-    return scale * float(np.sqrt(f.grid.cell_volume / f.grid.ntotal))
-
-
 def _relative_residual(op: OpMatrix, f: TensorField) -> float:
     """|op f| relative to the gradient scale |k||f|, both from one FFT of f.
     op f is made one row at a time in one buffer, its squares summed row by
@@ -434,7 +442,9 @@ def wavevector(grid: GridSpec, jvec: tuple[int, int, int]) -> np.ndarray:
 
 def plane_wave(grid: GridSpec, l: int, m: int, jvec: tuple[int, int, int],
                basis: str = "spherical", amplitude: float = 1.0) -> TensorField:
-    """Plane wave in the helicity-m eigenvector of the curl symbol at k."""
+    """Plane wave in the helicity-m eigenvector of the curl symbol at k, in
+    spherical components or, at l = 1 and 2, through `cartesian_transform(l)`
+    in cartesian ones."""
     if jvec == (0, 0, 0):
         raise ValueError("plane wave needs a nonzero mode index")
     if abs(m) > l:
@@ -446,9 +456,7 @@ def plane_wave(grid: GridSpec, l: int, m: int, jvec: tuple[int, int, int],
     _, vecs = np.linalg.eigh(symbol)
     vec = vecs[:, m + l]  # eigenvalues ascend as m|k|/l, so index m + l
     if basis == "cartesian":
-        if l != 1:
-            raise ValueError("cartesian plane waves are rank-1 only")
-        vec = cartesian_transform().symbol_at((0, 0, 0)) @ vec
+        vec = cartesian_transform(l).symbol_at((0, 0, 0)) @ vec
     elif basis != "spherical":
         raise ValueError(f"unknown basis {basis!r}")
     x, y, z = grid.position_grids()
@@ -496,66 +504,6 @@ def example_rotation_fields(grid: GridSpec) -> tuple[TensorField, TensorField]:
     v[1] = -np.broadcast_to(x ** 2, shape)
     return (TensorField(1, "cartesian", grid, u),
             TensorField(1, "cartesian", grid, v))
-
-
-# ---------------------------------------------------------------------------
-# Rank-2 cartesian views.
-# ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=1)
-def rank2_cartesian_basis() -> np.ndarray:
-    """Symmetric traceless 3x3 basis matrices for the five m = 2..-2 slots."""
-    s = cartesian_transform().symbol_at((0, 0, 0))
-    basis = np.zeros((5, 3, 3), dtype=np.complex128)
-    for idx, m in enumerate(range(2, -3, -1)):
-        for m1 in (-1, 0, 1):
-            m2 = m - m1
-            if abs(m2) > 1:
-                continue
-            coeff = clebsch_gordan(1, m1, 1, m2, 2, m).to_complex()
-            if coeff == 0:
-                continue
-            e1 = s[:, basis_index(1, m1)]
-            e2 = s[:, basis_index(1, m2)]
-            basis[idx] += coeff * np.outer(e1, e2)
-    return basis
-
-
-def spherical_rank2_to_cartesian(f: TensorField) -> list[list[np.ndarray]]:
-    """Expand a rank-2 spherical field into its 3x3 cartesian sample arrays."""
-    if f.basis != "spherical" or f.l != 2:
-        raise ValueError("expected a rank-2 spherical field")
-    t = np.einsum("mij,mzyx->ijzyx", rank2_cartesian_basis(), f.data)
-    return [[t[i, j] for j in range(3)] for i in range(3)]
-
-
-def pack_rank2(tensor, grid: GridSpec) -> TensorField:
-    """Pack a symmetric traceless 3x3 sample tensor as (T11, T12, T13, T22, T23).
-
-    The entries left out must follow from the packed ones, to within 1e-10 of
-    the largest packed sample: a ValueError names the symmetry or the trace.
-    """
-    t = np.asarray(tensor, dtype=np.complex128)
-    packed = TensorField(2, "cartesian", grid, np.stack([t[i, j] for i, j in RANK2_SLOTS]))
-    tol = 1e-10 * float(np.max(np.abs(packed.data))) + 1e-300
-    if not np.allclose(t, t.swapaxes(0, 1), rtol=0, atol=tol):
-        raise ValueError("tensor must be symmetric")
-    if not np.allclose(np.trace(t), 0, rtol=0, atol=tol):
-        raise ValueError("tensor must be traceless")
-    return packed
-
-
-def unpack_rank2(f: TensorField) -> list[list[np.ndarray]]:
-    if f.basis != "cartesian" or f.l != 2:
-        raise ValueError("expected a packed cartesian rank-2 field")
-    t11, t12, t13, t22, t23 = f.data
-    t33 = -t11 - t22
-    return [[t11, t12, t13], [t12, t22, t23], [t13, t23, t33]]
-
-
-def curl_rank2_field(tensor, grid: GridSpec) -> list[list[np.ndarray]]:
-    """Rank-2 cartesian curl of grid-sampled tensor entries."""
-    return unpack_rank2(apply_operator(cartesian_curl_rank2(), pack_rank2(tensor, grid)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,29 @@
+"""Test-side constructions that read the package's types but not the code
+under test: a one-entry operator mutant for the mutation guards, and a
+field's gradient scale from a plain numpy FFT."""
+
+import numpy as np
+
+from curlmat.diffop import OpMatrix
+
+
+def flip_entry(op: OpMatrix, i: int, j: int) -> OpMatrix:
+    """`op` with the sign of entry (i, j) flipped."""
+    rows = [[op.entry(r, c) for c in range(op.cols)] for r in range(op.rows)]
+    rows[i][j] = -rows[i][j]
+    return OpMatrix.from_rows(rows, op.tag)
+
+
+def gradient_scale(f) -> float:
+    """The L2 norm of |k| f: sqrt(sum |k|^2 |f^|^2 * cell volume / N) over
+    the modes and components of ``np.fft.fftn``.  Each axis's Nyquist
+    wavenumber is zero, as in the first-derivative symbols of the residuals
+    this scales."""
+    n, box = f.grid.n, f.grid.box
+    k = [2 * np.pi * np.fft.fftfreq(n[a], d=box[a] / n[a]) for a in range(3)]
+    for a in range(3):
+        k[a][n[a] // 2] = 0.0
+    k2 = k[0][None, None, :] ** 2 + k[1][None, :, None] ** 2 + k[2][:, None, None] ** 2
+    spectrum = np.fft.fftn(f.data, axes=(-3, -2, -1))
+    total = np.sum(k2 * np.abs(spectrum) ** 2)
+    return float(np.sqrt(total * f.grid.cell_volume / f.grid.ntotal))

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from curlmat import builders
-from curlmat.angular import basis_index, clebsch_gordan
+from curlmat.angular import angular_matrices
 from curlmat.builders import (RANK2_SLOTS, build_cartesian_curls, build_curl_cg,
                               build_curl_complex, build_curl_hermitian,
-                              build_curl_ladder, build_curl_ldotgrad,
+                              build_curl_ldotgrad,
                               build_div, build_grad, cartesian_curl_rank2,
                               cartesian_div, cartesian_grad, cartesian_transform,
                               cartesian_transform_inverse, conventions,
@@ -100,6 +100,17 @@ class TestShapes:
             build_curl_ldotgrad(9)
 
 
+def build_curl_ladder(l: int) -> OpMatrix:
+    """A third curl construction, the ladder form
+    [Lz*dz + (L+*d- + L-*d+)/2]/(i*l) with d(+/-) = dx +/- i*dy."""
+    ang = angular_matrices(l)
+    half, scale = Fraction(1, 2), imag(Fraction(-1, l))
+    rows = [[(DZ * ang.lz[r][c] + (DX - DY * I) * (ang.lplus[r][c] * half)
+              + (DX + DY * I) * (ang.lminus[r][c] * half)) * scale
+             for c in range(2 * l + 1)] for r in range(2 * l + 1)]
+    return OpMatrix.from_rows(rows, spherical_tag(l, l))
+
+
 class TestDualConstruction:
     @pytest.mark.parametrize("l", range(1, 9))
     def test_cg_equals_ldotgrad(self, l):
@@ -135,10 +146,10 @@ class TestHermitianComplexStructure:
 
 class TestCartesianTransform:
     def test_unitary(self):
-        s = cartesian_transform()
+        s = cartesian_transform(1)
         eye = OpMatrix.identity(3, s.tag)
-        assert s @ cartesian_transform_inverse() == eye
-        assert cartesian_transform_inverse() @ s == eye
+        assert s @ cartesian_transform_inverse(1) == eye
+        assert cartesian_transform_inverse(1) @ s == eye
 
     def test_curl_conjugates_to_cartesian(self):
         assert to_cartesian(build_curl_cg(1)) == ref.cartesian_curl_matrix()
@@ -147,11 +158,15 @@ class TestCartesianTransform:
         eye = OpMatrix.identity(3, spherical_tag(1, 1))
         assert to_cartesian(eye) == OpMatrix.identity(3, CARTESIAN)
 
+    def test_rank2_identity_maps_to_identity(self):
+        eye = OpMatrix.identity(5, spherical_tag(2, 2))
+        assert to_cartesian(eye) == OpMatrix.identity(5, CARTESIAN)
+
     def test_singular_reference_variant(self):
         # the variant with row 2 = i * row 1 is singular, hence the erratum
         bad = np.array([[-1, 0, 1], [-1j, 0, 1j], [0, np.sqrt(2), 0]]) / np.sqrt(2)
         assert abs(np.linalg.det(bad)) < 1e-12
-        good = cartesian_transform().symbol_at((0, 0, 0))
+        good = cartesian_transform(1).symbol_at((0, 0, 0))
         assert abs(abs(np.linalg.det(good)) - 1) < 1e-12
 
     def test_erratum_recorded(self):
@@ -159,8 +174,62 @@ class TestCartesianTransform:
         assert "transform-matrix-singular" in ids
 
     def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            to_cartesian(build_curl_cg(2))
+        with pytest.raises(ValueError, match="got a spherical operator from rank 3"):
+            to_cartesian(build_curl_cg(3))
+
+    @pytest.mark.parametrize("op", [build_cartesian_curls().curl, cartesian_transform(1),
+                                    build_div(2)], ids=["cartesian", "transform", "div"])
+    def test_only_spherical_rank_preserving_operators_convert(self, op):
+        # a cartesian operator is not converted a second time
+        with pytest.raises(ValueError, match="expects a spherical operator"):
+            to_cartesian(op)
+
+    @pytest.mark.parametrize("l", (0, 3))
+    def test_ranks_without_transform(self, l):
+        with pytest.raises(ValueError, match="l = 1 or 2"):
+            cartesian_transform(l)
+        with pytest.raises(ValueError, match="l = 1 or 2"):
+            cartesian_transform_inverse(l)
+
+
+def _unpack(column) -> list[list[ExactScalar]]:
+    """The 3x3 tensor whose `RANK2_SLOTS` entries are `column`, the lower
+    triangle mirrored and T33 = -T11 - T22."""
+    t = [[ExactScalar()] * 3 for _ in range(3)]
+    for (i, j), value in zip(RANK2_SLOTS, column):
+        t[i][j] = t[j][i] = value
+    t[2][2] = -(t[0][0] + t[1][1])
+    return t
+
+
+def _rank2_units() -> list[list[list[ExactScalar]]]:
+    """E_m, m = 2..-2: the unpacked columns of `cartesian_transform(2)`."""
+    p = cartesian_transform(2)
+    return [_unpack([p.entry(r, m).coefficient((0, 0, 0)) for r in range(5)])
+            for m in range(5)]
+
+
+class TestRank2Transform:
+    def test_columns_are_symmetric_traceless(self):
+        for e in _rank2_units():
+            assert e[0][0] + e[1][1] + e[2][2] == ExactScalar()
+            assert all(e[i][j] == e[j][i] for i in range(3) for j in range(3))
+
+    def test_columns_are_orthonormal(self):
+        units = _rank2_units()
+        for a, ea in enumerate(units):
+            for b, eb in enumerate(units):
+                frobenius = sum((ea[i][j].conj() * eb[i][j]
+                                 for i in range(3) for j in range(3)), ExactScalar())
+                assert frobenius == (ONE if a == b else ExactScalar()), (a, b)
+
+    def test_stretched_components_are_products_of_rank1_columns(self):
+        # CG(1 +-1 1 +-1 | 2 +-2) = 1: E_(+-2) = s_(+-1) s_(+-1)^T
+        s = cartesian_transform(1)
+        units = _rank2_units()
+        for m, col in ((0, 0), (4, 2)):
+            v = [s.entry(i, col).coefficient((0, 0, 0)) for i in range(3)]
+            assert units[m] == [[v[i] * v[j] for j in range(3)] for i in range(3)]
 
 
 class TestCartesianCurls:
@@ -239,44 +308,11 @@ class TestRank2Curl:
             curl_rank2_cartesian(t)
 
 
-def _spherical_to_packed() -> tuple[OpMatrix, OpMatrix]:
-    """Exact P taking rank-2 spherical components (m = 2..-2) to the packed
-    cartesian slots, and its inverse, both from Clebsch-Gordan data.
-
-    Component m is the symmetric traceless matrix
-    E_m = sum CG(1 m1 1 m2 | 2 m) s_m1 s_m2^T over the columns s_mu of the
-    rank-1 transform; the E_m are orthonormal, so f_m = <E_m, T>.
-    """
-    s = cartesian_transform()
-    col = lambda i, mu: s.entry(i, basis_index(1, mu)).coefficient((0, 0, 0))
-    basis = []
-    for m in range(2, -3, -1):
-        e = [[ExactScalar()] * 3 for _ in range(3)]
-        for m1 in (1, 0, -1):
-            m2 = m - m1
-            if abs(m2) <= 1:
-                cg = clebsch_gordan(1, m1, 1, m2, 2, m)
-                for i in range(3):
-                    for j in range(3):
-                        e[i][j] = e[i][j] + cg * col(i, m1) * col(j, m2)
-        basis.append(e)
-    p = [[e[i][j] for e in basis] for i, j in RANK2_SLOTS]
-
-    def weight(e, i, j):
-        # slot (i, j) also stands for T_ji, and a diagonal slot for its share
-        # of T33 = -T11 - T22
-        other = e[j][i].conj() if i != j else -e[2][2].conj()
-        return e[i][j].conj() + other
-
-    p_inv = [[weight(e, i, j) for i, j in RANK2_SLOTS] for e in basis]
-    return OpMatrix.constant(p, TRANSFORM), OpMatrix.constant(p_inv, TRANSFORM)
-
-
 class TestCartesianCurlRank2:
     def test_transform_inverse_is_exact(self):
-        p, p_inv = _spherical_to_packed()
+        p, p_inv = cartesian_transform(2), cartesian_transform_inverse(2)
         assert p_inv @ p == OpMatrix.identity(5, TRANSFORM)
+        assert p @ p_inv == OpMatrix.identity(5, TRANSFORM)
 
     def test_is_the_spherical_curl_in_packed_coordinates(self):
-        p, p_inv = _spherical_to_packed()
-        assert (p @ build_curl_cg(2) @ p_inv).retag(CARTESIAN) == cartesian_curl_rank2()
+        assert to_cartesian(build_curl_cg(2)) == cartesian_curl_rank2()

@@ -330,6 +330,28 @@ class TestFieldPipeline:
         f = read_ctf(path)
         assert f.l == 2 and f.ncomp == 5
 
+    def test_gen_planewave_cartesian_rank2(self, capsys, tmp_path):
+        path = tmp_path / "pw.ctf"
+        code, _, _ = run_cli(capsys, "gen", "--preset", "planewave",
+                             "--basis", "cartesian", "--l", "2", "--m", "1",
+                             "--jx", "0", "--jy", "1", "--jz", "1",
+                             "--grid", "8", "--out", str(path))
+        assert code == 0
+        f = read_ctf(path)
+        assert f.l == 2 and f.basis == "cartesian" and f.ncomp == 5
+
+    @pytest.mark.parametrize("basis", ["spherical", "cartesian"])
+    def test_gen_rejects_negative_rank(self, capsys, tmp_path, basis):
+        path = tmp_path / "f.ctf"
+        code, out, err = run_cli(capsys, "gen", "--preset", "random-bandlimited",
+                                 "--basis", basis, "--l", "-1", "--grid", "8",
+                                 "--out", str(path))
+        assert code == 1 and out == ""
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert errors == ["error: rank l must be a non-negative integer, got -1"]
+        assert err.splitlines()[-1] == errors[0]
+        assert not path.exists()
+
     def test_gen_deterministic(self, capsys, tmp_path):
         a, b = tmp_path / "a.ctf", tmp_path / "b.ctf"
         for path in (a, b):

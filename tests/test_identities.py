@@ -12,6 +12,8 @@ from curlmat.identities import (MAX_ORDER, OperatorSet, all_pass,
                                 verify_exponential, verify_hermitian_suite,
                                 verify_power_laws, verify_suite)
 
+from oracles import flip_entry
+
 
 def _no_compose(self, other):
     raise AssertionError("an order past MAX_ORDER must be refused before any compose")
@@ -124,15 +126,11 @@ class TestReportShape:
         assert payload["witness"] is None
 
     def test_failure_carries_witness(self):
-        mutant = _flip_entry(build_curl_cg(1), 0, 0)
+        mutant = flip_entry(build_curl_cg(1), 0, 0)
         reports = verify_core_identities(2, OperatorSet({1: mutant}))
         failed = [r for r in reports if not r.passed]
         assert failed
         assert all(r.witness is not None and not r.witness.is_zero for r in failed)
-
-
-def _flip_entry(op, i, j):
-    return op.replace_entry(i, j, -op.entry(i, j))
 
 
 def _failure_count(ops: OperatorSet) -> int:
@@ -152,7 +150,7 @@ class TestMutationSensitivity:
                 if curl.entry(i, j).is_zero:
                     continue
                 flips += 1
-                mutant = _flip_entry(curl, i, j)
+                mutant = flip_entry(curl, i, j)
                 assert _failure_count(OperatorSet({1: mutant})) >= 3, (i, j)
         assert flips == 6  # the corners and the center of the rank-1 curl are zero
 
@@ -164,7 +162,7 @@ class TestMutationSensitivity:
             for j in range(3):
                 if curl.entry(i, j).is_zero:
                     continue
-                ops = OperatorSet({1: _flip_entry(curl, i, j)})
+                ops = OperatorSet({1: flip_entry(curl, i, j)})
                 reports = verify_suite(suite, 2, 0, 0, ops)
                 assert any(not r.passed for r in reports), (suite, i, j)
 

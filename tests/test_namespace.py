@@ -1,8 +1,11 @@
 """The package namespace: the exact half is imported eagerly, the numeric
-half's names resolve on first read, and every name of `__all__` works."""
+half's names resolve on first read, every name of `__all__` works, and no
+public library code is left that only tests call."""
 
+import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -71,3 +74,33 @@ def test_a_lazy_name_loads_only_its_module(name, loaded):
                           env={**os.environ, "PYTHONPATH": path}, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == str(loaded)
+
+
+ROOT = Path(__file__).resolve().parents[1]
+LIBRARY = sorted((ROOT / "src" / "curlmat").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+
+
+def _public_definitions(path):
+    """The public top-level functions and classes of a module, and the public
+    methods of its classes, as ``name`` or ``Class.method``."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name
+            if isinstance(node, ast.ClassDef):
+                yield from (f"{node.name}.{sub.name}" for sub in node.body
+                            if isinstance(sub, ast.FunctionDef)
+                            and not sub.name.startswith("_"))
+
+
+def test_no_library_code_only_tests_call():
+    # a public definition is exported in `__all__`, or named in `src/curlmat`
+    # or `perfbench` beyond the `def` or `class` that makes it: a caller, a
+    # traced target or a docstring reference
+    named = set()
+    for path in LIBRARY:
+        named.update(re.findall(r"\w+", re.sub(r"\b(?:def|class)\s+\w+", "", path.read_text())))
+    package = [path for path in LIBRARY if path.parent.name == "curlmat"]
+    assert len(package) > 5
+    unused = [f"{path.stem}.{name}" for path in package for name in _public_definitions(path)
+              if name not in curlmat.__all__ and name.rpartition(".")[2] not in named]
+    assert unused == []

@@ -6,22 +6,22 @@ import numpy as np
 import pytest
 
 from curlmat import evolve, spectral
-from curlmat.builders import (build_cartesian_curls, build_curl_cg,
-                              build_div, build_grad, cartesian_div, cartesian_grad)
+from curlmat.builders import (build_cartesian_curls, build_curl_cg, build_div,
+                              build_grad, cartesian_curl_rank2, cartesian_div,
+                              cartesian_grad, cartesian_transform,
+                              cartesian_transform_inverse)
 from curlmat.diffop import DiffPoly, OpMatrix, spherical_tag
 from curlmat.evolve import random_state, run_spectral, step_rk4
 from curlmat.exactnum import ONE
 from curlmat.identities import curl_alpha_pairs
 from curlmat.spectral import (GridSpec, TensorField, _fft, _ifft, apply_operator,
-                              apply_symbol,
-                              complex_curl_field, curl_rank2_field,
-                              example_rotation_fields, gradient_scale,
-                              helmholtz, pack_rank2, plane_wave,
-                              random_bandlimited, rank2_cartesian_basis,
-                              read_ctf, reconstruction_residual,
+                              apply_symbol, complex_curl_field,
+                              example_rotation_fields, helmholtz, plane_wave,
+                              random_bandlimited, read_ctf, reconstruction_residual,
                               relative_complex_curl, relative_divergence,
-                              spherical_rank2_to_cartesian, symbol_entries,
-                              unpack_rank2, wavevector, write_ctf)
+                              symbol_entries, wavevector, write_ctf)
+
+from oracles import gradient_scale
 
 TWO_PI = 2 * np.pi
 
@@ -177,7 +177,7 @@ class TestSplitFft:
             f = random_bandlimited(grid, 1, "cartesian", seed=12)
             perp, par = helmholtz(f)
             return [f.data, apply_operator(curl, f).data, perp.data, par.data,
-                    gradient_scale(f), relative_divergence(f), relative_complex_curl(f)]
+                    relative_divergence(f), relative_complex_curl(f)]
 
         want = results()
         paired = count_pairs(monkeypatch)
@@ -186,7 +186,7 @@ class TestSplitFft:
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
         # an ifftn in random_bandlimited, an fftn and an ifftn in each of
         # apply_operator and helmholtz, an fftn in each residual
-        assert len(paired) == 1 + 2 + 2 + 3
+        assert len(paired) == 1 + 2 + 2 + 2
 
     @pytest.mark.parametrize("halves", ["serial", "split"])
     def test_evolve_transforms_stay_on_one_thread(self, grid, monkeypatch, halves):
@@ -221,6 +221,13 @@ class TestTensorField:
             TensorField(1, "spherical", grid, np.zeros((4, 16, 16, 16)))
         with pytest.raises(ValueError):
             TensorField(3, "cartesian", grid, np.zeros((7, 16, 16, 16)))
+
+    @pytest.mark.parametrize("basis", ["spherical", "cartesian"])
+    def test_negative_rank_rejected(self, grid, basis):
+        with pytest.raises(ValueError, match="rank l must be a non-negative integer, got -1"):
+            TensorField(-1, basis, grid, np.zeros((3, 16, 16, 16)))
+        with pytest.raises(ValueError, match="non-negative"):
+            TensorField.zeros(grid, -1, basis)
 
     def test_finite_validation(self, grid):
         data = np.zeros((3, 16, 16, 16), dtype=complex)
@@ -259,6 +266,20 @@ class TestApplyOperator:
         k = np.linalg.norm(wavevector(grid, (2, 1, 0)))
         # the unitary basis change preserves the eigenrelation curl f = m|k| f
         assert (out - f * k).norm() <= 1e-9 * f.norm()
+
+    @pytest.mark.parametrize("m", [2, 1, 0, -1, -2])
+    def test_cartesian_rank2_plane_wave_eigenmode(self, grid, m):
+        # the packed wave keeps the eigenrelation curl f = (m|k|/2) f
+        jvec = (1, 2, 0)
+        f = plane_wave(grid, 2, m, jvec, basis="cartesian")
+        assert f.basis == "cartesian" and f.ncomp == 5
+        out = apply_operator(cartesian_curl_rank2(), f)
+        expected = f * (m * np.linalg.norm(wavevector(grid, jvec)) / 2)
+        assert (out - expected).norm() <= 1e-9 * f.norm()
+
+    def test_cartesian_plane_wave_ranks(self, grid):
+        with pytest.raises(ValueError, match="l = 1 or 2"):
+            plane_wave(grid, 3, 1, (1, 0, 0), basis="cartesian")
 
     def test_curl_of_gradient_vanishes(self, grid):
         scalar = random_bandlimited(grid, 0, "cartesian", seed=4)
@@ -534,21 +555,30 @@ def test_random_bandlimited_rejects_bad_kcut(grid, kcut):
         random_bandlimited(grid, 1, "cartesian", kcut=kcut)
 
 
-class TestRank2Views:
-    def test_basis_symmetric_traceless(self):
-        basis = rank2_cartesian_basis()
-        for mat in basis:
-            assert np.allclose(mat, mat.T, atol=1e-14)
-            assert abs(np.trace(mat)) < 1e-14
+def _to_packed(f: TensorField) -> TensorField:
+    """A rank-2 spherical field in the packed cartesian basis."""
+    p = cartesian_transform(2).symbol_at((0, 0, 0))
+    return TensorField(2, "cartesian", f.grid, np.einsum("ab,bzyx->azyx", p, f.data))
 
+
+def _unpack(packed: np.ndarray) -> list[list[np.ndarray]]:
+    """The 3x3 arrays of a rank-2 cartesian tensor packed on the first axis."""
+    t11, t12, t13, t22, t23 = packed
+    return [[t11, t12, t13], [t12, t22, t23], [t13, t23, -t11 - t22]]
+
+
+class TestRank2Views:
     def test_roundtrip_pack_unpack(self, grid):
+        # component m is the Frobenius product of E_m, the unpacked column m
+        # of the transform, with the unpacked tensor; so is the inverse's
         f = random_bandlimited(grid, 2, "spherical", seed=18)
-        tensor = spherical_rank2_to_cartesian(f)
-        packed = pack_rank2(tensor, grid)
-        unpacked = unpack_rank2(packed)
-        for i in range(3):
-            for j in range(3):
-                assert np.allclose(unpacked[i][j], tensor[i][j], atol=1e-13)
+        packed = _to_packed(f).data
+        units = np.array(_unpack(cartesian_transform(2).symbol_at((0, 0, 0))))
+        read = np.einsum("ijm,ijzyx->mzyx", units.conj(), np.array(_unpack(packed)))
+        inverse = cartesian_transform_inverse(2).symbol_at((0, 0, 0))
+        back = np.einsum("ab,bzyx->azyx", inverse, packed)
+        assert np.allclose(read, f.data, atol=1e-13)
+        assert np.allclose(back, f.data, atol=1e-13)
 
     def test_grid_curl_of_single_mode(self, grid):
         # T12 = T21 = exp(i*k*z): output follows the printed entry formulas
@@ -556,8 +586,8 @@ class TestRank2Views:
         kz = 3.0
         f = np.exp(1j * kz * z) * np.ones((16, 16, 16))
         zero = np.zeros_like(f)
-        t = [[zero, f, zero], [f, zero, zero], [zero, zero, zero]]
-        out = curl_rank2_field(t, grid)
+        packed = TensorField(2, "cartesian", grid, np.stack([zero, f, zero, zero, zero]))
+        out = _unpack(apply_operator(cartesian_curl_rank2(), packed).data)
         dzf = 1j * kz * f
         assert np.allclose(out[0][0], -dzf, atol=1e-10)
         assert np.allclose(out[1][1], dzf, atol=1e-10)
@@ -570,18 +600,9 @@ class TestRank2Views:
 
     def test_grid_curl_matches_spherical_curl(self, grid):
         f = random_bandlimited(grid, 2, "spherical", seed=22)
-        got = np.array(curl_rank2_field(spherical_rank2_to_cartesian(f), grid))
-        want = np.array(spherical_rank2_to_cartesian(apply_operator(build_curl_cg(2), f)))
+        got = np.array(_unpack(apply_operator(cartesian_curl_rank2(), _to_packed(f)).data))
+        want = np.array(_unpack(_to_packed(apply_operator(build_curl_cg(2), f)).data))
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
-
-    @pytest.mark.parametrize("entry,shift,match", [
-        ((1, 0), 1e-3, "symmetric"), ((2, 2), 1.0, "traceless")])
-    def test_pack_rejects_dropped_entry_mismatch(self, grid, entry, shift, match):
-        tensor = spherical_rank2_to_cartesian(random_bandlimited(grid, 2, "spherical", seed=23))
-        i, j = entry
-        tensor[i][j] = tensor[i][j] + shift
-        with pytest.raises(ValueError, match=match):
-            pack_rank2(tensor, grid)
 
 
 class TestCtfFormat:
