@@ -35,26 +35,33 @@ split size not at all.
 same equations with the curl symbol itself, never its eigenvectors.  In the
 complex fields F+- = TE +- i*TB the pair decouples, d/dt F+- = -+i*c*CURL F+-.
 The system is linear and autonomous, so the classical step is the
-polynomial R(dt A) = 1 + dt A + (dt A)^2/2 + (dt A)^3/6 + (dt A)^4/24, which
-it evaluates in Horner form on the spectrum.  The step is an F+ half and an
-F- half that never read each other: each runs the four Horner stages
-x + (-+i*c*dt/j) CURL y on its own spectrum, each one fused symbol pass (the
-curl entries cached per (operator, grid)), and checks that its result is
-finite.  No stage needs the grid, so the state a step returns holds the F+-
-spectra of its last stage, read-only, in place of its fields, and makes both
-fields, TE = (F+ + F-)/2 and TB = (F+ - F-)/(2i), with one inverse FFT only
-when one is read (`EvolutionState`).  The next step and `diagnostics` read
-the spectra; the band frame is linear, so z+- are the F+- spectra taken to
-it.  A fresh state, or one whose fields were replaced, is FFT'd.  So a march
-of bare steps makes one `fftn` per field, at its first step, and no
-`ifftn`.  From `RK4_SPLIT_SAMPLES` samples per field, and when the process
-may use more than one CPU, the F- half runs on a thread started for the
-step; numpy's array arithmetic releases the interpreter lock, so the halves
-overlap.  Smaller steps run the halves in turn on the calling thread.
-Either way each half makes the same sums in the same order, so the result is
-the same bit for bit.  `run_rk4` marches `step_rk4` with `run_spectral`'s
-counts, log and dump rules.  Both steppers reject a step whose largest
-phase c*dt*kmax is not finite before building anything.
+polynomial R(dt A) = 1 + dt A + (dt A)^2/2 + (dt A)^3/6 + (dt A)^4/24, the
+same for every step of one (l, grid, c*dt).  `_rk4_table` builds
+R = R(-i*c*dt*CURL), F+'s step, once per mode and caches it: column j is
+the four Horner stages x + (-i*c*dt/k) CURL y, k = 4, 3, 2, 1, run on the
+unit spectrum of component j, so the Horner form stays R's one definition
+and the table comes from the curl symbol alone.  The curl symbol is
+Hermitian at every mode, so F-'s step R(+i*c*dt*CURL) is R^H, read from
+the same table as conj(R^T conj(x)): one table is held, (2l+1)^2 complex
+values per mode (4.7 MB at 32^3, l = 1; 13 MB at l = 2), rebuilt when l,
+the grid or c*dt changes.  The step is an F+ half and an F- half that never
+read each other: each is one pass over the table and its own spectrum
+(`_rk4_pass`) and checks that its result is finite.  No pass needs the
+grid, so the state a step returns holds the new F+- spectra, read-only, in
+place of its fields, and makes both fields, TE = (F+ + F-)/2 and
+TB = (F+ - F-)/(2i), with one inverse FFT only when one is read
+(`EvolutionState`).  The next step and `diagnostics` read the spectra; the
+band frame is linear, so z+- are the F+- spectra taken to it.  A fresh
+state, or one whose fields were replaced, is FFT'd.  So a march of bare
+steps makes one `fftn` per field, at its first step, and no `ifftn`.  From
+`RK4_SPLIT_SAMPLES` samples per field, and when the process may use more
+than one CPU, the F- half runs on a thread started for the step; numpy's
+array arithmetic releases the interpreter lock, so the halves overlap.
+Smaller steps run the halves in turn on the calling thread.  Either way
+each half makes the same sums in the same order, so the result is the same
+bit for bit.  `run_rk4` marches `step_rk4` with `run_spectral`'s counts,
+log and dump rules.  Both steppers reject a step whose largest phase
+c*dt*kmax is not finite before building anything.
 """
 
 from __future__ import annotations
@@ -68,8 +75,7 @@ import numpy as np
 
 from .builders import build_curl_complex, build_curl_ldotgrad, build_div
 from .spectral import (GridSpec, TensorField, _fft, _ifft, _in_step, _relative_residual,
-                       apply_operator, apply_symbol, plane_wave, random_bandlimited,
-                       symbol_entries)
+                       apply_operator, apply_symbol, plane_wave, random_bandlimited)
 
 
 @dataclass
@@ -439,10 +445,14 @@ def run_spectral(state: EvolutionState, dt: float, steps: int,
 
 
 RK4_STABILITY_BOUND = 2.8
-# Samples per field, (2l+1) n^3, from which step_rk4 splits: on 2 cores the
-# split step took 1.5-1.7x the serial time at 16^3, l = 1, 0.97-1.16x at
-# 20^3, l = 1, 0.83-0.85x at 20^3, l = 2 and 0.58-0.62x at 32^3, l = 1
-RK4_SPLIT_SAMPLES = 2 ** 15
+# Samples per field, (2l+1) n^3, from which step_rk4 splits.  A half is one
+# table pass, about 1 ms at 32^3, l = 1, so the thread start a split step
+# makes pays only on large grids: on 2 cores the split step took 2.9x the
+# serial time at 16^3, l = 1, 1.8x at 20^3, l = 1, 1.3x at 20^3, l = 2,
+# 1.15x at 24^3, l = 1, 0.96-0.98x at 26^3, l = 1 and 22^3, l = 2 (53,000
+# samples), 0.84-0.95x at 28^3, l = 1, 0.86x at 24^3, l = 2, 0.53x at
+# 28^3, l = 2 and 0.60-0.65x at 32^3, l = 1 and 2 (medians of 15 blocks)
+RK4_SPLIT_SAMPLES = 2 ** 16
 # Modes per field, n^3, from which run_spectral splits.  Its march makes ten
 # calls per band row and logged step, each over the half's modes, so the
 # split pays once those calls are long, whatever l is: 200 logged steps in
@@ -472,14 +482,15 @@ def _spectra_of(state: EvolutionState) -> np.ndarray:
 def step_rk4(state: EvolutionState, dt: float) -> EvolutionState:
     """Classical 4th-order step; cross-validates the exact propagator.
 
-    The returned state holds the last stage's spectra, read-only, and makes
-    its fields from them only when they are read (`EvolutionState`), so a
-    march of bare steps makes one `fftn` per field, at its first step, and
-    no `ifftn`.  A kept state costs its spectra pair, and its field pair as
-    well once read.  A ValueError is raised at the step whose new spectra
-    hold a value that is not finite.  From `RK4_SPLIT_SAMPLES` samples per
-    field, given a second CPU, the F- half runs on a thread joined before
-    this returns (module docstring).
+    Each half is one pass over the cached one-step table R(-i*c*dt*CURL)
+    (`_rk4_table`): F+ is R F+ and F- is R^H F- (module docstring).  The
+    returned state holds the new spectra, read-only, and makes its fields
+    from them only when they are read (`EvolutionState`), so a march of bare
+    steps makes one `fftn` per field, at its first step, and no `ifftn`.  A
+    kept state costs its spectra pair, and its field pair as well once read.
+    A ValueError is raised at the step whose new spectra hold a value that
+    is not finite.  From `RK4_SPLIT_SAMPLES` samples per field, given a
+    second CPU, the F- half runs on a thread joined before this returns.
     """
     phase = check_dt(state.grid, state.c, dt)
     if abs(phase) >= RK4_STABILITY_BOUND:  # |R(i*theta)| is even in theta
@@ -487,30 +498,64 @@ def step_rk4(state: EvolutionState, dt: float) -> EvolutionState:
             f"rk4 step dt*c*kmax = {phase:.3f}"
             f" exceeds the stability bound {RK4_STABILITY_BOUND}",
             RuntimeWarning, stacklevel=2)
-    curl = build_curl_ldotgrad(state.l)
     grid = state.grid
-    # x holds the F+- spectra, only read by the stages; d/dt F+- = A F+- for
-    # A = -+i c CURL
-    x = _spectra_of(state)
-    nxt = (np.empty_like(x), np.empty_like(x))
+    table = _rk4_table(state.l, grid, state.c * dt)  # here, or both halves would build it
+    x = _spectra_of(state)  # only read by the passes
+    out = np.empty_like(x)
 
     def half(h):
-        """F+ (h = 0) or F- part of the step, left in nxt[1][h]."""
-        # R(dt A) x in Horner form (module docstring): y <- x + (dt/j) A y for
-        # j = 4, 3, 2, 1, from y = x itself.  A stage cannot write the
-        # spectrum it reads, so the stages write to nxt[0] and nxt[1] in turn
-        y = x[h]
-        for i, j in enumerate((4, 3, 2, 1)):
-            weight = state.c * dt / j
-            y = apply_symbol(curl, grid, y, out=nxt[i % 2][h],
-                             scale=weight * (1j if h else -1j), base=x[h])
+        """F+ (h = 0) or F- part of the step, left in out[h]."""
+        y = _rk4_pass(table, x[h], out[h], adjoint=bool(h))
         if not np.isfinite(y.view(np.float64)).all():  # twice as fast as on complex
             raise ValueError("field contains non-finite samples")
 
-    symbol_entries(curl, grid)  # cached here, or both halves would build it
     _in_step(x[0].size >= RK4_SPLIT_SAMPLES, partial(half, 0), partial(half, 1))
-    nxt[1].flags.writeable = False
-    return EvolutionState._of_spectra(nxt[1], state.l, grid, state.t + dt, state.c)
+    out.flags.writeable = False
+    return EvolutionState._of_spectra(out, state.l, grid, state.t + dt, state.c)
+
+
+@lru_cache(maxsize=1)
+def _rk4_table(l: int, grid: GridSpec, theta: float) -> np.ndarray:
+    """R(-i*theta*CURL), one RK4 step of F+ for theta = c*dt, at every mode:
+    table[j, i] is its entry R_ij, so table[j] is column j.  Column j is the
+    four Horner stages y <- e + (-i*theta/k) CURL y, k = 4, 3, 2, 1, from
+    y = e, run on the unit spectrum e of component j, the last stage written
+    into the table.  Read-only: every step with this (l, grid, theta) shares
+    it, and one table is held at a time."""
+    curl = build_curl_ldotgrad(l)
+    dim = 2 * l + 1
+    shape = (dim, grid.n[2], grid.n[1], grid.n[0])
+    table = np.empty((dim,) + shape, dtype=np.complex128)
+    stages = np.empty((2,) + shape, dtype=np.complex128)
+    for j, unit in enumerate(np.eye(dim, dtype=np.complex128)):
+        e = np.broadcast_to(unit[:, None, None, None], shape)
+        y = e
+        for i, k in enumerate((4, 3, 2, 1)):
+            y = apply_symbol(curl, grid, y, out=table[j] if k == 1 else stages[i % 2],
+                             scale=theta / k * -1j, base=e)
+    table.flags.writeable = False
+    return table
+
+
+def _rk4_pass(table: np.ndarray, x: np.ndarray, out: np.ndarray,
+              adjoint: bool) -> np.ndarray:
+    """R x into `out`, R the matrix of `_rk4_table` at every mode: out_i is
+    sum_j R_ij x_j.  With `adjoint`, R^H x instead, from the same table as
+    conj(sum_j R_ji conj(x_j)).  Either sum adds its terms for j = 0, 1, ...
+    in turn, so a half makes the same bits on any thread."""
+    term = np.empty_like(x[0])
+    xj = np.empty_like(x[0]) if adjoint else None
+    for j in range(len(x)):
+        src = np.conjugate(x[j], out=xj) if adjoint else x[j]
+        for i in range(len(x)):
+            entry = table[i, j] if adjoint else table[j, i]
+            if j:
+                out[i] += np.multiply(entry, src, out=term)
+            else:
+                np.multiply(entry, src, out=out[i])
+    if adjoint:
+        np.conjugate(out, out=out)
+    return out
 
 
 def run_rk4(state: EvolutionState, dt: float, steps: int,

@@ -62,6 +62,15 @@ class GridSpec:
             raise ValueError(f"box lengths must be finite, got {self.box!r}") from None
         if not all(math.isfinite(v) and v > 0 for v in self.box):
             raise ValueError("box lengths must be positive and finite")
+        # the symbols square the wavenumbers, up to 2 pi (n/2) / box, and
+        # every norm and energy is weighted by the cell volume
+        k2 = sum((math.pi * n / v) * (math.pi * n / v) for n, v in zip(self.n, self.box))
+        if not math.isfinite(k2):
+            raise ValueError(f"box lengths {self.box} are too small for {self.n} points: "
+                             f"the squared wavenumbers 2*pi*(n/2)/box overflow")
+        if not 0 < self.cell_volume < math.inf:
+            raise ValueError(f"box lengths {self.box} give {self.n} points a cell volume "
+                             f"of {self.cell_volume}; it must be positive and finite")
 
     @property
     def ntotal(self) -> int:
@@ -447,6 +456,11 @@ def plane_wave(grid: GridSpec, l: int, m: int, jvec: tuple[int, int, int],
     in cartesian ones."""
     if jvec == (0, 0, 0):
         raise ValueError("plane wave needs a nonzero mode index")
+    if any(abs(j) >= n // 2 for j, n in zip(jvec, grid.n)):
+        # n/2 is the Nyquist index, whose derivative symbol is zeroed, and
+        # past it an index aliases to a lower one
+        raise ValueError(f"mode index {tuple(jvec)} is not resolved on a {grid.n} grid: "
+                         f"each |j| must be below n/2")
     if abs(m) > l:
         raise ValueError("helicity band must satisfy |m| <= l")
     if not np.isfinite(amplitude):

@@ -1,10 +1,13 @@
 """Test-side constructions that read the package's types but not the code
-under test: a one-entry operator mutant for the mutation guards, and a
-field's gradient scale from a plain numpy FFT."""
+under test: a one-entry operator mutant for the mutation guards, a field's
+gradient scale from a plain numpy FFT, and the RK4 step of a spectrum stage
+by stage."""
 
 import numpy as np
 
+from curlmat.builders import build_curl_ldotgrad
 from curlmat.diffop import OpMatrix
+from curlmat.spectral import apply_symbol
 
 
 def flip_entry(op: OpMatrix, i: int, j: int) -> OpMatrix:
@@ -27,3 +30,15 @@ def gradient_scale(f) -> float:
     spectrum = np.fft.fftn(f.data, axes=(-3, -2, -1))
     total = np.sum(k2 * np.abs(spectrum) ** 2)
     return float(np.sqrt(total * f.grid.cell_volume / f.grid.ntotal))
+
+
+def rk4_horner(l: int, grid, spectrum: np.ndarray, theta: float) -> np.ndarray:
+    """R(-i*theta*CURL) spectrum, the classical RK4 step of dF/dt = -i*c*CURL F
+    for theta = c*dt, in Horner form: y <- x + (-i*theta/j) CURL y for
+    j = 4, 3, 2, 1 from y = x, each stage applying the curl symbol to the
+    whole spectrum."""
+    curl = build_curl_ldotgrad(l)
+    y = spectrum
+    for j in (4, 3, 2, 1):
+        y = apply_symbol(curl, grid, y, scale=theta / j * -1j, base=spectrum)
+    return y

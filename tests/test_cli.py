@@ -389,6 +389,29 @@ class TestFieldPipeline:
         assert err.startswith("error:") and "amplitude" in err
         assert not path.exists()
 
+    @pytest.mark.parametrize("jx", ["8", "-8", "19"])
+    def test_gen_rejects_unresolved_mode(self, capsys, tmp_path, jx):
+        # on 16 points 8 is the zeroed Nyquist index and 19 aliases to 3
+        path = tmp_path / "f.ctf"
+        code, out, err = run_cli(capsys, "gen", "--preset", "planewave", "--grid", "16",
+                                 "--jx", jx, "--out", str(path))
+        assert code == 1 and out == ""
+        assert err.splitlines() == [f"error: mode index ({jx}, 0, 0) is not resolved on a "
+                                    f"(16, 16, 16) grid: each |j| must be below n/2"]
+        assert not path.exists()
+
+    @pytest.mark.parametrize("box", ["1e-320", "1e-160", "1e200"])
+    def test_gen_rejects_box_the_grid_cannot_use(self, capsys, tmp_path, box):
+        path = tmp_path / "f.ctf"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # rejected before any numpy work
+            code, out, err = run_cli(capsys, "gen", "--preset", "planewave", "--grid", "16",
+                                     "--box", box, "--out", str(path))
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: box lengths ({float(box)}, ")
+        assert not path.exists()
+
     def test_gen_out_of_memory_is_an_error_line(self, capsys, tmp_path):
         # the first allocation, about 24 PB, is refused at once
         path = tmp_path / "f.ctf"
@@ -537,6 +560,22 @@ class TestEvolveCommand:
         assert code == 1
         assert err.startswith("error:") and flag in err
         assert "Warning" not in err and out == ""
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("stepper", ("spectral", "rk4"))
+    @pytest.mark.parametrize("extra", (["--box", "1e-320"], ["--box", "1e200"],
+                                       ["--init", "planewave:1,99,0,0"],
+                                       ["--init", "planewave:1,0,-4,0"]))
+    def test_rejects_grid_or_mode_it_cannot_use(self, capsys, tmp_path, stepper, extra):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy warning on the way
+            code, out, err = run_cli(
+                capsys, "evolve", "--grid", "8", "--steps", "3", "--stepper", stepper,
+                "--out-prefix", str(tmp_path / "r"), *extra)
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1
+        what = "box lengths" if extra[0] == "--box" else "mode index"
+        assert err.startswith(f"error: {what} ") and "dt" not in err
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("dt", ("1e100", "1.0", "-1.0"))

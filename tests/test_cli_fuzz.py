@@ -1,0 +1,110 @@
+"""`evolve` and `gen --preset planewave` flags drawn by hypothesis: every run
+ends in exit 0 with no `error:` line, or in exit 1 with exactly one, and
+never in a traceback or a numpy warning.  The commands run in this process,
+so a warning is caught as one rather than read from stderr; the grids are
+at most 8 points an axis and a run at most 2 steps, so no case starts more
+than a few milliseconds of work.  The module skips without hypothesis,
+which is test-only."""
+
+import contextlib
+import io
+import math
+import shutil
+import warnings
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+
+from hypothesis import event, example, given, settings, strategies as st
+
+from curlmat.cli import main
+
+# floats at the ends of the range, and around the ones a grid can use
+EXTREMES = [math.tau, 1.0, 0.02, -0.02, 0.0, -0.0, 5e-324, 2.2e-308, 1e-300, 1e-160,
+            1e-110, 1e-100, 1e100, 1e110, 1e300, 1.7976931348623157e308, -1e300,
+            math.inf, -math.inf, math.nan]
+
+
+def mostly(valid, hostile, odds=3):
+    """`odds` draws from ``valid`` to one from ``hostile``, so that many runs
+    pass every check and go on to the work."""
+    return st.sampled_from((valid,) * odds + (hostile,)).flatmap(lambda s: s)
+
+
+def flag_float(valid):
+    return mostly(valid, st.sampled_from(EXTREMES) | st.floats(), odds=7)
+
+
+grids = mostly(st.sampled_from([8, 6, 4]), st.sampled_from([2, 0, -4, 7]), odds=7)
+mode_indices = mostly(st.integers(-2, 2), st.sampled_from([-99, -8, -4, 3, 4, 8, 19, 99]),
+                      odds=7)
+
+
+@pytest.fixture(scope="module")
+def work(tmp_path_factory):
+    return tmp_path_factory.mktemp("cli-fuzz")
+
+
+def run(work, argv) -> tuple[int, str]:
+    """`main(argv)` in an empty `work` directory: its exit code and stderr,
+    after checking that it raised nothing and warned nothing."""
+    shutil.rmtree(work)
+    work.mkdir()
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main([str(v) for v in argv])
+    assert [str(w.message) for w in caught] == []
+    return code, err.getvalue()
+
+
+def assert_clean_end(code: int, err: str) -> None:
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert (code, len(errors)) in ((0, 0), (1, 1)), err
+    event(f"exit {code}")
+    assert "Traceback" not in err and "Warning" not in err
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(stepper=st.sampled_from(["rk4", "spectral"]), l=st.sampled_from([1, 2]),
+       grid=grids, steps=st.integers(0, 2),
+       box=flag_float(st.just(math.tau)), dt=flag_float(st.floats(-0.1, 0.1)),
+       c=flag_float(st.floats(0.1, 3.0)),
+       init=st.tuples(st.integers(-2, 2), mode_indices, mode_indices, mode_indices)
+       | st.just("random"),
+       log=st.booleans(), dump_every=st.sampled_from([None, 1]))
+@example(stepper="rk4", l=1, grid=8, steps=1, box=1e-320, dt=0.02, c=1.0, init="random",
+         log=False, dump_every=None)
+@example(stepper="spectral", l=1, grid=8, steps=1, box=math.tau, dt=0.02, c=1.0,
+         init=(1, 99, 0, 0), log=False, dump_every=None)
+def test_evolve_flags(work, stepper, l, grid, steps, box, dt, c, init, log, dump_every):
+    argv = ["evolve", "--stepper", stepper, "--l", l, "--grid", grid, "--steps", steps,
+            f"--box={box}", f"--dt={dt}", f"--c={c}", "--out-prefix", work / "run",
+            "--init", "random" if init == "random" else "planewave:" + ",".join(map(str, init))]
+    if log:
+        argv += ["--log", work / "run.csv"]
+    if dump_every is not None:
+        argv += ["--dump-every", dump_every]
+    code, err = run(work, argv)
+    assert_clean_end(code, err)
+    if code == 0:
+        assert (work / "run_te_final.ctf").exists() and (work / "run_tb_final.ctf").exists()
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(l=mostly(st.integers(1, 2), st.integers(-1, 3)), m=st.integers(-2, 2),
+       basis=st.sampled_from(["spherical", "cartesian"]),
+       jvec=st.tuples(mode_indices, mode_indices, mode_indices), grid=grids,
+       box=flag_float(st.just(math.tau)), amplitude=flag_float(st.floats(-2.0, 2.0)))
+@example(l=1, m=1, basis="cartesian", jvec=(8, 0, 0), grid=16, box=math.tau, amplitude=1.0)
+@example(l=1, m=1, basis="cartesian", jvec=(1, 0, 0), grid=16, box=1e-320, amplitude=1.0)
+def test_gen_planewave_flags(work, l, m, basis, jvec, grid, box, amplitude):
+    out = work / "pw.ctf"
+    code, err = run(work, ["gen", "--preset", "planewave", "--l", l, "--m", m,
+                           "--basis", basis, "--jx", jvec[0], "--jy", jvec[1],
+                           "--jz", jvec[2], "--grid", grid, f"--box={box}",
+                           f"--amplitude={amplitude}", "--out", out])
+    assert_clean_end(code, err)
+    assert out.exists() == (code == 0)

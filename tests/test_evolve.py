@@ -20,11 +20,10 @@ from curlmat.evolve import (Diagnostics, EvolutionState, RK4_STABILITY_BOUND, _P
                             _band_sums, _diag_from_modes, complex_curl_residual,
                             diagnostics, plane_wave_state, random_state, run_rk4,
                             run_spectral, step_rk4, step_spectral)
-from curlmat.spectral import (GridSpec, TensorField, _fft, apply_operator,
-                              apply_symbol, plane_wave, random_bandlimited,
-                              wavevector)
+from curlmat.spectral import (GridSpec, TensorField, _fft, apply_operator, plane_wave,
+                              random_bandlimited, wavevector)
 
-from oracles import gradient_scale
+from oracles import gradient_scale, rk4_horner
 
 TWO_PI = 2 * np.pi
 
@@ -522,19 +521,15 @@ class TestRk4Split:
                               random_bandlimited(grid, l, "spherical", seed=51), 0.1, 1.3)
 
     @staticmethod
-    def minus_half(out):
-        """Whether a kernel call is the F- half's: each stage buffer holds
-        F+ and F- in turn, and the F- half writes the second slot."""
-        return out.ctypes.data != out.base.ctypes.data
+    def before_each_half(monkeypatch, minus, action):
+        """Call `action` before the table pass of the F- or the F+ half."""
+        kernel = evolve._rk4_pass
 
-    @classmethod
-    def before_each_stage(cls, monkeypatch, minus, action):
-        """Call `action` before each kernel call of the F- or the F+ half."""
-        def wrapped(op, grid, spectrum, *args, out, **kwargs):
-            if cls.minus_half(out) == minus:
+        def wrapped(table, x, out, adjoint):
+            if adjoint == minus:
                 action()
-            return apply_symbol(op, grid, spectrum, *args, out=out, **kwargs)
-        monkeypatch.setattr(evolve, "apply_symbol", wrapped)
+            return kernel(table, x, out, adjoint)
+        monkeypatch.setattr(evolve, "_rk4_pass", wrapped)
 
     @pytest.mark.parametrize("minus_slow", [False, True])
     @pytest.mark.parametrize("l", [1, 2])
@@ -546,9 +541,12 @@ class TestRk4Split:
             want = [state]
             for _ in range(3):
                 want.append(step_rk4(want[-1], 0.05))
-        # each half reads its own stages only, so one running late, with the
-        # other thread switched in at every chance, moves no bit
-        self.before_each_stage(monkeypatch, minus_slow, lambda: time.sleep(0.002))
+        # each half reads its own spectrum and the shared table only, so one
+        # running late, with the other thread switched in at every chance,
+        # moves no bit
+        slowed = []
+        self.before_each_half(monkeypatch, minus_slow,
+                              lambda: slowed.append(time.sleep(0.002)))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -560,6 +558,7 @@ class TestRk4Split:
                 assert np.array_equal(got.tb.data, ref.tb.data)
         finally:
             sys.setswitchinterval(interval)
+        assert len(slowed) == 3
 
     @pytest.mark.parametrize("minus", [False, True])
     def test_error_in_either_half_is_raised_and_no_thread_is_left(
@@ -569,32 +568,32 @@ class TestRk4Split:
 
         def boom():
             raise Boom("F-" if minus else "F+")
-        self.before_each_stage(monkeypatch, minus, boom)
+        self.before_each_half(monkeypatch, minus, boom)
         before = threading.active_count()
         with pytest.raises(Boom, match="F-" if minus else "F[+]"):
             run_with_timeout(step_rk4, self.unprojected(grid, 1), 0.05)
         assert threading.active_count() == before
 
     def test_halves_never_wait_for_each_other(self, grid, split, monkeypatch):
-        # the F+ half, on the calling thread, holds its first kernel call
-        # until the F- half, on the worker, has made its last stage: halves
-        # that met between stages would never get there
+        # the F+ half, on the calling thread, holds its table pass until the
+        # F- half, on the worker, has made its own: halves that met before
+        # their passes ended would never get there
         state = self.unprojected(grid, 1)
         want = step_rk4(state, 0.05)
-        minus_done, stages = threading.Event(), []
+        minus_done, halves = threading.Event(), []
+        kernel = evolve._rk4_pass
 
-        def wrapped(op, grid, spectrum, *args, out, **kwargs):
-            minus = self.minus_half(out)
-            stages.append(minus)
-            if not minus and stages.count(False) == 1:
+        def wrapped(table, x, out, adjoint):
+            halves.append(adjoint)
+            if not adjoint:
                 assert minus_done.wait(10.0), "the F- half did not run on alone"
-            result = apply_symbol(op, grid, spectrum, *args, out=out, **kwargs)
-            if minus and stages.count(True) == 4:
+            result = kernel(table, x, out, adjoint)
+            if adjoint:
                 minus_done.set()
             return result
-        monkeypatch.setattr(evolve, "apply_symbol", wrapped)
+        monkeypatch.setattr(evolve, "_rk4_pass", wrapped)
         got = run_with_timeout(step_rk4, state, 0.05, timeout=20.0)
-        assert sorted(stages) == [False] * 4 + [True] * 4
+        assert sorted(halves) == [False, True]
         assert_same_bits(got, want)
 
     @pytest.mark.parametrize("affinity", [True, False])
@@ -608,6 +607,61 @@ class TestRk4Split:
         monkeypatch.setattr(evolve, "RK4_SPLIT_SAMPLES", 0)
         monkeypatch.setattr(spectral, "_run_paired", no_split)
         step_rk4(self.unprojected(grid, 1), 0.05)
+
+
+class TestRk4Table:
+    """The cached one-step matrix and the pass each half makes over it."""
+
+    GRID = GridSpec((8, 12, 16), (1.0, 2.5, 3.0))
+
+    @staticmethod
+    def spectrum(grid, l, seed):
+        rng = np.random.default_rng(seed)
+        shape = (2 * l + 1, grid.n[2], grid.n[1], grid.n[0])
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    @pytest.mark.parametrize("l", [1, 2, 3])
+    def test_passes_match_the_horner_stages(self, l):
+        # F+ is R(-i theta CURL) x and F- is R(+i theta CURL) x = R^H x,
+        # each against the stages run on the spectrum itself
+        theta = 0.05 * 1.3
+        table = evolve._rk4_table(l, self.GRID, theta)
+        for seed in (1, 2):
+            x = self.spectrum(self.GRID, l, seed)
+            for adjoint, sign in ((False, 1), (True, -1)):
+                got = evolve._rk4_pass(table, x, np.empty_like(x), adjoint)
+                want = rk4_horner(l, self.GRID, x, sign * theta)
+                assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+                # the step must have moved the spectrum, or the check is vacuous
+                assert np.linalg.norm(want - x) > 1e-2 * np.linalg.norm(x)
+
+    @pytest.mark.parametrize("l", [1, 2])
+    def test_adjoint_pass_is_the_conjugate_transposed_table(self, l):
+        table = evolve._rk4_table(l, self.GRID, 0.07)
+        explicit = table.transpose(1, 0, 2, 3, 4).conj()  # column j of R^H
+        x = self.spectrum(self.GRID, l, 3)
+        got = evolve._rk4_pass(table, x, np.empty_like(x), adjoint=True)
+        want = evolve._rk4_pass(explicit, x, np.empty_like(x), adjoint=False)
+        assert np.array_equal(got, want)
+
+    def test_one_build_per_rank_grid_and_phase(self, grid):
+        evolve._rk4_table.cache_clear()
+        state = random_state(grid, 1, seed=65)
+        for _ in range(3):
+            state = step_rk4(state, 0.05)
+        table = evolve._rk4_table(1, grid, 0.05)
+        assert not table.flags.writeable
+        assert evolve._rk4_table.cache_info()[:2] == (3, 1)  # hits, misses
+        # the table depends on c*dt alone: c = 2 at dt = 0.025 turns as far
+        step_rk4(dataclasses.replace(rebuilt(state), c=2.0), 0.025)
+        assert evolve._rk4_table.cache_info()[:2] == (4, 1)
+        # a new c*dt, rank or grid builds anew, and one table is held
+        for l, g, dt in ((1, grid, 0.04), (2, grid, 0.04),
+                         (2, GridSpec((8, 8, 8), (TWO_PI,) * 3), 0.04), (1, grid, 0.05)):
+            step_rk4(random_state(g, l, seed=66), dt)
+        assert evolve._rk4_table.cache_info()[1:] == (5, 1, 1)  # misses, maxsize, size
+        assert evolve._rk4_table(1, grid, 0.05) is not table
+        assert np.array_equal(evolve._rk4_table(1, grid, 0.05), table)
 
 
 def rk4_march_by_hand(state, dt, steps, log_every, dump_every, dump_fn):
@@ -684,15 +738,19 @@ class TestRunRk4:
         assert calls == ["fftn"] * 2
 
     def test_split_step_matches_march_by_hand(self, monkeypatch):
-        # 20^3, l = 2 is past RK4_SPLIT_SAMPLES: every step runs on two threads
+        # 24^3, l = 2 is past RK4_SPLIT_SAMPLES: every step runs on two
+        # threads, as do the split inverse FFTs that make the fields read
         monkeypatch.setattr(spectral, "_cpu_count", lambda: 2)
         paired, run_paired = [], spectral._run_paired
-        monkeypatch.setattr(spectral, "_run_paired",
-                            lambda *halves: paired.append(1) or run_paired(*halves))
-        state = carried(random_state(GridSpec((20, 20, 20), (TWO_PI,) * 3), 2, seed=8))
+
+        def counted(*halves):
+            paired.append(halves[0].func.__qualname__ == "step_rk4.<locals>.half")
+            return run_paired(*halves)
+        monkeypatch.setattr(spectral, "_run_paired", counted)
+        state = carried(random_state(GridSpec((24, 24, 24), (TWO_PI,) * 3), 2, seed=8))
         got, want = self.both(state, 0.05, 5, 3, 2)
         self.assert_same(got, want)
-        assert len(paired) == 10 and len(got[1]) == 3  # logs at steps 0, 3 and 5
+        assert sum(paired) == 10 and len(got[1]) == 3  # logs at steps 0, 3 and 5
 
 
 def spectral_march_by_hand(state, dt, steps, log_every, dump_every):

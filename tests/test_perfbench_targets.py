@@ -140,14 +140,16 @@ def test_split_step_is_traced_whole(tracing, monkeypatch):
     # the F- half runs on a thread of its own, and so does the second batch
     # of the split inverse FFT that makes a step's fields when they are
     # read; its spans still land in the one span list, and the tracer's
-    # stack comes back as it was.  The curl symbol is built once, not by
-    # both halves at once, so counts repeat
+    # stack comes back as it was.  The one-step table, and the curl symbol
+    # it is built from, are built once, not by both halves at once, so
+    # counts repeat
     monkeypatch.setattr(spectral, "_cpu_count", lambda: 2)
     monkeypatch.setattr(evolve, "RK4_SPLIT_SAMPLES", 0)
     monkeypatch.setattr(spectral, "FFT_SPLIT_SAMPLES", 0)
     grid = GridSpec((8, 8, 8), (2 * np.pi,) * 3)
     state = evolve.random_state(grid, 1, seed=4)
     spectral.symbol_entries.cache_clear()
+    evolve._rk4_table.cache_clear()
     tracer = tracing.Tracer()
     tracer.install()
     interval = sys.getswitchinterval()

@@ -54,6 +54,27 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec((8, 8, 8), (bad, 1.0, 1.0))
 
+    @pytest.mark.parametrize("box, match", [
+        ((1e-320, 1.0, 1.0), "squared wavenumbers"),  # 2 pi (n/2) / box is inf
+        ((1e-160, 1.0, 1.0), "squared wavenumbers"),  # finite, its square not
+        ((1e-160,) * 3, "squared wavenumbers"),
+        ((1e-110,) * 3, "cell volume of 0.0"),
+        ((1e110,) * 3, "cell volume of inf"),
+        ((1e300, 1e300, 1.0), "cell volume of inf"),
+    ])
+    def test_rejects_box_the_grid_cannot_use(self, box, match):
+        with pytest.raises(ValueError, match=match) as info:
+            GridSpec((8, 8, 8), box)
+        assert str(box) in str(info.value)
+
+    def test_accepts_extreme_usable_boxes(self):
+        # one axis short, one long: the wavenumbers square to finite values
+        # and the cell volume is a normal number
+        for box in ((1e-150, 1.0, 1e100), (1e-100,) * 3, (1e100,) * 3):
+            grid = GridSpec((8, 8, 8), box)
+            assert 0 < grid.cell_volume < math.inf
+            assert all(np.isfinite(grid.k_axis(a) ** 2).all() for a in range(3))
+
     def test_wavenumbers(self, grid):
         k = grid.k_axis(0)
         assert k[0] == 0.0
@@ -275,6 +296,20 @@ class TestApplyOperator:
         assert f.basis == "cartesian" and f.ncomp == 5
         out = apply_operator(cartesian_curl_rank2(), f)
         expected = f * (m * np.linalg.norm(wavevector(grid, jvec)) / 2)
+        assert (out - expected).norm() <= 1e-9 * f.norm()
+
+    @pytest.mark.parametrize("jvec", [(8, 0, 0), (-8, 1, 0), (0, 19, 0), (1, 0, -9)])
+    def test_plane_wave_rejects_unresolved_mode(self, grid, jvec):
+        # 8 is the Nyquist index of 16 points, whose derivative symbol is
+        # zeroed; past it an index aliases to a lower one
+        with pytest.raises(ValueError, match="not resolved"):
+            plane_wave(grid, 1, 1, jvec)
+
+    @pytest.mark.parametrize("jvec", [(7, 0, 0), (-7, 7, -7)])
+    def test_plane_wave_at_highest_resolved_mode(self, grid, jvec):
+        f = plane_wave(grid, 1, 1, jvec)
+        out = apply_operator(build_curl_cg(1), f)
+        expected = f * np.linalg.norm(wavevector(grid, jvec))
         assert (out - expected).norm() <= 1e-9 * f.norm()
 
     def test_cartesian_plane_wave_ranks(self, grid):
