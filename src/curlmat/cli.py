@@ -109,6 +109,8 @@ def _cmd_gen(args) -> int:
     from . import spectral
     if args.seed < 0:
         raise ValueError(f"--seed must be non-negative, got {args.seed}")
+    if not args.kcut >= 0:
+        raise ValueError(f"--kcut must be a non-negative number, got {args.kcut}")
     grid = _parse_grid(args)
     if args.preset == "planewave":
         f = spectral.plane_wave(grid, args.l, args.m, (args.jx, args.jy, args.jz),
@@ -118,6 +120,9 @@ def _cmd_gen(args) -> int:
         f = spectral.random_bandlimited(grid, args.l, args.basis,
                                         kcut=args.kcut, seed=args.seed)
     else:  # example1
+        if (args.l, args.basis) != (1, "cartesian"):
+            raise ValueError(f"example1 is a rank-1 cartesian field; got --l {args.l} "
+                             f"--basis {args.basis}")
         u, v = spectral.example_rotation_fields(grid)
         f = u + v * 1j
     spectral.write_ctf(f, args.out)
@@ -136,7 +141,7 @@ def _cmd_evolve(args) -> int:
         raise ValueError(f"--seed must be non-negative, got {args.seed}")
     grid = _parse_grid(args)
     try:
-        phase = evolve.check_dt(grid, args.c, args.dt)
+        phase = evolve.check_dt(grid, args.c, args.dt, steps=args.steps)
     except ValueError as exc:
         raise ValueError(f"--{exc}") from None
     if args.stepper == "rk4" and abs(phase) >= evolve.RK4_STABILITY_BOUND:

@@ -2,66 +2,68 @@
 
 The system couples two rank-l spherical fields through the curl:
 d/dt TE = +c * CURL TB and d/dt TB = -c * CURL TE, with both fields
-divergence-free as an initial-value constraint.  The spectral stepper is
-exact per Fourier mode: the curl symbol (L.k)/l is diagonalised by the
-rotation V(k) = exp(-i*phi*Lz) exp(-i*theta*Ly) taking z^ to k^, column m
-being helicity band m with eigenvalue lambda = m|k|/l, and each mode turns
-by c*lambda*dt -- energy is conserved to roundoff and steps are exactly
-reversible.  `run_spectral` moves the fields to band coefficients once and
-marches those: with z+- = a +- ib for the TE and TB coefficients a and b, a
-step multiplies z+ in place by exp(-i*c*lambda*dt) and z- by its conjugate,
-the same table read with its bands reversed (lambda is odd in m).  A logged
-step reads energy, band amplitudes and divergence from z+ + z- = 2a and
-z+ - z- = 2ib, each formed once in a scratch row, never from the expansion
+divergence-free as an initial-value constraint.  In the complex fields
+F+- = TE +- i*TB the pair decouples, d/dt F+- = -+i*c*CURL F+-.
+
+An `EvolutionState` is one immutable value: the read-only spectra of F+-,
+with l, grid, t and c.  Built from fields, it takes one `fftn` of each and
+keeps no reference to them; its fields, TE = (F+ + F-)/2 and
+TB = (F+ - F-)/(2i), are made together by one inverse FFT of the pair when
+either is first read, and kept, read-only.  Every state a driver returns is
+built from spectra, so no driver transforms a field: a march that reads no
+field makes no FFT.
+
+The spectral stepper is exact per Fourier mode: the curl symbol (L.k)/l is
+diagonalised by the rotation V(k) = exp(-i*phi*Lz) exp(-i*theta*Ly) taking
+z^ to k^, column m being helicity band m with eigenvalue lambda = m|k|/l,
+and each mode turns by c*lambda*dt -- energy is conserved to roundoff and
+steps are exactly reversible.  `run_spectral` takes the F+- spectra to band
+coefficients once -- the frame is linear, so they are z+- = a +- ib for
+the TE and TB coefficients a and b -- and marches those: a step multiplies
+z+ in place by exp(-i*c*lambda*dt) and z- by its conjugate, the same table
+read with its bands reversed (lambda is odd in m).  A logged step reads
+energy, band amplitudes and divergence from z+ + z- = 2a and z+ - z- = 2ib,
+each formed once in a scratch row, never from the expansion
 |z+|^2 + |z-|^2 +- 2 Re(z+ conj z-), which cancels when one field is near
-zero.  a and b themselves, and the fields, are rebuilt only to dump a state
-and at the end.  No step couples two band rows or two modes, so the march
-takes one band row at a time -- its z+ and z- rows, their two rows of the
-table, |k| and one scratch row, small enough to stay in cache -- and turns
-it through every step up to the next event, a logged step or a dump; at a
-logged step it sums that row's |2a|^2 and |2ib|^2, bare and weighted by
-|k|^2, before it moves to the next row.  From `SPECTRAL_SPLIT_MODES` modes
-per field the mode columns march in two halves, each row by row on its own,
-and the calling thread adds the halves' sums after the march.  Given a
-second CPU the second half runs on a thread of its own, else the halves run
-in turn.  They never meet: both march to a dump and return, the calling
-thread writes it, and both start again from there.  Where the columns split
-depends on the size alone, so every host logs the same bits.  Fields and
-dumps are the bits of a whole-array march; the logged sums, added in
-another order, move only at roundoff (within 1e-14 relative), and below the
-split size not at all.
+zero.  A dumped state and the final one are F+- = V z+- per mode.  No step
+couples two band rows or two modes, so the march takes one band row at a
+time -- its z+ and z- rows, their two rows of the table, |k| and one scratch
+row, small enough to stay in cache -- and turns it through every step up to
+the next event, a logged step or a dump; at a logged step it sums that row's
+|2a|^2 and |2ib|^2, bare and weighted by |k|^2, before it moves to the next
+row.  From `SPECTRAL_SPLIT_MODES` modes per field the mode columns march in
+two halves, each row by row on its own, and the calling thread adds the
+halves' sums after the march.  Given a second CPU the second half runs on a
+thread of its own, else the halves run in turn.  They never meet: both
+march to a dump and return, the calling thread builds it, and both start
+again from there.  Where the columns split depends on the size alone, so
+every host logs the same bits.  States are the bits of a whole-array march;
+the logged sums, added in another order, move only at roundoff (within
+1e-14 relative), and below the split size not at all.
 
 `step_rk4` is the independent check on that propagator: it integrates the
-same equations with the curl symbol itself, never its eigenvectors.  In the
-complex fields F+- = TE +- i*TB the pair decouples, d/dt F+- = -+i*c*CURL F+-.
-The system is linear and autonomous, so the classical step is the
-polynomial R(dt A) = 1 + dt A + (dt A)^2/2 + (dt A)^3/6 + (dt A)^4/24, the
-same for every step of one (l, grid, c*dt).  `_rk4_table` builds
-R = R(-i*c*dt*CURL), F+'s step, once per mode and caches it: column j is
-the four Horner stages x + (-i*c*dt/k) CURL y, k = 4, 3, 2, 1, run on the
-unit spectrum of component j, so the Horner form stays R's one definition
-and the table comes from the curl symbol alone.  The curl symbol is
-Hermitian at every mode, so F-'s step R(+i*c*dt*CURL) is R^H, read from
-the same table as conj(R^T conj(x)): one table is held, (2l+1)^2 complex
-values per mode (4.7 MB at 32^3, l = 1; 13 MB at l = 2), rebuilt when l,
-the grid or c*dt changes.  The step is an F+ half and an F- half that never
-read each other: each is one pass over the table and its own spectrum
-(`_rk4_pass`) and checks that its result is finite.  No pass needs the
-grid, so the state a step returns holds the new F+- spectra, read-only, in
-place of its fields, and makes both fields, TE = (F+ + F-)/2 and
-TB = (F+ - F-)/(2i), with one inverse FFT only when one is read
-(`EvolutionState`).  The next step and `diagnostics` read the spectra; the
-band frame is linear, so z+- are the F+- spectra taken to it.  A fresh
-state, or one whose fields were replaced, is FFT'd.  So a march of bare
-steps makes one `fftn` per field, at its first step, and no `ifftn`.  From
-`RK4_SPLIT_SAMPLES` samples per field, and when the process may use more
-than one CPU, the F- half runs on a thread started for the step; numpy's
-array arithmetic releases the interpreter lock, so the halves overlap.
-Smaller steps run the halves in turn on the calling thread.  Either way
-each half makes the same sums in the same order, so the result is the same
-bit for bit.  `run_rk4` marches `step_rk4` with `run_spectral`'s counts,
-log and dump rules.  Both steppers reject a step whose largest phase
-c*dt*kmax is not finite before building anything.
+same equations with the curl symbol itself, never its eigenvectors.  The
+system is linear and autonomous, so the classical step is the polynomial
+R(dt A) = 1 + dt A + (dt A)^2/2 + (dt A)^3/6 + (dt A)^4/24, the same for
+every step of one (l, grid, c*dt).  `_rk4_table` builds R = R(-i*c*dt*CURL),
+F+'s step, once per mode and caches it: column j is the four Horner stages
+x + (-i*c*dt/k) CURL y, k = 4, 3, 2, 1, run on the unit spectrum of
+component j, so the Horner form stays R's one definition and the table
+comes from the curl symbol alone.  The curl symbol is Hermitian at every
+mode, so F-'s step R(+i*c*dt*CURL) is R^H, read from the same table as
+conj(R^T conj(x)): one table is held, (2l+1)^2 complex values per mode
+(4.7 MB at 32^3, l = 1; 13 MB at l = 2), rebuilt when l, the grid or c*dt
+changes.  The step is an F+ half and an F- half that never read each other:
+each is one pass over the table and the state's own spectrum (`_rk4_pass`)
+and checks that its result is finite; the new spectra are the new state.
+From `RK4_SPLIT_SAMPLES` samples per field, and when the process may use
+more than one CPU, the F- half runs on a thread started for the step;
+numpy's array arithmetic releases the interpreter lock, so the halves
+overlap.  Smaller steps run the halves in turn on the calling thread.
+Either way each half makes the same sums in the same order, so the result
+is the same bit for bit.  `run_rk4` marches `step_rk4` with `run_spectral`'s
+counts, log and dump rules.  Both steppers reject a step whose largest phase
+c*dt*kmax, or whose end time, is not finite before building anything.
 """
 
 from __future__ import annotations
@@ -69,7 +71,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
@@ -78,99 +80,65 @@ from .spectral import (GridSpec, TensorField, _fft, _ifft, _in_step, _relative_r
                        apply_operator, apply_symbol, plane_wave, random_bandlimited)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False, init=False)
 class EvolutionState:
-    """Paired (TE, TB) rank-l spherical fields with time and wave speed.
+    """Paired (TE, TB) rank-l spherical fields at time t with wave speed c,
+    held as the read-only spectra of F+- = TE +- i*TB.
 
-    A state `step_rk4` returns holds the spectra of F+- = TE +- i*TB instead:
-    `te` and `tb` are made from them together on first read, with read-only arrays,
-    and kept.  The spectra stay the state's truth while its fields are unread
-    or still those arrays; assigning `te` or `tb`, or a field's `data`,
-    drops them, and the state is then its fields alone.
+    `EvolutionState(te, tb, t, c)` checks the fields and takes one `fftn` of
+    each.  `te` and `tb` are made from the spectra together, by one inverse
+    FFT of the pair, on first read, and kept.  Nothing about a state can
+    change: no attribute can be assigned, and every array it hands out is
+    read-only.  A copy is the state itself.
     """
 
-    te: TensorField
-    tb: TensorField
+    l: int
+    grid: GridSpec
     t: float
-    c: float = 1.0
-    # class attributes, not dataclass fields: the `te` and `tb` properties
-    # keep the fields in _te and _tb, None while a state holding spectra has
-    # not made them, and step_rk4's spectra in _carry
-    _te = _tb = _carry = None
+    c: float
 
-    def __post_init__(self):
-        if self.te.basis != "spherical" or self.tb.basis != "spherical":
+    def __init__(self, te: TensorField, tb: TensorField, t: float, c: float = 1.0):
+        if te.basis != "spherical" or tb.basis != "spherical":
             raise ValueError("evolution runs in the spherical component basis")
-        self.te._check_compatible(self.tb)
-        if not (math.isfinite(self.c) and self.c > 0):
-            raise ValueError(f"wave speed must be positive and finite, got {self.c}")
+        te._check_compatible(tb)
+        spectra = np.empty((2,) + te.data.shape, dtype=np.complex128)
+        for h, f in enumerate((te, tb)):
+            _fft(f.data, out=spectra[h])
+        _plus_minus(*spectra)
+        self._hold(spectra, te.l, te.grid, t, c)
 
     @classmethod
     def _of_spectra(cls, spectra: np.ndarray, l: int, grid: GridSpec,
                     t: float, c: float) -> EvolutionState:
-        """A state holding the F+- `spectra` and no fields yet."""
+        """The state whose F+- spectra are `spectra`, made read-only here."""
         state = cls.__new__(cls)
-        state._carry, state.t, state.c = _Carry(spectra, l, grid), t, c
+        state._hold(spectra, l, grid, t, c)
         return state
 
-    @property
-    def l(self) -> int:
-        return self._carry.l if self._te is None else self._te.l
+    def _hold(self, spectra, l, grid, t, c) -> None:
+        if not (math.isfinite(c) and c > 0):
+            raise ValueError(f"wave speed must be positive and finite, got {c}")
+        spectra.flags.writeable = False
+        vars(self).update(_spectra=spectra, l=l, grid=grid, t=t, c=c)  # past the frozen setattr
 
-    @property
-    def grid(self) -> GridSpec:
-        return self._carry.grid if self._te is None else self._te.grid
+    @cached_property
+    def _fields(self) -> tuple[TensorField, TensorField]:
+        """TE = (F+ + F-)/2 and TB = (F+ - F-)/(2i), one inverse FFT of the pair."""
+        pair = np.empty_like(self._spectra)
+        for h, part in enumerate(pair):
+            _part(*self._spectra, h, part)
+        _ifft(pair, out=pair, split=True)
+        pair.flags.writeable = False  # before the views, so they stay read-only
+        return tuple(TensorField(self.l, "spherical", self.grid, f) for f in pair)
 
-    def _field(self, h: int) -> TensorField:
-        if self._te is None:  # TE and TB from F+-, then one inverse FFT of the pair
-            carry = self._carry
-            pair = np.empty_like(carry.spectra)
-            for i, part in enumerate(pair):
-                _part(*carry.spectra, i, part)
-            _ifft(pair, out=pair, split=True)
-            pair.flags.writeable = False  # before the views, so they stay read-only
-            self._te, self._tb = (TensorField(carry.l, "spherical", carry.grid, f)
-                                  for f in pair)
-            carry.made = (self._te.data, self._tb.data)
-        return self._tb if h else self._te
+    te = property(lambda self: self._fields[0])
+    tb = property(lambda self: self._fields[1])
 
-    def _set_field(self, value: TensorField, h: int) -> None:
-        if self._carry is not None:
-            self._field(h)  # the other field is made before the spectra go
-            self._carry = None
-        setattr(self, "_tb" if h else "_te", value)
+    def __copy__(self) -> EvolutionState:
+        return self
 
-    def _spectra(self) -> np.ndarray | None:
-        """The F+- spectra while they are the state's truth: its fields
-        unread, or still the read-only arrays made from them.  Else None, and
-        a stale carry is dropped so that its buffers are freed."""
-        carry = self._carry
-        if carry is None:
-            return None
-        if self._te is None or all(
-                f.data is a and not a.flags.writeable
-                for f, a in zip((self._te, self._tb), carry.made)):
-            return carry.spectra
-        self._carry = None
-        return None
-
-
-# After the class, so that dataclass sees te and tb as fields without defaults
-EvolutionState.te = property(partial(EvolutionState._field, h=0),
-                             partial(EvolutionState._set_field, h=0))
-EvolutionState.tb = property(partial(EvolutionState._field, h=1),
-                             partial(EvolutionState._set_field, h=1))
-
-
-@dataclass
-class _Carry:
-    """The F+- = TE +- i*TB spectra a `step_rk4` state holds, the rank and
-    grid its fields are made with, and the two field arrays once made."""
-
-    spectra: np.ndarray
-    l: int
-    grid: GridSpec
-    made: tuple[np.ndarray, np.ndarray] | None = None
+    def __deepcopy__(self, memo) -> EvolutionState:
+        return self
 
 
 @dataclass
@@ -235,14 +203,14 @@ class _Propagator:
         _turn(x, self.polar, 1)
         return self.ly_vecs[::-1] @ x  # rows flipped to ascending m
 
-    def to_field(self, coeffs: np.ndarray) -> TensorField:
-        """Field of band coefficients: V per mode, then inverse FFT."""
-        x = self.ly_vecs[::-1].conj().T @ coeffs
+    def to_spectrum(self, coeffs: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Spectrum of band coefficients, V per mode, into `out`, a
+        C-contiguous array of `shape`.  The coefficients are kept."""
+        x = np.matmul(self.ly_vecs[::-1].conj().T, coeffs, out=out.reshape(self.dim, -1))
         _turn(x, self.polar, -1)
-        x = self.ly_vecs @ x
+        np.matmul(self.ly_vecs, x, out=x)
         _turn(x, self.azimuth, 1)
-        x = x.reshape(self.shape)
-        return TensorField(self.l, "spherical", self.grid, _ifft(x, out=x))
+        return out
 
     def constraint_project(self, coeffs: np.ndarray) -> np.ndarray:
         """Keep only the divergence-free bands (m = +/-l) for k != 0 modes."""
@@ -269,13 +237,21 @@ def _turn(x: np.ndarray, phase: np.ndarray, sign: int) -> None:
         x[l - k] *= power.conj()
 
 
-def check_dt(grid: GridSpec, c: float, dt: float) -> float:
+def check_dt(grid: GridSpec, c: float, dt: float, t: float = 0.0, steps: int = 1) -> float:
     """The largest phase c*dt*kmax a step turns on ``grid``; a ValueError
-    naming dt unless it is finite, so no step table overflows."""
+    naming dt unless it is finite, so no step table overflows, and unless
+    `steps` steps from time `t` end at a finite time."""
     phase = c * dt * _max_wavenumber(grid)
     if not (math.isfinite(dt) and math.isfinite(phase)):
         raise ValueError(f"dt must be finite, as must c*dt*kmax; got dt={dt}, "
                          f"c*dt*kmax={phase}")
+    try:
+        end = t + steps * dt
+    except OverflowError:  # a step count past the largest float
+        end = math.inf
+    if not math.isfinite(end):
+        raise ValueError(f"dt must keep the end time t + steps*dt finite; got dt={dt}, "
+                         f"t={t}, steps={steps}")
     return phase
 
 
@@ -286,16 +262,10 @@ def step_spectral(state: EvolutionState, dt: float) -> EvolutionState:
 
 def _pair(prop: _Propagator, state: EvolutionState) -> tuple[np.ndarray, ...]:
     """z+- = a +- ib of the state's TE and TB band coefficients a and b, and a
-    scratch array of their shape.  The band frame is linear, so a `step_rk4`
-    state's z+- are copies of its F+- spectra taken to it.  Else each field's
-    FFT is taken to the frame, in turn so that one is alive at a time, and
-    the pair is formed there."""
-    spectra = state._spectra()
-    if spectra is not None:
-        zp, zm = (prop.to_eigen(s.copy()) for s in spectra)
-        return zp, zm, np.empty_like(zp)
-    zp, zm = (prop.to_eigen(_fft(f.data)) for f in (state.te, state.tb))
-    return zp, zm, _plus_minus(zp, zm)
+    scratch array of their shape.  The band frame is linear, so z+- are
+    copies of the state's F+- spectra taken to it."""
+    zp, zm = (prop.to_eigen(s.copy()) for s in state._spectra)
+    return zp, zm, np.empty_like(zp)
 
 
 def _plus_minus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -356,12 +326,13 @@ def _diag_from_modes(prop: _Propagator, t: float, sums: np.ndarray) -> Diagnosti
     )
 
 
-def _state(prop: _Propagator, zp: np.ndarray, zm: np.ndarray, scratch: np.ndarray,
+def _state(prop: _Propagator, zp: np.ndarray, zm: np.ndarray,
            t: float, c: float) -> EvolutionState:
-    """The fields at z+-: a, then b (`_part`), each built in `scratch` and
-    transformed back before the next."""
-    te = prop.to_field(_part(zp, zm, 0, scratch))
-    return EvolutionState(te, prop.to_field(_part(zp, zm, 1, scratch)), t, c)
+    """The state at z+-: F+- = V z+- per mode, z+- kept."""
+    spectra = np.empty((2,) + prop.shape, dtype=np.complex128)
+    for z, out in zip((zp, zm), spectra):
+        prop.to_spectrum(z, out)
+    return EvolutionState._of_spectra(spectra, prop.l, prop.grid, t, c)
 
 
 def _check_run(state, dt, steps, log_every, dump_every) -> None:
@@ -371,7 +342,7 @@ def _check_run(state, dt, steps, log_every, dump_every) -> None:
         raise ValueError(f"log_every must be non-negative, got {log_every}")
     if dump_every is not None and dump_every < 1:
         raise ValueError(f"dump_every must be at least 1, got {dump_every}")
-    check_dt(state.grid, state.c, dt)
+    check_dt(state.grid, state.c, dt, state.t, steps)
 
 
 def run_spectral(state: EvolutionState, dt: float, steps: int,
@@ -381,12 +352,13 @@ def run_spectral(state: EvolutionState, dt: float, steps: int,
 
     Diagnostics are logged for the initial state, every `log_every` steps and
     the last step; ``log_every=0`` logs none.  With `dump_fn`, the state is
-    passed to ``dump_fn(state, step)`` every `dump_every` steps.  Each band
-    row is turned from event to event (a log or a dump) while it is in
-    cache.  From `SPECTRAL_SPLIT_MODES` modes per field the mode columns
-    march in two halves, the second on a thread of its own given a second
-    CPU; both return at each dump, which this thread writes (module
-    docstring).
+    passed to ``dump_fn(state, step)`` every `dump_every` steps.  The run
+    makes no FFT: the state's F+- spectra go to the band frame, and each
+    dumped state and the final one are F+- = V z+-.  Each band row is turned
+    from event to event (a log or a dump) while it is in cache.  From
+    `SPECTRAL_SPLIT_MODES` modes per field the mode columns march in two
+    halves, the second on a thread of its own given a second CPU; both
+    return at each dump, which this thread builds (module docstring).
     """
     _check_run(state, dt, steps, log_every, dump_every)
     prop = _propagator(state.grid, state.l)
@@ -436,12 +408,12 @@ def run_spectral(state: EvolutionState, dt: float, steps: int,
             _in_step(split, *(partial(half, h, start, segment)
                               for h in range(len(bounds) - 1)))
             if event in dumps:
-                dump_fn(_state(prop, zp, zm, scratch, at(event), state.c), event)
+                dump_fn(_state(prop, zp, zm, at(event), state.c), event)
             start, segment = event, []
-    del forward, kscale  # two arrays less while the fields are rebuilt
+    del forward, kscale, scratch  # three arrays less while the final spectra are built
     logs = [_diag_from_modes(prop, at(step), s)
             for step, s in zip(sorted(logged), sums.sum(axis=0))]
-    return _state(prop, zp, zm, scratch, at(steps), state.c), logs
+    return _state(prop, zp, zm, at(steps), state.c), logs
 
 
 RK4_STABILITY_BOUND = 2.8
@@ -468,31 +440,20 @@ def _max_wavenumber(grid: GridSpec) -> float:
                              for a in range(3))))
 
 
-def _spectra_of(state: EvolutionState) -> np.ndarray:
-    """The F+- spectra the state holds, or else made from one FFT per field."""
-    spectra = state._spectra()
-    if spectra is None:
-        spectra = np.empty((2,) + state.te.data.shape, dtype=np.complex128)
-        for h, f in enumerate((state.te, state.tb)):
-            _fft(f.data, out=spectra[h])
-        _plus_minus(*spectra)
-    return spectra
-
-
 def step_rk4(state: EvolutionState, dt: float) -> EvolutionState:
     """Classical 4th-order step; cross-validates the exact propagator.
 
     Each half is one pass over the cached one-step table R(-i*c*dt*CURL)
-    (`_rk4_table`): F+ is R F+ and F- is R^H F- (module docstring).  The
-    returned state holds the new spectra, read-only, and makes its fields
-    from them only when they are read (`EvolutionState`), so a march of bare
-    steps makes one `fftn` per field, at its first step, and no `ifftn`.  A
+    (`_rk4_table`) and the state's spectrum: F+ is R F+ and F- is R^H F-
+    (module docstring).  The new spectra are the returned state, so a step
+    makes no FFT; its fields cost one inverse FFT of the pair if read.  A
     kept state costs its spectra pair, and its field pair as well once read.
-    A ValueError is raised at the step whose new spectra hold a value that
-    is not finite.  From `RK4_SPLIT_SAMPLES` samples per field, given a
-    second CPU, the F- half runs on a thread joined before this returns.
+    A ValueError is raised for a dt whose phase c*dt*kmax or new time t + dt
+    is not finite, and at the step whose new spectra hold a value that is
+    not.  From `RK4_SPLIT_SAMPLES` samples per field, given a second CPU,
+    the F- half runs on a thread joined before this returns.
     """
-    phase = check_dt(state.grid, state.c, dt)
+    phase = check_dt(state.grid, state.c, dt, state.t)
     if abs(phase) >= RK4_STABILITY_BOUND:  # |R(i*theta)| is even in theta
         warnings.warn(
             f"rk4 step dt*c*kmax = {phase:.3f}"
@@ -500,7 +461,7 @@ def step_rk4(state: EvolutionState, dt: float) -> EvolutionState:
             RuntimeWarning, stacklevel=2)
     grid = state.grid
     table = _rk4_table(state.l, grid, state.c * dt)  # here, or both halves would build it
-    x = _spectra_of(state)  # only read by the passes
+    x = state._spectra
     out = np.empty_like(x)
 
     def half(h):
@@ -562,19 +523,17 @@ def run_rk4(state: EvolutionState, dt: float, steps: int,
             log_every: int = 1, dump_every: int | None = None,
             dump_fn=None) -> tuple[EvolutionState, list[Diagnostics]]:
     """March `steps` `step_rk4` steps; logs and dumps as `run_spectral` does.
-    A state holding fields only is transformed once, for the first log and
-    the first step alike; with no step, `state` itself is returned."""
+    Every step and log reads the states' spectra, so the run makes no FFT
+    unless `dump_fn` reads a field; with no step, `state` itself is returned."""
     _check_run(state, dt, steps, log_every, dump_every)
-    cur = EvolutionState._of_spectra(_spectra_of(state), state.l, state.grid,
-                                     state.t, state.c)
-    logs = [diagnostics(cur)] if log_every else []
+    logs = [diagnostics(state)] if log_every else []
     for step in range(1, steps + 1):
-        cur = step_rk4(cur, dt)
+        state = step_rk4(state, dt)
         if log_every and (step % log_every == 0 or step == steps):
-            logs.append(diagnostics(cur))
+            logs.append(diagnostics(state))
         if dump_every and dump_fn and step % dump_every == 0:
-            dump_fn(cur, step)
-    return (cur if steps else state), logs
+            dump_fn(state, step)
+    return state, logs
 
 
 def diagnostics(state: EvolutionState) -> Diagnostics:
@@ -632,10 +591,15 @@ def plane_wave_state(grid: GridSpec, l: int, m: int, jvec: tuple[int, int, int],
 
 def random_state(grid: GridSpec, l: int, c: float = 1.0, seed: int = 0,
                  kcut: float = 0.25) -> EvolutionState:
-    """Random band-limited data projected onto the divergence-free bands."""
+    """Random band-limited data projected onto the divergence-free bands:
+    TE's and TB's band coefficients a and b, each projected there, paired as
+    z+- = a +- ib and taken back to F+- spectra."""
     prop = _propagator(grid, l)
-    fields = []
-    for offset in (0, 1):
-        raw = random_bandlimited(grid, l, "spherical", kcut, seed=seed + offset)
-        fields.append(prop.to_field(prop.constraint_project(prop.to_eigen(_fft(raw.data)))))
-    return EvolutionState(fields[0], fields[1], 0.0, c)
+
+    def bands(h):
+        raw = random_bandlimited(grid, l, "spherical", kcut, seed=seed + h)
+        return prop.constraint_project(prop.to_eigen(_fft(raw.data)))
+
+    zp, zm = bands(0), bands(1)
+    _plus_minus(zp, zm)
+    return _state(prop, zp, zm, 0.0, c)

@@ -122,9 +122,12 @@ def _expected_components(basis: str, l: int) -> int:
     raise ValueError(f"unknown basis {basis!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class TensorField:
-    """(2l+1)- or cartesian-component complex field on a periodic grid."""
+    """(2l+1)- or cartesian-component complex field on a periodic grid.
+
+    Frozen, so `data` cannot be rebound; the array itself can be written in
+    place unless it is read-only, as the fields of an `EvolutionState` are."""
 
     l: int
     basis: str
@@ -132,7 +135,7 @@ class TensorField:
     data: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=np.complex128)
+        object.__setattr__(self, "data", np.asarray(self.data, dtype=np.complex128))
         ncomp = _expected_components(self.basis, self.l)
         nz, ny, nx = self.grid.n[2], self.grid.n[1], self.grid.n[0]
         if self.data.shape != (ncomp, nz, ny, nx):

@@ -196,9 +196,11 @@ def test_acceptance_8_evolution():
     drift = float(np.abs(energies - energies[0]).max() / energies[0])
     div_worst = max(max(d.div_te for d in logs), max(d.div_tb for d in logs))
 
-    # rk4 convergence order
-    state = plane_wave_state(grid16, 1, 1, (1, 0, 0))
-    omega = np.linalg.norm(wavevector(grid16, (1, 0, 0)))
+    # rk4 convergence order, on a standing wave (F- = F+ = TE, where a
+    # traveling one has F- = 0) with ky != 0 (conj(C(k)) is not C(k)), so that
+    # both halves of the step are checked
+    state = plane_wave_state(grid16, 1, 1, (1, 2, 0), traveling=False)
+    omega = np.linalg.norm(wavevector(grid16, (1, 2, 0)))
     total = 0.25 * TWO_PI / omega
     errors = []
     for nsteps in (8, 16, 32):

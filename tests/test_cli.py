@@ -352,6 +352,28 @@ class TestFieldPipeline:
         assert err.splitlines()[-1] == errors[0]
         assert not path.exists()
 
+    def test_gen_example1(self, capsys, tmp_path):
+        path = tmp_path / "f.ctf"
+        code, _, _ = run_cli(capsys, "gen", "--preset", "example1", "--grid", "8",
+                             "--out", str(path))
+        f = read_ctf(path)
+        assert code == 0 and (f.l, f.basis, f.grid.n) == (1, "cartesian", (8, 8, 8))
+
+    @pytest.mark.parametrize("flags", [("--l", "2"), ("--l", "0"), ("--basis", "spherical"),
+                                       ("--l", "2", "--basis", "spherical")])
+    def test_gen_example1_rejects_a_rank_or_basis_it_is_not(self, capsys, tmp_path, flags):
+        # example1 is the rank-1 cartesian pair u + i v; it used to write
+        # that field whatever --l and --basis asked for
+        path = tmp_path / "f.ctf"
+        code, out, err = run_cli(capsys, "gen", "--preset", "example1", "--grid", "8",
+                                 *flags, "--out", str(path))
+        args = dict(zip(("--l", "--basis"), ("1", "cartesian"))) | dict(zip(flags[::2],
+                                                                          flags[1::2]))
+        assert code == 1 and out == ""
+        assert err.splitlines() == [f"error: example1 is a rank-1 cartesian field; got "
+                                    f"--l {args['--l']} --basis {args['--basis']}"]
+        assert not path.exists()
+
     def test_gen_deterministic(self, capsys, tmp_path):
         a, b = tmp_path / "a.ctf", tmp_path / "b.ctf"
         for path in (a, b):
@@ -367,6 +389,16 @@ class TestFieldPipeline:
                                "--grid", "8", f"--kcut={kcut}", "--out", str(path))
         assert code == 1
         assert err.splitlines()[-1].startswith("error:")
+        assert not path.exists()
+
+    @pytest.mark.parametrize("preset", ("random-bandlimited", "planewave", "example1"))
+    def test_gen_rejects_bad_kcut_for_every_preset(self, capsys, tmp_path, preset):
+        # as --seed is, though only random-bandlimited reads it
+        path = tmp_path / "f.ctf"
+        code, out, err = run_cli(capsys, "gen", "--preset", preset, "--grid", "8",
+                                 "--kcut=-1", "--out", str(path))
+        assert code == 1 and out == ""
+        assert err.splitlines() == ["error: --kcut must be a non-negative number, got -1.0"]
         assert not path.exists()
 
     def test_gen_rejects_negative_seed(self, capsys, tmp_path):
@@ -560,6 +592,22 @@ class TestEvolveCommand:
         assert code == 1
         assert err.startswith("error:") and flag in err
         assert "Warning" not in err and out == ""
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("stepper", ("spectral", "rk4"))
+    def test_rejects_a_run_whose_end_time_overflows(self, capsys, tmp_path, stepper):
+        # c*dt*kmax = 1e-308 * 1e308 * 3*sqrt(3) is finite and stable, but
+        # two steps of 1e308 would end at t = inf
+        log = tmp_path / "t.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(
+                capsys, "evolve", "--grid", "8", "--steps", "2", "--dt", "1e308",
+                "--c", "1e-308", "--stepper", stepper, "--log", str(log),
+                "--out-prefix", str(tmp_path / "r"))
+        assert code == 1 and out == ""
+        assert err.splitlines() == ["error: --dt must keep the end time t + steps*dt finite; "
+                                    "got dt=1e+308, t=0.0, steps=2"]
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("stepper", ("spectral", "rk4"))

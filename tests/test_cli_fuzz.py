@@ -1,4 +1,4 @@
-"""`evolve` and `gen --preset planewave` flags drawn by hypothesis: every run
+"""`evolve` and `gen` flags drawn by hypothesis: every run
 ends in exit 0 with no `error:` line, or in exit 1 with exactly one, and
 never in a traceback or a numpy warning.  The commands run in this process,
 so a warning is caught as one rather than read from stderr; the grids are
@@ -19,6 +19,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import event, example, given, settings, strategies as st
 
 from curlmat.cli import main
+from curlmat.spectral import read_ctf
 
 # floats at the ends of the range, and around the ones a grid can use
 EXTREMES = [math.tau, 1.0, 0.02, -0.02, 0.0, -0.0, 5e-324, 2.2e-308, 1e-300, 1e-160,
@@ -67,6 +68,15 @@ def assert_clean_end(code: int, err: str) -> None:
     assert "Traceback" not in err and "Warning" not in err
 
 
+def assert_written(out, code: int, l: int, basis: str, grid: int) -> None:
+    """A field file exactly when the run succeeded, of the rank, basis and
+    grid asked for."""
+    assert out.exists() == (code == 0)
+    if code == 0:
+        f = read_ctf(out)
+        assert (f.l, f.basis, f.grid.n) == (l, basis, (grid,) * 3)
+
+
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
 @given(stepper=st.sampled_from(["rk4", "spectral"]), l=st.sampled_from([1, 2]),
        grid=grids, steps=st.integers(0, 2),
@@ -79,6 +89,8 @@ def assert_clean_end(code: int, err: str) -> None:
          log=False, dump_every=None)
 @example(stepper="spectral", l=1, grid=8, steps=1, box=math.tau, dt=0.02, c=1.0,
          init=(1, 99, 0, 0), log=False, dump_every=None)
+@example(stepper="spectral", l=1, grid=8, steps=2, box=math.tau, dt=1e308, c=1e-308,
+         init=(1, 1, 0, 0), log=True, dump_every=None)
 def test_evolve_flags(work, stepper, l, grid, steps, box, dt, c, init, log, dump_every):
     argv = ["evolve", "--stepper", stepper, "--l", l, "--grid", grid, "--steps", steps,
             f"--box={box}", f"--dt={dt}", f"--c={c}", "--out-prefix", work / "run",
@@ -108,3 +120,41 @@ def test_gen_planewave_flags(work, l, m, basis, jvec, grid, box, amplitude):
                            f"--amplitude={amplitude}", "--out", out])
     assert_clean_end(code, err)
     assert out.exists() == (code == 0)
+
+
+# the ranks, and at one draw in four a rank no field has or example1 is not
+ranks = mostly(st.integers(0, 2), st.integers(-1, 3))
+bases = st.sampled_from(["spherical", "cartesian"])
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(l=ranks, basis=bases, grid=grids, box=flag_float(st.just(math.tau)),
+       kcut=flag_float(st.floats(0.0, 0.6)),
+       seed=mostly(st.integers(0, 2 ** 32), st.sampled_from([-1, -2 ** 70, 2 ** 70, 2 ** 200])))
+def test_gen_random_bandlimited_flags(work, l, basis, grid, box, kcut, seed):
+    out = work / "rb.ctf"
+    code, err = run(work, ["gen", "--preset", "random-bandlimited", "--l", l,
+                           "--basis", basis, "--grid", grid, f"--box={box}",
+                           f"--kcut={kcut}", "--seed", seed, "--out", out])
+    assert_clean_end(code, err)
+    assert_written(out, code, l, basis, grid)
+    if not kcut >= 0 or seed < 0:
+        assert code == 1
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(l=mostly(st.just(1), ranks), basis=mostly(st.just("cartesian"), bases), grid=grids,
+       box=flag_float(st.just(math.tau)), kcut=flag_float(st.just(0.25)),
+       seed=st.sampled_from([0, 1, -1]))
+@example(l=2, basis="spherical", grid=8, box=math.tau, kcut=0.25, seed=0)
+@example(l=1, basis="cartesian", grid=8, box=math.tau, kcut=-5.0, seed=0)
+def test_gen_example1_flags(work, l, basis, grid, box, kcut, seed):
+    out = work / "ex.ctf"
+    code, err = run(work, ["gen", "--preset", "example1", "--l", l, "--basis", basis,
+                           "--grid", grid, f"--box={box}", f"--kcut={kcut}",
+                           "--seed", seed, "--out", out])
+    assert_clean_end(code, err)
+    assert_written(out, code, l, basis, grid)
+    # flags the preset does not read are checked as for the others
+    if not kcut >= 0 or seed < 0:
+        assert code == 1

@@ -1,13 +1,11 @@
 import copy
 import dataclasses
-import gc
 import math
 import os
 import sys
 import threading
 import time
 import warnings
-import weakref
 
 import numpy as np
 import pytest
@@ -162,28 +160,27 @@ class TestRk4:
         assert (fast.te - state.te).norm() > 1e-2 * state.te.norm()
 
     def test_leaves_input_alone(self, grid):
-        # a fresh input, then the carried one it steps to
-        state = random_state(grid, 1, seed=42)
-        for carried in (False, True):
-            inputs = [state.te.data, state.tb.data]
-            if carried:
-                inputs.append(state._spectra())
+        # a state made from fields, then the one it steps to
+        state = EvolutionState(random_bandlimited(grid, 1, "spherical", seed=42),
+                               random_bandlimited(grid, 1, "spherical", seed=43), 0.0)
+        for _ in range(2):
+            inputs = [state.te.data, state.tb.data, state._spectra]
             before = [a.copy() for a in inputs]
             new = step_rk4(state, 0.05)
             assert all(np.array_equal(a, b) for a, b in zip(inputs, before))
-            for out in (new.te.data, new.tb.data, new._spectra()):
+            for out in (new.te.data, new.tb.data, new._spectra):
                 for inp in inputs:
                     assert not np.shares_memory(out, inp)
             state = new
 
     def test_two_fft_calls_per_step_and_no_apply_operator(self, monkeypatch):
-        # from a fresh state one fftn per field, then none: a step holds its
-        # spectra and makes no field, on a grid on each side of the split
+        # a state made from fields takes one fftn of each; a step reads its
+        # spectra and makes no FFT, on a grid on each side of the split
         # size, whatever the host's CPU count
         monkeypatch.setattr(spectral, "_cpu_count", lambda: 2)
-        states = [random_state(GridSpec((n,) * 3, (TWO_PI,) * 3), 1, seed=44)
-                  for n in (16, 32)]
-        assert [s.te.data.size >= evolve.RK4_SPLIT_SAMPLES for s in states] == [False, True]
+        pairs = [[random_bandlimited(GridSpec((n,) * 3, (TWO_PI,) * 3), 1, "spherical",
+                                     seed=44 + h) for h in (0, 1)] for n in (16, 32)]
+        assert [te.data.size >= evolve.RK4_SPLIT_SAMPLES for te, _ in pairs] == [False, True]
         calls = []
         for name in ("fftn", "ifftn"):
             def counted(data, *args, _fn=getattr(np.fft, name), _name=name, **kwargs):
@@ -196,12 +193,14 @@ class TestRk4:
         for module in (spectral, evolve):
             monkeypatch.setattr(module, "apply_operator", forbidden)
         monkeypatch.setattr(evolve, "_propagator", forbidden)  # the eigenvectors
-        for state in states:
-            field = state.te.data.shape
-            for step in range(3):
-                calls.clear()
+        for te, tb in pairs:
+            calls.clear()
+            state = EvolutionState(te, tb, 0.0)
+            assert calls == [("fftn", te.data.shape)] * 2
+            calls.clear()
+            for _ in range(3):
                 state = step_rk4(state, 0.05)
-                assert calls == ([] if step else [("fftn", field)] * 2)
+            assert calls == []
 
     def test_max_wavenumber_is_computed_once_per_grid(self, grid):
         evolve._max_wavenumber.cache_clear()
@@ -220,8 +219,11 @@ class TestRk4:
                 rel=1e-15)
 
     def test_order_of_convergence(self, grid):
-        state = plane_wave_state(grid, 1, 1, (1, 0, 0))
-        omega = np.linalg.norm(wavevector(grid, (1, 0, 0)))
+        # a standing wave, so that F- = F+ = TE is not zero, with ky != 0, so
+        # that conj(C(k)) = C(kx, -ky, kz) is not C(k): an F- step that read
+        # R_ij for R_ji would not converge
+        state = plane_wave_state(grid, 1, 1, (1, 2, 0), traveling=False)
+        omega = np.linalg.norm(wavevector(grid, (1, 2, 0)))
         total = 0.25 * TWO_PI / omega
         errors = []
         for nsteps in (8, 16, 32):
@@ -292,11 +294,11 @@ class TestRk4Carry:
     @pytest.fixture
     def carried(self, grid):
         state = step_rk4(step_rk4(random_state(grid, 1, seed=60), 0.05), 0.05)
-        assert state._spectra() is not None and state._te is None
+        assert "_fields" not in vars(state)  # no field made yet
         return state
 
     def test_carried_arrays_are_read_only(self, carried):
-        spectra = carried._spectra()
+        spectra = carried._spectra
         for array in (carried.te.data, carried.tb.data, spectra[0], spectra[1]):
             with pytest.raises(ValueError, match="read-only"):
                 array[(0,) * array.ndim] = 1
@@ -306,85 +308,57 @@ class TestRk4Carry:
             with pytest.raises(ValueError):
                 array.flags.writeable = True
 
-    @pytest.mark.parametrize("rebuild", [
-        lambda s: setattr(s, "te", s.te * 1) or s,
-        lambda s: setattr(s.tb, "data", s.tb.data.copy()) or s,
-        lambda s: dataclasses.replace(s, c=s.c),
-        rebuilt,
-        # once the fields are read, writeable copies of them and the spectra
-        lambda s: copy.deepcopy((s.te, s)[1]),
-    ], ids=["te-assigned", "tb-data-assigned", "dataclasses-replace", "from-copies",
-            "deepcopy"])
+    @pytest.mark.parametrize("rebuild", [rebuilt], ids=["from-copies"])
     def test_rebuilt_state_is_transformed_again(self, carried, monkeypatch, rebuild):
-        state = rebuild(carried)
-        want = step_rk4(rebuilt(state), 0.05)
+        # a state built from fields takes one fftn of each, where it is
+        # built; its step reads those spectra and transforms nothing
+        _ = carried.te  # made before the count
+        want = step_rk4(rebuild(carried), 0.05)
         calls = count_ffts(monkeypatch)
+        state = rebuild(carried)
+        assert calls == ["fftn"] * 2
         got = step_rk4(state, 0.05)
         assert calls == ["fftn"] * 2
         assert_same_bits(got, want)
 
     def test_deepcopy_of_an_unread_state_keeps_its_spectra(self, carried, monkeypatch):
-        # the copied spectra are the copy's only truth: it steps from them,
-        # to the original's bits, and shares no memory with it
-        copied = copy.deepcopy(carried)
-        assert not np.shares_memory(copied._spectra(), carried._spectra())
-        want = step_rk4(carried, 0.05)
+        # a state is one immutable value, so a copy of it, deep or shallow,
+        # alone or inside a container, is the state itself: nothing is copied
+        # or transformed
         calls = count_ffts(monkeypatch)
-        got = step_rk4(copied, 0.05)
-        assert calls == []
-        assert np.array_equal(got._spectra(), want._spectra())
-        assert_same_bits(copied, carried)
-
-    def test_shallow_copy_reads_its_fields_apart(self, carried, monkeypatch):
-        # a shallow copy shares the spectra; its fields are made on its own,
-        # and the original still steps from the spectra
-        shallow = copy.copy(carried)
-        assert_same_bits(shallow, step_rk4(carried, 0.0))
-        calls = count_ffts(monkeypatch)
-        assert carried._spectra() is shallow._spectra() is not None
-        step_rk4(carried, 0.05)
-        assert calls == []
+        assert copy.deepcopy(carried) is carried and copy.copy(carried) is carried
+        assert copy.deepcopy({"state": carried})["state"] is carried
+        assert calls == [] and "_fields" not in vars(carried)
 
     @pytest.mark.parametrize("h", [0, 1])
     def test_assigning_a_field_of_an_unread_state_keeps_the_other(self, carried, h):
+        # no field can be assigned: the state keeps its spectra, and both
+        # fields read as those of a twin that was never touched
+        spectra = carried._spectra
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(carried, ("te", "tb")[h], TensorField.zeros(carried.grid, 1, "spherical"))
+        assert carried._spectra is spectra and "_fields" not in vars(carried)
         twin = step_rk4(step_rk4(random_state(carried.grid, 1, seed=60), 0.05), 0.05)
-        zero = TensorField.zeros(carried.grid, 1, "spherical")
-        setattr(carried, ("te", "tb")[h], zero)
-        assert carried._spectra() is None
-        assert (carried.tb if h else carried.te) is zero
-        kept = (carried.te, twin.te) if h else (carried.tb, twin.tb)
-        assert np.array_equal(kept[0].data, kept[1].data)
-
-    def test_stale_carry_is_freed(self, carried):
-        # once a field is replaced, the next look drops the carry: the
-        # spectra pair is freed, and the field pair with the last old field
-        spectra, fields = (weakref.ref(a) for a in (carried._spectra(), carried.te.data.base))
-        carried.te = carried.te * 1
-        diagnostics(carried)
-        assert carried._carry is None
-        gc.collect()
-        assert spectra() is None and fields() is not None
-        carried.tb = carried.tb * 1
-        gc.collect()
-        assert fields() is None
+        assert_same_bits(carried, twin)
 
     def test_one_state_stepped_twice_gives_the_same_bits(self, carried):
         first, second = step_rk4(carried, 0.05), step_rk4(carried, 0.05)
         assert_same_bits(second, first)
-        assert np.array_equal(second._spectra(), first._spectra())
+        assert np.array_equal(second._spectra, first._spectra)
 
     @pytest.mark.parametrize("l", [1, 2])
     def test_matches_a_march_transforming_every_step(self, grid, monkeypatch, l):
         # the march of bare steps against one whose every step starts from a
-        # fresh state: the same arithmetic but for an fftn of each step's
-        # ifftn; the bare march transforms its fields once and makes none
-        start = EvolutionState(random_bandlimited(grid, l, "spherical", seed=62),
-                               random_bandlimited(grid, l, "spherical", seed=63), 0.2, 1.1)
-        want = start
+        # state rebuilt from its fields: the same arithmetic but for an fftn
+        # of each step's ifftn; the bare march transforms its fields once,
+        # where its first state is built, and makes none
+        fields = (random_bandlimited(grid, l, "spherical", seed=62),
+                  random_bandlimited(grid, l, "spherical", seed=63))
+        want = EvolutionState(*fields, 0.2, 1.1)
         for _ in range(20):
             want = step_rk4(rebuilt(want), 0.05)
         calls = count_ffts(monkeypatch)
-        got = start
+        got = EvolutionState(*fields, 0.2, 1.1)
         for _ in range(20):
             got = step_rk4(got, 0.05)
         assert calls == ["fftn"] * 2
@@ -392,15 +366,15 @@ class TestRk4Carry:
         for a, b in ((got.te, want.te), (got.tb, want.tb)):
             assert (a - b).norm() <= 1e-13 * b.norm()
         # 20 steps must have moved the state, or the comparison is vacuous
-        assert (got.te - start.te).norm() > 0.1 * start.te.norm()
+        assert (got.te - fields[0]).norm() > 0.1 * fields[0].norm()
 
     def test_diagnostics_read_the_carried_spectra(self, carried, monkeypatch):
         want = diagnostics(rebuilt(carried))
-        spectra = carried._spectra().copy()
+        spectra = carried._spectra.copy()
         calls = count_ffts(monkeypatch)
         got = diagnostics(carried)
         assert calls == []
-        assert np.array_equal(carried._spectra(), spectra)
+        assert np.array_equal(carried._spectra, spectra)
         assert got.t == want.t
         assert got.energy == pytest.approx(want.energy, rel=1e-13)
         assert got.band_te == pytest.approx(want.band_te, rel=1e-13, abs=1e-13 * want.energy)
@@ -408,14 +382,87 @@ class TestRk4Carry:
             assert getattr(got, div) == pytest.approx(getattr(want, div), abs=1e-13)
 
     def test_spectral_step_reads_the_carried_spectra(self, carried, monkeypatch):
-        # run_spectral moves to band coefficients the way diagnostics does
+        # run_spectral moves to band coefficients the way diagnostics does,
+        # and builds its state from spectra: the one transform is the
+        # inverse FFT of the pair when a field is read
         want = step_spectral(rebuilt(carried), 0.05)
+        _ = want.te
         calls = count_ffts(monkeypatch)
         got = step_spectral(carried, 0.05)
-        assert calls == ["ifftn"] * 2
+        assert calls == []
         assert got.t == want.t
         for a, b in ((got.te, want.te), (got.tb, want.tb)):
             assert (a - b).norm() <= 1e-13 * b.norm()
+        assert calls == ["ifftn"]
+
+
+class TestStateIsOneValue:
+    """Every state is its read-only F+- spectra, with l, grid, t and c."""
+
+    @pytest.fixture(params=["fields", "random_state", "step_rk4", "run_spectral"])
+    def state(self, request, grid):
+        if request.param == "fields":
+            return EvolutionState(random_bandlimited(grid, 2, "spherical", seed=70),
+                                  random_bandlimited(grid, 2, "spherical", seed=71), 0.3, 1.2)
+        start = random_state(grid, 2, seed=72)
+        return {"random_state": start, "step_rk4": step_rk4(start, 0.05),
+                "run_spectral": run_spectral(start, 0.05, 2)[0]}[request.param]
+
+    @pytest.mark.parametrize("name", ["te", "tb", "t", "c", "l", "grid", "_spectra"])
+    def test_no_attribute_can_be_assigned_or_deleted(self, state, name):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(state, name, getattr(state, name))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(state, name)
+
+    def test_no_field_data_can_be_assigned(self, state):
+        for f in (state.te, state.tb):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                f.data = f.data.copy()
+        assert state.te is state.te and state.tb is state.tb
+
+    def test_every_array_handed_out_is_read_only(self, state):
+        for array in (state.te.data, state.tb.data, state._spectra):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[(0,) * array.ndim] = 1
+        for array in (state.te.data, state.tb.data):  # views of a read-only pair
+            with pytest.raises(ValueError):
+                array.flags.writeable = True
+
+    def test_first_read_makes_one_inverse_transform(self, state, monkeypatch):
+        calls = count_ffts(monkeypatch)
+        _ = state.tb, state.te, state.tb.data, state.te.data
+        assert calls == ["ifftn"]  # of the pair, at 16^3 below the split size
+
+    def test_keeps_no_reference_to_the_fields_it_is_built_from(self, grid):
+        te, tb = (random_bandlimited(grid, 1, "spherical", seed=73 + h) for h in (0, 1))
+        want = te.data.copy(), tb.data.copy()
+        state = EvolutionState(te, tb, 0.0)
+        te.data[...] = 0
+        tb.data[...] = np.nan
+        for f, w in zip((state.te, state.tb), want):
+            assert not np.shares_memory(f.data, w)
+            assert np.linalg.norm(f.data - w) <= 1e-15 * np.linalg.norm(w)
+        assert state.te.data.shape == te.data.shape
+
+    def test_fft_counts_of_the_drivers(self, grid, monkeypatch):
+        # random_state: one ifftn of each random spectrum (random_bandlimited)
+        # and one fftn of each field into the band frame, none back; then
+        # run_spectral, from it or from a step_rk4 or run_spectral state,
+        # dumps included, and diagnostics make none until a field is read
+        calls = count_ffts(monkeypatch)
+        start = random_state(grid, 1, seed=74)
+        assert calls == ["ifftn", "fftn"] * 2
+        calls.clear()
+        dumps = []
+        for source in (start, step_rk4(start, 0.05), run_spectral(start, 0.05, 2)[0]):
+            final, logs = run_spectral(source, 0.05, 3, dump_every=1,
+                                       dump_fn=lambda s, step: dumps.append(s))
+            diagnostics(final)
+        assert calls == [] and len(dumps) == 9 and len(logs) == 4
+        _ = final.te, final.tb, dumps[0].tb
+        assert calls == ["ifftn"] * 2
 
 
 class TestRk4SpectralState:
@@ -442,13 +489,13 @@ class TestRk4SpectralState:
         bare = state
         for _ in range(20):
             bare = step_rk4(bare, 0.05)
-        assert calls == ["fftn"] * 2
+        assert calls == []
         assert_same_bits(bare, read)
 
     def test_first_read_makes_both_fields_once(self, sized, monkeypatch):
         state, split = sized
         state = step_rk4(state, 0.05)
-        spectra = state._spectra()
+        spectra = state._spectra
         calls = []
 
         def counted(data, *args, _fn=np.fft.ifftn, **kwargs):
@@ -465,7 +512,7 @@ class TestRk4SpectralState:
         for f, combined in ((state.te, (fp + fm) * 0.5), (state.tb, (fp - fm) * -0.5j)):
             assert np.array_equal(f.data, np.fft.ifftn(combined, axes=(-3, -2, -1)))
             assert not f.data.flags.writeable
-        assert state._spectra() is spectra
+        assert state._spectra is spectra
 
     @pytest.mark.parametrize("split", [False, True])
     def test_non_finite_stage_raises_at_its_step(self, grid, monkeypatch, split):
@@ -478,7 +525,7 @@ class TestRk4SpectralState:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             first = run_with_timeout(step_rk4, state, 8.0)
-            assert np.isfinite(first._spectra()).all()
+            assert np.isfinite(first._spectra).all()
             with pytest.raises(ValueError, match="non-finite samples"):
                 run_with_timeout(step_rk4, first, 8.0)
 
@@ -653,7 +700,7 @@ class TestRk4Table:
         assert not table.flags.writeable
         assert evolve._rk4_table.cache_info()[:2] == (3, 1)  # hits, misses
         # the table depends on c*dt alone: c = 2 at dt = 0.025 turns as far
-        step_rk4(dataclasses.replace(rebuilt(state), c=2.0), 0.025)
+        step_rk4(EvolutionState(state.te, state.tb, state.t, 2.0), 0.025)
         assert evolve._rk4_table.cache_info()[:2] == (4, 1)
         # a new c*dt, rank or grid builds anew, and one table is held
         for l, g, dt in ((1, grid, 0.04), (2, grid, 0.04),
@@ -678,17 +725,8 @@ def rk4_march_by_hand(state, dt, steps, log_every, dump_every, dump_fn):
     return state, logs
 
 
-def carried(state: EvolutionState) -> EvolutionState:
-    """The state `run_rk4` marches from: the F+- spectra of `state`.  Its
-    `diagnostics` read them; those of a fresh state pair its fields in the
-    band frame instead, the same values to roundoff (TestRk4Carry)."""
-    return EvolutionState._of_spectra(evolve._spectra_of(state), state.l, state.grid,
-                                      state.t, state.c)
-
-
 class TestRunRk4:
-    """`run_rk4` against the march by hand, bit for bit, both from the
-    spectra `run_rk4` takes a fresh state to."""
+    """`run_rk4` against the march by hand, bit for bit."""
 
     @staticmethod
     def both(state, dt, steps, log_every, dump_every):
@@ -714,26 +752,34 @@ class TestRunRk4:
     @pytest.mark.parametrize("steps, log_every", sorted(
         {(steps, every) for steps in (0, 5, 7) for every in (0, 1, 3, steps)}))
     def test_matches_march_by_hand(self, steps, log_every, dump_every):
-        state = carried(random_state(GridSpec((8, 8, 8), (TWO_PI,) * 3), 1, seed=7))
+        state = random_state(GridSpec((8, 8, 8), (TWO_PI,) * 3), 1, seed=7)
         got, want = self.both(state, 0.05, steps, log_every, dump_every)
         self.assert_same(got, want)
 
     def test_fresh_state_marches_as_its_spectra(self):
-        fresh = random_state(GridSpec((8, 8, 8), (TWO_PI,) * 3), 1, seed=7)
-        got, want = (self.both(s, 0.05, 7, 3, 2)[0] for s in (fresh, carried(fresh)))
+        # a state built from fields holds F+- = FFT(TE) +- i FFT(TB) and
+        # marches as the state built from those spectra by hand
+        grid = GridSpec((8, 8, 8), (TWO_PI,) * 3)
+        te, tb = (random_bandlimited(grid, 1, "spherical", seed=7 + h) for h in (0, 1))
+        fresh = EvolutionState(te, tb, 0.1, 1.3)
+        a, b = _fft(te.data), _fft(tb.data)
+        spectra = np.stack([a + b * 1j, a - b * 1j])
+        assert np.array_equal(fresh._spectra, spectra)
+        by_hand = EvolutionState._of_spectra(spectra, 1, grid, 0.1, 1.3)
+        got, want = (self.both(s, 0.05, 7, 3, 2)[0] for s in (fresh, by_hand))
         self.assert_same(got, want)
 
     @pytest.mark.parametrize("split", [False, True])
     def test_logged_run_transforms_each_field_once(self, monkeypatch, split):
-        # the first log and the first step share one FFT of the fresh
-        # state's fields; later steps and logs read the spectra the steps
-        # hold, and no field is made
+        # a state built from fields takes one fftn of each; every step and
+        # log of the run reads spectra, and no field is made
         if split:
             monkeypatch.setattr(evolve, "RK4_SPLIT_SAMPLES", 0)
             monkeypatch.setattr(spectral, "_cpu_count", lambda: 2)
-        state = random_state(GridSpec((8, 8, 8), (TWO_PI,) * 3), 1, seed=7)
+        fresh = random_state(GridSpec((8, 8, 8), (TWO_PI,) * 3), 1, seed=7)
+        fields = fresh.te, fresh.tb
         calls = count_ffts(monkeypatch)
-        _, logs = run_rk4(state, 0.05, 7, log_every=2)
+        _, logs = run_rk4(EvolutionState(*fields, 0.0), 0.05, 7, log_every=2)
         assert len(logs) == 5  # steps 0, 2, 4, 6 and 7
         assert calls == ["fftn"] * 2
 
@@ -747,7 +793,7 @@ class TestRunRk4:
             paired.append(halves[0].func.__qualname__ == "step_rk4.<locals>.half")
             return run_paired(*halves)
         monkeypatch.setattr(spectral, "_run_paired", counted)
-        state = carried(random_state(GridSpec((24, 24, 24), (TWO_PI,) * 3), 2, seed=8))
+        state = random_state(GridSpec((24, 24, 24), (TWO_PI,) * 3), 2, seed=8)
         got, want = self.both(state, 0.05, 5, 3, 2)
         self.assert_same(got, want)
         assert sum(paired) == 10 and len(got[1]) == 3  # logs at steps 0, 3 and 5
@@ -758,7 +804,7 @@ def spectral_march_by_hand(state, dt, steps, log_every, dump_every):
     single-pass `np.vdot` sums over every mode of 2a = z+ + z- and
     2ib = z+ - z- and of the same scaled by |k|."""
     prop = evolve._propagator(state.grid, state.l)
-    zp, zm, scratch = evolve._pair(prop, state)
+    zp, zm, _ = evolve._pair(prop, state)
     forward = prop.phases(state.c, dt)
     weight = prop.mode_weight / 4
 
@@ -782,8 +828,8 @@ def spectral_march_by_hand(state, dt, steps, log_every, dump_every):
         if step in logged:
             logs.append(log(t))
         if dump_every and step % dump_every == 0:
-            dumps.append((step, evolve._state(prop, zp, zm, scratch, t, state.c)))
-    return evolve._state(prop, zp, zm, scratch, t, state.c), logs, dumps
+            dumps.append((step, evolve._state(prop, zp, zm, t, state.c)))
+    return evolve._state(prop, zp, zm, t, state.c), logs, dumps
 
 
 class TestSpectralSplit:
@@ -957,14 +1003,25 @@ def per_entry_symbol(grid: GridSpec, op) -> np.ndarray:
     return sym
 
 
+def spectrum_of(prop: _Propagator, coeffs: np.ndarray) -> np.ndarray:
+    """`to_spectrum` of band coefficients into a new array."""
+    return prop.to_spectrum(coeffs, np.empty(prop.shape, dtype=np.complex128))
+
+
+def field_of(prop: _Propagator, coeffs: np.ndarray) -> TensorField:
+    """The field of band coefficients: `to_spectrum`, then inverse FFT."""
+    return TensorField(prop.l, "spherical", prop.grid,
+                       np.fft.ifftn(spectrum_of(prop, coeffs), axes=(-3, -2, -1)))
+
+
 def frame_matrices(prop: _Propagator) -> np.ndarray:
     """(modes, dim, dim) frame per mode, column i = band m = i - l, read back
-    through `to_field` from unit coefficients of one band at every mode."""
+    through `to_spectrum` from unit coefficients of one band at every mode."""
     columns = []
     for band in range(prop.dim):
         coeffs = np.zeros((prop.dim, prop.grid.ntotal), dtype=np.complex128)
         coeffs[band] = 1.0
-        columns.append(_fft(prop.to_field(coeffs).data).reshape(prop.dim, -1))
+        columns.append(spectrum_of(prop, coeffs).reshape(prop.dim, -1))
     return np.stack(columns, axis=-1).transpose(1, 0, 2)
 
 
@@ -1010,7 +1067,7 @@ class TestPropagator:
     def test_round_trip(self, small, l):
         prop = _Propagator(small, l)
         f = random_bandlimited(small, l, "spherical", kcut=0.5, seed=l)
-        back = prop.to_field(prop.to_eigen(_fft(f.data)))
+        back = field_of(prop, prop.to_eigen(_fft(f.data)))
         assert (back - f).norm() <= 1e-14 * f.norm()
 
     @pytest.mark.parametrize("l", [1, 2])
@@ -1069,8 +1126,8 @@ class TestPropagator:
         a, b = prop.to_eigen(_fft(te.data)), prop.to_eigen(_fft(tb.data))
         # coefficients in the rephased frame are conj(phase) * a
         a2, b2 = a * phase.conj(), b * phase.conj()
-        projected = prop.to_field(prop.constraint_project(a.copy()))
-        projected2 = prop.to_field(prop.constraint_project(a2.copy()) * phase)
+        projected = field_of(prop, prop.constraint_project(a.copy()))
+        projected2 = field_of(prop, prop.constraint_project(a2.copy()) * phase)
         assert (projected2 - projected).norm() <= 1e-14 * projected.norm()
         assert projected.norm() < 0.9 * te.norm()  # the projection removed something
         d, d2 = (_diag_from_modes(prop, 0.0, _band_sums(prop.kscale(), x + 1j * y, x - 1j * y,
@@ -1319,3 +1376,22 @@ class TestStateValidation:
             warnings.simplefilter("error")  # rejected before any numpy work
             with pytest.raises(ValueError, match="dt must be finite"):
                 driver(state, dt, 2)
+
+    # c*dt*kmax is finite (about 5 on 8^3), but t + steps*dt overflows
+    @for_each_driver("t, steps", [(0.0, 2), (1e308, 1), (-1e308, 3)],
+                     ids=["two-steps", "from-1e308", "from--1e308"])
+    def test_rejects_a_run_whose_end_time_overflows(self, driver, t, steps):
+        grid = GridSpec((8, 8, 8), (TWO_PI,) * 3)
+        state = EvolutionState(*(random_bandlimited(grid, 1, "spherical", seed=h)
+                                 for h in (0, 1)), t, 1e-308)
+        dt = 1e308 if t >= 0 else -1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^dt must keep the end time t \+ steps\*dt "):
+                driver(state, dt, steps)
+            if steps == 1:
+                with pytest.raises(ValueError, match=r"^dt must keep the end time"):
+                    step_rk4(state, dt)
+            # a run that ends at a finite time is let through
+            final, _ = driver(state, 0.0 if t else 4e307, steps, log_every=0)
+            assert math.isfinite(final.t)

@@ -78,7 +78,7 @@ def test_every_logged_step_is_traced(tracing):
 def test_every_logged_step_of_a_split_run_is_traced(tracing, monkeypatch, dump_every):
     # the second column half runs on a thread of its own and calls no traced
     # function: the logs are formed from both halves' sums on this thread,
-    # and only a dump or the final fields transform, so counts repeat exactly
+    # and no FFT is made, so counts repeat exactly
     monkeypatch.setattr(evolve, "SPECTRAL_SPLIT_MODES", 0)
     monkeypatch.setattr(spectral, "_cpu_count", lambda: 2)
     paired, run_paired = [], spectral._run_paired
@@ -114,11 +114,10 @@ def test_every_logged_step_of_a_split_run_is_traced(tracing, monkeypatch, dump_e
     assert len(logs) == 4
     assert counts["evolve.diagnostics"] == len(logs)
     assert counts["evolve.run_spectral"] == 1
-    # 2 fftn into the eigen frame, then 2 ifftn per state rebuilt: final and dumps
-    assert counts["fft"] == 2 + 2 * (1 + (2 if dump_every else 0))
-    assert {thread for _, thread in ffts} == {threading.current_thread()}
-    if dump_every is None:
-        assert sorted(name for name, _ in ffts) == ["fftn"] * 4 + ["ifftn"] * 4  # two runs
+    # 0 FFTs: the state's F+- spectra go to the eigen frame as they are, and
+    # the final state and the dumps are built as spectra; this dump_fn reads
+    # no field, so none is made
+    assert "fft" not in counts and ffts == []
 
 
 def test_every_rk4_step_and_log_is_traced(tracing):
@@ -139,7 +138,7 @@ def test_every_rk4_step_and_log_is_traced(tracing):
 def test_split_step_is_traced_whole(tracing, monkeypatch):
     # the F- half runs on a thread of its own, and so does the second batch
     # of the split inverse FFT that makes a step's fields when they are
-    # read; its spans still land in the one span list, and the tracer's
+    # read; their spans still land in the one span list, and the tracer's
     # stack comes back as it was.  The one-step table, and the curl symbol
     # it is built from, are built once, not by both halves at once, so
     # counts repeat
@@ -167,7 +166,8 @@ def test_split_step_is_traced_whole(tracing, monkeypatch):
     assert tracer._stack == []
     counts = {name: calls for name, (calls, *_) in tracing.layer_totals(tracer.spans).items()}
     assert counts["evolve.step_rk4"] == 3
-    # an fftn per field at the first step only, then one ifftn per batch and read
-    assert counts["fft"] == 2 + 2 * 3
+    # no step transforms; each of the 3 reads makes one ifftn of the pair,
+    # split into 2 batches: 3 * 2
+    assert counts["fft"] == 3 * 2
     entries = spectral.symbol_entries(build_curl_ldotgrad(1), grid)
     assert counts["diffop.symbol"] == len(entries)

@@ -11,7 +11,7 @@ from curlmat.builders import (build_cartesian_curls, build_curl_cg, build_div,
                               cartesian_grad, cartesian_transform,
                               cartesian_transform_inverse)
 from curlmat.diffop import DiffPoly, OpMatrix, spherical_tag
-from curlmat.evolve import random_state, run_spectral, step_rk4
+from curlmat.evolve import EvolutionState, random_state, run_spectral, step_rk4
 from curlmat.exactnum import ONE
 from curlmat.identities import curl_alpha_pairs
 from curlmat.spectral import (GridSpec, TensorField, _fft, _ifft, apply_operator,
@@ -211,10 +211,13 @@ class TestSplitFft:
 
     @pytest.mark.parametrize("halves", ["serial", "split"])
     def test_evolve_transforms_stay_on_one_thread(self, grid, monkeypatch, halves):
-        # its halves already keep both cores busy; only the inverse transform
-        # that makes a step's fields when they are read is split
-        # (test_evolve.py, TestRk4SpectralState)
-        state = random_state(grid, 1, seed=13)
+        # its halves already keep both cores busy: a state built from fields
+        # takes one whole-field fftn of each on the calling thread, and no
+        # step or run transforms; only the inverse transform that makes a
+        # state's fields when they are read is split (test_evolve.py,
+        # TestRk4SpectralState)
+        start = random_state(grid, 1, seed=13)
+        fields = start.te, start.tb
         count_pairs(monkeypatch)
         if halves == "split":
             monkeypatch.setattr(evolve, "RK4_SPLIT_SAMPLES", 0)
@@ -226,10 +229,11 @@ class TestSplitFft:
                 calls.append((threading.current_thread(), data.shape))
                 return _fn(data, *args, **kwargs)
             monkeypatch.setattr(np.fft, name, counted)
+        state = EvolutionState(*fields, 0.0)
         step_rk4(step_rk4(state, 0.02), 0.02)
         run_spectral(state, 0.02, 2)
-        # every transform is of one whole field, on the calling thread
-        assert calls and set(calls) == {(caller, state.te.data.shape)}
+        # the two transforms are of one whole field each, on the calling thread
+        assert calls == [(caller, fields[0].data.shape)] * 2
 
 
 def no_split(*args):
