@@ -76,25 +76,35 @@ def _cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
+def _overflow_raises():
+    """Field values that overflow raise FloatingPointError, an `error:` line."""
+    import numpy as np
+    return np.errstate(over="raise", invalid="raise", divide="raise")
+
+
 def _cmd_apply(args) -> int:
     from . import spectral
     f = spectral.read_ctf(args.infile)
-    l = args.l if args.l is not None else f.l
-    op = _OPS[args.op](l)
-    spectral.write_ctf(spectral.apply_operator(op, f), args.outfile)
+    op = _OPS[args.op](f.l)  # of the field's rank: any other fails
+    with _overflow_raises():
+        out = spectral.apply_operator(op, f)
+    spectral.write_ctf(out, args.outfile)
     return 0
 
 
 def _cmd_helmholtz(args) -> int:
     from . import spectral
     f = spectral.read_ctf(args.infile)
-    perp, par = spectral.helmholtz(f)
+    with _overflow_raises():  # every number is made before any file is written
+        perp, par = spectral.helmholtz(f)
+        recon = spectral.reconstruction_residual(f, perp, par)
+        del f  # freed before the residual checks, which need more memory
+        div = spectral.relative_divergence(perp)
+        curl = spectral.relative_complex_curl(par)
     spectral.write_ctf(perp, f"{args.out_prefix}_perp.ctf")
     spectral.write_ctf(par, f"{args.out_prefix}_par.ctf")
-    recon = spectral.reconstruction_residual(f, perp, par)
-    del f  # freed before the residual checks, which need more memory
-    print(f"div(perp) residual: {spectral.relative_divergence(perp):.3e}")
-    print(f"curl_c(par) residual: {spectral.relative_complex_curl(par):.3e}")
+    print(f"div(perp) residual: {div:.3e}")
+    print(f"curl_c(par) residual: {curl:.3e}")
     print(f"reconstruction residual: {recon:.3e}")
     return 0
 
@@ -113,8 +123,9 @@ def _cmd_gen(args) -> int:
         raise ValueError(f"--kcut must be a non-negative number, got {args.kcut}")
     grid = _parse_grid(args)
     if args.preset == "planewave":
-        f = spectral.plane_wave(grid, args.l, args.m, (args.jx, args.jy, args.jz),
-                                basis=args.basis, amplitude=args.amplitude)
+        with _overflow_raises():  # an amplitude near the largest float
+            f = spectral.plane_wave(grid, args.l, args.m, (args.jx, args.jy, args.jz),
+                                    basis=args.basis, amplitude=args.amplitude)
     elif args.preset == "random-bandlimited":
         print(f"seed: {args.seed}", file=sys.stderr)
         f = spectral.random_bandlimited(grid, args.l, args.basis,
@@ -221,7 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("apply", help="apply an operator to a .ctf field")
     p.add_argument("--op", required=True, choices=_OPS)
-    p.add_argument("--l", type=int, default=None)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", dest="outfile", required=True)
 
@@ -289,7 +299,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return _DISPATCH[args.command](args)
-    except (ValueError, OSError, MemoryError) as exc:
+    except (ValueError, OSError, MemoryError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

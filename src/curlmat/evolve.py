@@ -3,67 +3,52 @@
 The system couples two rank-l spherical fields through the curl:
 d/dt TE = +c * CURL TB and d/dt TB = -c * CURL TE, with both fields
 divergence-free as an initial-value constraint.  In the complex fields
-F+- = TE +- i*TB the pair decouples, d/dt F+- = -+i*c*CURL F+-.
+F+- = TE +- i*TB the pair decouples, d/dt F+- = -+i*c*CURL F+-.  An
+`EvolutionState` is one immutable value, the read-only spectra of F+- with
+l, grid, t and c, and every state a driver returns is built from spectra:
+a march that reads no field makes no FFT.
 
-An `EvolutionState` is one immutable value: the read-only spectra of F+-,
-with l, grid, t and c.  Built from fields, it takes one `fftn` of each and
-keeps no reference to them; its fields, TE = (F+ + F-)/2 and
-TB = (F+ - F-)/(2i), are made together by one inverse FFT of the pair when
-either is first read, and kept, read-only.  Every state a driver returns is
-built from spectra, so no driver transforms a field: a march that reads no
-field makes no FFT.
+Both drivers, `run_spectral` and `run_rk4`, run one event march
+(`_march`); `step_spectral` and `step_rk4` are one-step runs.  The events
+are the logged steps and the dumps, and step s is at time t0 + s*dt.  The
+march checks the run, has the driver build its start arrays, and walks the
+mode columns from event to event with the driver's kernel.  No step couples
+two modes, so from `SPLIT_MODES` modes per field the columns march in two
+halves that meet only at dumps, the second on a thread of its own given a
+second CPU, else in turn.  At a log each half writes the band sums of its
+columns, sum |2a|^2 and |2ib|^2 bare and weighted by |k|^2 per band row of
+z+- = a +- ib, and the calling thread adds the halves' sums after the march.
+At a dump the calling thread builds the state, which holds no buffer the
+march still writes.  The split depends on the size alone, so every host
+logs the same bits; states are those of an unsplit march, and logs move at
+roundoff (within 1e-14 relative), below the split size not at all.
 
-The spectral stepper is exact per Fourier mode: the curl symbol (L.k)/l is
+The spectral kernel is exact per Fourier mode: the curl symbol (L.k)/l is
 diagonalised by the rotation V(k) = exp(-i*phi*Lz) exp(-i*theta*Ly) taking
 z^ to k^, column m being helicity band m with eigenvalue lambda = m|k|/l,
-and each mode turns by c*lambda*dt -- energy is conserved to roundoff and
-steps are exactly reversible.  `run_spectral` takes the F+- spectra to band
-coefficients once -- the frame is linear, so they are z+- = a +- ib for
-the TE and TB coefficients a and b -- and marches those: a step multiplies
-z+ in place by exp(-i*c*lambda*dt) and z- by its conjugate, the same table
-read with its bands reversed (lambda is odd in m).  A logged step reads
-energy, band amplitudes and divergence from z+ + z- = 2a and z+ - z- = 2ib,
-each formed once in a scratch row, never from the expansion
+and each mode turns by c*lambda*dt, so energy is conserved to roundoff and
+steps are exactly reversible.  The F+- spectra go to band coefficients
+z+- = V^H F+- once; a step multiplies z+ by exp(-i*c*lambda*dt) and z- by
+its conjugate, the same table read with its bands reversed.  A log forms
+2a = z+ + z- and 2ib = z+ - z-, never the expansion
 |z+|^2 + |z-|^2 +- 2 Re(z+ conj z-), which cancels when one field is near
-zero.  A dumped state and the final one are F+- = V z+- per mode.  No step
-couples two band rows or two modes, so the march takes one band row at a
-time -- its z+ and z- rows, their two rows of the table, |k| and one scratch
-row, small enough to stay in cache -- and turns it through every step up to
-the next event, a logged step or a dump; at a logged step it sums that row's
-|2a|^2 and |2ib|^2, bare and weighted by |k|^2, before it moves to the next
-row.  From `SPECTRAL_SPLIT_MODES` modes per field the mode columns march in
-two halves, each row by row on its own, and the calling thread adds the
-halves' sums after the march.  Given a second CPU the second half runs on a
-thread of its own, else the halves run in turn.  They never meet: both
-march to a dump and return, the calling thread builds it, and both start
-again from there.  Where the columns split depends on the size alone, so
-every host logs the same bits.  States are the bits of a whole-array march;
-the logged sums, added in another order, move only at roundoff (within
-1e-14 relative), and below the split size not at all.
+zero.  States are F+- = V z+-.  The kernel turns one band row of its
+columns at a time, small enough to stay in cache, to the next event.
 
-`step_rk4` is the independent check on that propagator: it integrates the
-same equations with the curl symbol itself, never its eigenvectors.  The
-system is linear and autonomous, so the classical step is the polynomial
-R(dt A) = 1 + dt A + (dt A)^2/2 + (dt A)^3/6 + (dt A)^4/24, the same for
-every step of one (l, grid, c*dt).  `_rk4_table` builds R = R(-i*c*dt*CURL),
-F+'s step, once per mode and caches it: column j is the four Horner stages
-x + (-i*c*dt/k) CURL y, k = 4, 3, 2, 1, run on the unit spectrum of
-component j, so the Horner form stays R's one definition and the table
-comes from the curl symbol alone.  The curl symbol is Hermitian at every
-mode, so F-'s step R(+i*c*dt*CURL) is R^H, read from the same table as
-conj(R^T conj(x)): one table is held, (2l+1)^2 complex values per mode
-(4.7 MB at 32^3, l = 1; 13 MB at l = 2), rebuilt when l, the grid or c*dt
-changes.  The step is an F+ half and an F- half that never read each other:
-each is one pass over the table and the state's own spectrum (`_rk4_pass`)
-and checks that its result is finite; the new spectra are the new state.
-From `RK4_SPLIT_SAMPLES` samples per field, and when the process may use
-more than one CPU, the F- half runs on a thread started for the step;
-numpy's array arithmetic releases the interpreter lock, so the halves
-overlap.  Smaller steps run the halves in turn on the calling thread.
-Either way each half makes the same sums in the same order, so the result
-is the same bit for bit.  `run_rk4` marches `step_rk4` with `run_spectral`'s
-counts, log and dump rules.  Both steppers reject a step whose largest phase
-c*dt*kmax, or whose end time, is not finite before building anything.
+The RK4 kernel is the independent check on that propagator, with the curl
+symbol itself and never its eigenvectors.  A classical step of this linear
+autonomous system is the polynomial R(dt A) = 1 + dt A + ... + (dt A)^4/24.
+`_rk4_table` builds R = R(-i*c*dt*CURL), F+'s step, once per mode and
+(l, grid, c*dt): column j is the four Horner stages x + (-i*c*dt/k) CURL y,
+k = 4, 3, 2, 1, on the unit spectrum of component j.  The curl symbol is
+Hermitian, so F-'s step is R^H, read from the same table as
+conj(R^T conj(x)); one table is held, (2l+1)^2 complex values per mode.  A
+step of the kernel's columns is one pass of their F+ and one of their F-
+over the table (`_rk4_pass`), from the state's spectra into a new pair and
+then between two new pairs in turn; the new columns must be finite.  A log
+takes the columns to the band frame, as `diagnostics` does all of them.
+Both drivers reject a step whose phase c*dt*kmax, or whose end time, is not
+finite before building anything.
 """
 
 from __future__ import annotations
@@ -184,23 +169,24 @@ class _Propagator:
         """Eigenvalue m|k|/l of every band (rows) at every mode (columns)."""
         return np.multiply.outer(self.m, self.kabs) / self.l
 
-    def kscale(self) -> np.ndarray:
-        """|k| as complex128: a complex array scaled in place by it needs no
-        casting loop, and the products are the same bits.  Made per use, so
-        the cached propagator holds no second copy of |k|."""
-        return self.kabs.astype(np.complex128)
+    def kscale(self, cols: slice = slice(None)) -> np.ndarray:
+        """|k| at the mode columns `cols` as complex128: a complex array
+        scaled in place by it needs no casting loop, and the products are the
+        same bits.  Made per use, so the cached propagator holds no second
+        copy of |k|."""
+        return self.kabs[cols].astype(np.complex128)
 
     def phases(self, c: float, dt: float) -> np.ndarray:
         """exp(-i*c*lambda*dt) of every band and mode: one step of z+."""
         return np.exp(-1j * c * dt * self.vals)
 
-    def to_eigen(self, spectrum: np.ndarray) -> np.ndarray:
-        """Band coefficients of a field's spectrum: V^H per mode.  The
-        spectrum is overwritten."""
+    def to_eigen(self, spectrum: np.ndarray, cols: slice = slice(None)) -> np.ndarray:
+        """Band coefficients of a field's spectrum, or of its mode columns
+        `cols`: V^H per mode.  The spectrum is overwritten."""
         x = spectrum.reshape(self.dim, -1)
-        _turn(x, self.azimuth, -1)  # components are m = l..-l
+        _turn(x, self.azimuth[cols], -1)  # components are m = l..-l
         x = self.ly_vecs.conj().T @ x
-        _turn(x, self.polar, 1)
+        _turn(x, self.polar[cols], 1)
         return self.ly_vecs[::-1] @ x  # rows flipped to ascending m
 
     def to_spectrum(self, coeffs: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -260,14 +246,6 @@ def step_spectral(state: EvolutionState, dt: float) -> EvolutionState:
     return run_spectral(state, dt, 1, log_every=0)[0]
 
 
-def _pair(prop: _Propagator, state: EvolutionState) -> tuple[np.ndarray, ...]:
-    """z+- = a +- ib of the state's TE and TB band coefficients a and b, and a
-    scratch array of their shape.  The band frame is linear, so z+- are
-    copies of the state's F+- spectra taken to it."""
-    zp, zm = (prop.to_eigen(s.copy()) for s in state._spectra)
-    return zp, zm, np.empty_like(zp)
-
-
 def _plus_minus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a + ib and a - ib in place of a and b; returns ib, made on the way."""
     ib = np.multiply(b, 1j)
@@ -297,12 +275,15 @@ def _row_sums(kscale: np.ndarray, zp: np.ndarray, zm: np.ndarray, x: np.ndarray,
         out[i + 1] = np.vdot(x, x).real
 
 
-def _band_sums(kscale: np.ndarray, zp: np.ndarray, zm: np.ndarray, x: np.ndarray,
-               out: np.ndarray) -> np.ndarray:
-    """The `_row_sums` of every band row of z+-, x their scratch, into the
-    columns of `out`."""
-    for r in range(len(zp)):
-        _row_sums(kscale, zp[r], zm[r], x[r], out[:, r])
+def _column_sums(prop: _Propagator, spectra: np.ndarray, cols: slice,
+                 out: np.ndarray) -> np.ndarray:
+    """The `_row_sums` of every band row of the mode columns `cols` of F+-
+    spectra, taken to the band frame as z+- = V^H F+-, into the columns of
+    `out`.  The spectra are kept."""
+    zp, zm = (prop.to_eigen(s[:, cols].copy(), cols) for s in spectra.reshape(2, prop.dim, -1))
+    kscale, x = prop.kscale(cols), np.empty_like(zp[0])
+    for r in range(prop.dim):
+        _row_sums(kscale, zp[r], zm[r], x, out[:, r])
     return out
 
 
@@ -335,14 +316,61 @@ def _state(prop: _Propagator, zp: np.ndarray, zm: np.ndarray,
     return EvolutionState._of_spectra(spectra, prop.l, prop.grid, t, c)
 
 
-def _check_run(state, dt, steps, log_every, dump_every) -> None:
+def _check_run(state, dt, steps, log_every, dump_every) -> float:
     if steps < 0:
         raise ValueError(f"steps must be non-negative, got {steps}")
     if log_every < 0:
         raise ValueError(f"log_every must be non-negative, got {log_every}")
     if dump_every is not None and dump_every < 1:
         raise ValueError(f"dump_every must be at least 1, got {dump_every}")
-    check_dt(state.grid, state.c, dt, state.t, steps)
+    return check_dt(state.grid, state.c, dt, state.t, steps)
+
+
+# Modes per field, n^3, from which the march splits its columns.  A half
+# makes the calls of the whole march over half the modes, so the split pays
+# once those calls are long, whatever l is.  Split over serial time on 2
+# cores, medians of 9 interleaved calls, l = 1 / l = 2: run_spectral, 200
+# logged steps, 1.64 / 1.31 at 24^3, 1.26 / 0.90 at 26^3, 0.94 / 0.90 at
+# 28^3, 0.80 / 0.72 at 30^3; run_rk4, 100 unlogged steps, 1.94 / 1.92 at
+# 20^3, 1.22 / 1.15 at 24^3, 0.99 / 0.86 at 26^3, 0.75 / 0.59 at 28^3,
+# 0.54 / 0.49 at 32^3.  28^3 is the first size where both kernels gain at
+# both ranks; splitting from 26^3 would cost run_spectral 26 % at l = 1
+SPLIT_MODES = 20_000
+
+
+def _march(state: EvolutionState, dt: float, steps: int, log_every: int,
+           dump_every: int | None, dump_fn, begin) -> tuple[EvolutionState, list[Diagnostics]]:
+    """The event march of both drivers (module docstring).  Once the run is
+    checked, ``begin(phase, logging)`` builds the driver's start arrays and
+    returns its kernel ``walk(cols, start, segment, sums)``, which takes the
+    mode columns `cols` from step `start` through each event of `segment`,
+    writing their band sums at a logged one to ``sums[event]``, and its
+    ``build(step, t)`` of the state at a step every column has reached."""
+    phase = _check_run(state, dt, steps, log_every, dump_every)
+    logged = sorted(set(range(0, steps + 1, log_every)) | {steps}) if log_every else []
+    dumps = set(range(dump_every, steps + 1, dump_every)) if dump_fn and dump_every else set()
+    cut = state.grid.ntotal // 2  # the size alone splits, so every host logs the same bits
+    halves = [slice(cut), slice(cut, None)] if 2 * cut >= SPLIT_MODES else [slice(None)]
+    sums = [dict(zip(logged, np.empty((len(logged), 4, 2 * state.l + 1)))) for _ in halves]
+    walk, build = begin(phase, bool(logged))
+
+    def at(step):
+        return state.t + step * dt if step else state.t
+
+    start, segment, dumped = 0, [], None
+    for event in sorted(set(logged) | dumps | {steps}):
+        segment.append(event)
+        if event in dumps or event == steps:  # the halves march from dump to dump
+            _in_step(len(halves) > 1, *(partial(walk, cols, start, segment, s)
+                                        for cols, s in zip(halves, sums)))
+            if event in dumps:
+                dumped = build(event, at(event))
+                dump_fn(dumped, event)
+            start, segment = event, []
+    del walk  # and with it the kernel's arrays, before the final state is built
+    prop = _propagator(state.grid, state.l) if logged else None
+    logs = [_diag_from_modes(prop, at(step), sum(s[step] for s in sums)) for step in logged]
+    return dumped if steps in dumps else build(steps, at(steps)), logs
 
 
 def run_spectral(state: EvolutionState, dt: float, steps: int,
@@ -353,85 +381,39 @@ def run_spectral(state: EvolutionState, dt: float, steps: int,
     Diagnostics are logged for the initial state, every `log_every` steps and
     the last step; ``log_every=0`` logs none.  With `dump_fn`, the state is
     passed to ``dump_fn(state, step)`` every `dump_every` steps.  The run
-    makes no FFT: the state's F+- spectra go to the band frame, and each
-    dumped state and the final one are F+- = V z+-.  Each band row is turned
-    from event to event (a log or a dump) while it is in cache.  From
-    `SPECTRAL_SPLIT_MODES` modes per field the mode columns march in two
-    halves, the second on a thread of its own given a second CPU; both
-    return at each dump, which this thread builds (module docstring).
+    makes no FFT (module docstring).
     """
-    _check_run(state, dt, steps, log_every, dump_every)
-    prop = _propagator(state.grid, state.l)
-    zp, zm, scratch = _pair(prop, state)
-    # the rotation a' = a cos + b sin, b' = b cos - a sin by theta = c*lambda*dt
-    # is z+' = z+ exp(-i theta) and z-' = z- exp(+i theta) for z+- = a +- ib
-    forward = prop.phases(state.c, dt)
-    kscale = prop.kscale()
-    logged = set(range(0, steps + 1, log_every)) | {steps} if log_every else set()
-    dumps = set(range(dump_every, steps + 1, dump_every)) if dump_fn and dump_every else set()
-    events = sorted(logged | dumps | {steps})
-    modes = zp.shape[1]
-    # a split that depends on the size alone, so every host logs the same bits
-    split = modes >= SPECTRAL_SPLIT_MODES
-    bounds = (0, modes // 2, modes) if split else (0, modes)
-    sums = np.empty((len(bounds) - 1, len(logged), 4, prop.dim))
+    def begin(phase, logging):
+        prop = _propagator(state.grid, state.l)
+        zp, zm = (prop.to_eigen(s.copy()) for s in state._spectra)
+        scratch = np.empty_like(zp)
+        # the rotation a' = a cos + b sin, b' = b cos - a sin by theta = c*lambda*dt
+        # is z+' = z+ exp(-i theta) and z-' = z- exp(+i theta) for z+- = a +- ib
+        forward = prop.phases(state.c, dt)
+        kscale = prop.kscale()
 
-    def at(step):
-        return state.t + step * dt if step else state.t
+        def walk(cols, start, segment, sums):
+            # band -m turns by -theta: row r of z- by row dim-1-r of the table
+            rows = [(zp[r, cols], zm[r, cols], forward[r, cols], forward[-1 - r, cols],
+                     scratch[r, cols]) for r in range(prop.dim)]
+            k_h = kscale[cols]
+            done = start
+            for event in segment:
+                at_event = sums.get(event)
+                for r, (zp_r, zm_r, fwd, bwd, x) in enumerate(rows):
+                    for _ in range(done, event):
+                        zp_r *= fwd
+                        zm_r *= bwd  # forward.conj(), bit for bit
+                    if at_event is not None:
+                        _row_sums(k_h, zp_r, zm_r, x, at_event[:, r])
+                done = event
 
-    def half(h, start, segment):
-        """Columns h of the march from step `start` through the events of
-        `segment`, its sums in sums[h].  Band row by band row, it turns each
-        row to the next event and, at a log, sums it while it is still in
-        cache."""
-        cols = slice(bounds[h], bounds[h + 1])
-        # band -m turns by -theta: row r of z- by row dim-1-r of the table
-        rows = [(zp[r, cols], zm[r, cols], forward[r, cols], forward[-1 - r, cols],
-                 scratch[r, cols]) for r in range(prop.dim)]
-        k_h = kscale[cols]
-        out = dict(zip(sorted(logged), sums[h]))
-        done = start
-        for event in segment:
-            at_event = out.get(event)
-            for r, (zp_r, zm_r, fwd, bwd, x) in enumerate(rows):
-                for _ in range(done, event):
-                    zp_r *= fwd
-                    zm_r *= bwd  # forward.conj(), bit for bit
-                if at_event is not None:
-                    _row_sums(k_h, zp_r, zm_r, x, at_event[:, r])
-            done = event
+        return walk, lambda step, t: _state(prop, zp, zm, t, state.c)
 
-    start, segment = 0, []
-    for event in events:  # the halves march from dump to dump
-        segment.append(event)
-        if event in dumps or event == steps:
-            _in_step(split, *(partial(half, h, start, segment)
-                              for h in range(len(bounds) - 1)))
-            if event in dumps:
-                dump_fn(_state(prop, zp, zm, at(event), state.c), event)
-            start, segment = event, []
-    del forward, kscale, scratch  # three arrays less while the final spectra are built
-    logs = [_diag_from_modes(prop, at(step), s)
-            for step, s in zip(sorted(logged), sums.sum(axis=0))]
-    return _state(prop, zp, zm, at(steps), state.c), logs
+    return _march(state, dt, steps, log_every, dump_every, dump_fn, begin)
 
 
 RK4_STABILITY_BOUND = 2.8
-# Samples per field, (2l+1) n^3, from which step_rk4 splits.  A half is one
-# table pass, about 1 ms at 32^3, l = 1, so the thread start a split step
-# makes pays only on large grids: on 2 cores the split step took 2.9x the
-# serial time at 16^3, l = 1, 1.8x at 20^3, l = 1, 1.3x at 20^3, l = 2,
-# 1.15x at 24^3, l = 1, 0.96-0.98x at 26^3, l = 1 and 22^3, l = 2 (53,000
-# samples), 0.84-0.95x at 28^3, l = 1, 0.86x at 24^3, l = 2, 0.53x at
-# 28^3, l = 2 and 0.60-0.65x at 32^3, l = 1 and 2 (medians of 15 blocks)
-RK4_SPLIT_SAMPLES = 2 ** 16
-# Modes per field, n^3, from which run_spectral splits.  Its march makes ten
-# calls per band row and logged step, each over the half's modes, so the
-# split pays once those calls are long, whatever l is: 200 logged steps in
-# two halves took 2.6-3.2x the serial time at 16^3, l = 2, 1.5-2.6x at
-# 20^3, 1.4-1.6x at 24^3, 0.9-1.1x at 26^3, 0.8-1.15x at 28^3, 0.72x at
-# 30^3 and 0.60-0.77x at 32^3, each for l = 1 and 2
-SPECTRAL_SPLIT_MODES = 20_000
 
 
 @lru_cache(maxsize=16)
@@ -441,38 +423,12 @@ def _max_wavenumber(grid: GridSpec) -> float:
 
 
 def step_rk4(state: EvolutionState, dt: float) -> EvolutionState:
-    """Classical 4th-order step; cross-validates the exact propagator.
-
-    Each half is one pass over the cached one-step table R(-i*c*dt*CURL)
-    (`_rk4_table`) and the state's spectrum: F+ is R F+ and F- is R^H F-
-    (module docstring).  The new spectra are the returned state, so a step
-    makes no FFT; its fields cost one inverse FFT of the pair if read.  A
-    kept state costs its spectra pair, and its field pair as well once read.
-    A ValueError is raised for a dt whose phase c*dt*kmax or new time t + dt
-    is not finite, and at the step whose new spectra hold a value that is
-    not.  From `RK4_SPLIT_SAMPLES` samples per field, given a second CPU,
-    the F- half runs on a thread joined before this returns.
-    """
-    phase = check_dt(state.grid, state.c, dt, state.t)
-    if abs(phase) >= RK4_STABILITY_BOUND:  # |R(i*theta)| is even in theta
-        warnings.warn(
-            f"rk4 step dt*c*kmax = {phase:.3f}"
-            f" exceeds the stability bound {RK4_STABILITY_BOUND}",
-            RuntimeWarning, stacklevel=2)
-    grid = state.grid
-    table = _rk4_table(state.l, grid, state.c * dt)  # here, or both halves would build it
-    x = state._spectra
-    out = np.empty_like(x)
-
-    def half(h):
-        """F+ (h = 0) or F- part of the step, left in out[h]."""
-        y = _rk4_pass(table, x[h], out[h], adjoint=bool(h))
-        if not np.isfinite(y.view(np.float64)).all():  # twice as fast as on complex
-            raise ValueError("field contains non-finite samples")
-
-    _in_step(x[0].size >= RK4_SPLIT_SAMPLES, partial(half, 0), partial(half, 1))
-    out.flags.writeable = False
-    return EvolutionState._of_spectra(out, state.l, grid, state.t + dt, state.c)
+    """Classical 4th-order step, a one-step `run_rk4`; cross-validates the
+    exact propagator.  The new spectra, R F+ and R^H F-, are the returned
+    state, so a step makes no FFT; its fields cost one inverse FFT of the
+    pair if read.  A ValueError is raised for a dt whose phase c*dt*kmax or
+    new time t + dt is not finite, and when the new spectra are not."""
+    return run_rk4(state, dt, 1, log_every=0)[0]
 
 
 @lru_cache(maxsize=1)
@@ -503,7 +459,8 @@ def _rk4_pass(table: np.ndarray, x: np.ndarray, out: np.ndarray,
     """R x into `out`, R the matrix of `_rk4_table` at every mode: out_i is
     sum_j R_ij x_j.  With `adjoint`, R^H x instead, from the same table as
     conj(sum_j R_ji conj(x_j)).  Either sum adds its terms for j = 0, 1, ...
-    in turn, so a half makes the same bits on any thread."""
+    in turn, so a pass over some mode columns makes their bits of a pass
+    over all of them, on any thread."""
     term = np.empty_like(x[0])
     xj = np.empty_like(x[0]) if adjoint else None
     for j in range(len(x)):
@@ -522,23 +479,52 @@ def _rk4_pass(table: np.ndarray, x: np.ndarray, out: np.ndarray,
 def run_rk4(state: EvolutionState, dt: float, steps: int,
             log_every: int = 1, dump_every: int | None = None,
             dump_fn=None) -> tuple[EvolutionState, list[Diagnostics]]:
-    """March `steps` `step_rk4` steps; logs and dumps as `run_spectral` does.
-    Every step and log reads the states' spectra, so the run makes no FFT
-    unless `dump_fn` reads a field; with no step, `state` itself is returned."""
-    _check_run(state, dt, steps, log_every, dump_every)
-    logs = [diagnostics(state)] if log_every else []
-    for step in range(1, steps + 1):
-        state = step_rk4(state, dt)
-        if log_every and (step % log_every == 0 or step == steps):
-            logs.append(diagnostics(state))
-        if dump_every and dump_fn and step % dump_every == 0:
-            dump_fn(state, step)
-    return state, logs
+    """March `steps` RK4 steps; logs and dumps as `run_spectral` does.  The
+    run makes no FFT unless `dump_fn` reads a field; with no step, `state`
+    itself is returned.  A phase c*dt*kmax past `RK4_STABILITY_BOUND` warns."""
+    def begin(phase, logging):
+        if steps and abs(phase) >= RK4_STABILITY_BOUND:  # |R(i*theta)| is even in theta
+            warnings.warn(f"rk4 step dt*c*kmax = {phase:.3f} exceeds the stability bound "
+                          f"{RK4_STABILITY_BOUND}", RuntimeWarning, stacklevel=4)
+        dim = 2 * state.l + 1
+        table = _rk4_table(state.l, state.grid, state.c * dt).reshape(dim, dim, -1) \
+            if steps else None
+        # step s > 0 is in the first new pair for odd s, else in the second
+        pairs = [state._spectra] + [np.empty_like(state._spectra) for _ in range(min(steps, 2))]
+        flat = [p.reshape(2, dim, -1) for p in pairs]
+        prop = _propagator(state.grid, state.l) if logging else None
+
+        def held(step):
+            return 2 - step % 2 if step else 0
+
+        def walk(cols, start, segment, sums):
+            done = start
+            for event in segment:
+                for step in range(done, event):
+                    src, dst = flat[held(step)][..., cols], flat[held(step + 1)][..., cols]
+                    for h in (0, 1):  # F+ through R, F- through R^H
+                        _rk4_pass(table[..., cols], src[h], dst[h], adjoint=bool(h))
+                    if not np.isfinite(dst.view(np.float64)).all():  # twice as fast as on complex
+                        raise ValueError("field contains non-finite samples")
+                if event in sums:
+                    _column_sums(prop, flat[held(event)], cols, sums[event])
+                done = event
+
+        def build(step, t):  # a copy unless no step follows
+            if not step:
+                return state
+            spectra = pairs[held(step)]
+            return EvolutionState._of_spectra(spectra if step == steps else spectra.copy(),
+                                              state.l, state.grid, t, state.c)
+
+        return walk, build
+
+    return _march(state, dt, steps, log_every, dump_every, dump_fn, begin)
 
 
 def diagnostics(state: EvolutionState) -> Diagnostics:
     prop = _propagator(state.grid, state.l)
-    sums = _band_sums(prop.kscale(), *_pair(prop, state), np.empty((4, prop.dim)))
+    sums = _column_sums(prop, state._spectra, slice(None), np.empty((4, prop.dim)))
     return _diag_from_modes(prop, state.t, sums)
 
 

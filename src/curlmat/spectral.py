@@ -11,10 +11,11 @@ The whole-field FFTs of `apply_operator`, `helmholtz`, the divergence and
 curl residuals and `random_bandlimited` run the component axis as two
 batches from `FFT_SPLIT_SAMPLES` = 3 * 32^3 samples, the measured crossover,
 with the bits of one numpy call.  One function, `_in_step`, runs such a pair
-of independent calls, these batches or `evolve`'s halves, on two threads
-given a second CPU and else in turn.  `evolve`'s transforms are whole and on
-the calling thread, except the inverse transform that makes a `step_rk4`
-state's fields when they are read.  `_relative_residual` makes the
+of independent calls on two threads given a second CPU and else in turn;
+its callers are `_transform`, for these batches, and `evolve`'s event march,
+for its column halves.  `evolve` builds a state with whole transforms on the
+calling thread; only the inverse transform of the pair that makes a state's
+fields on first read is split.  `_relative_residual` makes the
 operator's output one row at a time in one buffer, and `random_bandlimited`
 fills one complex array part by part.
 """

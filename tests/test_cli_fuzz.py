@@ -1,10 +1,10 @@
-"""`evolve` and `gen` flags drawn by hypothesis: every run
-ends in exit 0 with no `error:` line, or in exit 1 with exactly one, and
-never in a traceback or a numpy warning.  The commands run in this process,
-so a warning is caught as one rather than read from stderr; the grids are
-at most 8 points an axis and a run at most 2 steps, so no case starts more
-than a few milliseconds of work.  The module skips without hypothesis,
-which is test-only."""
+"""`evolve`, `gen`, `apply` and `helmholtz` flags and input fields drawn by
+hypothesis: every run ends in exit 0 with no `error:` line, or in exit 1
+with exactly one, and never in a traceback or a numpy warning.  The commands
+run in this process, so a warning is caught as one rather than read from
+stderr; the grids are at most 8 points an axis and a run at most 2 steps, so
+no case starts more than a few milliseconds of work.  The module skips
+without hypothesis, which is test-only."""
 
 import contextlib
 import io
@@ -16,9 +16,9 @@ import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 
-from hypothesis import event, example, given, settings, strategies as st
+from hypothesis import assume, event, example, given, settings, strategies as st
 
-from curlmat.cli import main
+from curlmat.cli import _OPS, main
 from curlmat.spectral import read_ctf
 
 # floats at the ends of the range, and around the ones a grid can use
@@ -112,6 +112,8 @@ def test_evolve_flags(work, stepper, l, grid, steps, box, dt, c, init, log, dump
        box=flag_float(st.just(math.tau)), amplitude=flag_float(st.floats(-2.0, 2.0)))
 @example(l=1, m=1, basis="cartesian", jvec=(8, 0, 0), grid=16, box=math.tau, amplitude=1.0)
 @example(l=1, m=1, basis="cartesian", jvec=(1, 0, 0), grid=16, box=1e-320, amplitude=1.0)
+@example(l=1, m=0, basis="cartesian", jvec=(1, 0, 0), grid=8, box=1e-100,
+         amplitude=1.7976931348623157e308)
 def test_gen_planewave_flags(work, l, m, basis, jvec, grid, box, amplitude):
     out = work / "pw.ctf"
     code, err = run(work, ["gen", "--preset", "planewave", "--l", l, "--m", m,
@@ -158,3 +160,65 @@ def test_gen_example1_flags(work, l, basis, grid, box, kcut, seed):
     # flags the preset does not read are checked as for the others
     if not kcut >= 0 or seed < 0:
         assert code == 1
+
+
+@pytest.fixture(scope="module")
+def fields(tmp_path_factory):
+    return tmp_path_factory.mktemp("cli-fuzz-fields")
+
+
+@st.composite
+def gen_flags(draw):
+    """`gen` flags for a field it writes at grid <= 8: rank 0 to 2 in either
+    basis, band-limited random or, from rank 1 on a grid that resolves a
+    mode, a plane wave of any finite amplitude."""
+    l, basis = draw(st.integers(0, 2)), draw(bases)
+    grid = draw(st.sampled_from([2, 4, 6, 8]))
+    box = draw(mostly(st.just(math.tau), st.sampled_from([1.0, 1e-3, 1e3, 1e-100, 1e100])))
+    flags = ["--l", l, "--basis", basis, "--grid", grid, f"--box={box}"]
+    if l and grid > 2 and draw(st.booleans()):
+        index = st.integers(1 - grid // 2, grid // 2 - 1)
+        jvec = draw(st.tuples(index, index, index).filter(any))
+        amplitude = draw(mostly(st.floats(-2.0, 2.0), st.sampled_from(
+            [0.0, 5e-324, 1e-300, 1e300, -1e300, 1.7976931348623157e308])))
+        return ["--preset", "planewave", *flags, "--m", draw(st.integers(-l, l)),
+                "--jx", jvec[0], "--jy", jvec[1], "--jz", jvec[2], f"--amplitude={amplitude}"]
+    return ["--preset", "random-bandlimited", *flags,
+            f"--kcut={draw(st.floats(0.0, 0.6))}", "--seed", draw(st.integers(0, 2 ** 32))]
+
+
+def written(fields, flags):
+    """The field `gen` writes for `flags`; flags it rejects make no field."""
+    path = fields / "in.ctf"
+    code, err = run(fields, ["gen", *flags, "--out", path])
+    assert_clean_end(code, err)
+    assume(code == 0)
+    return path
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(op=st.sampled_from(sorted(_OPS)), flags=gen_flags())
+@example(op="curl", flags=["--preset", "random-bandlimited", "--l", 2, "--basis", "spherical",
+                           "--grid", 8, "--box=6.28", "--kcut=0.5", "--seed", 1])
+@example(op="cartesian-curl", flags=["--preset", "planewave", "--l", 1, "--basis", "cartesian",
+                                     "--grid", 8, "--box=6.28", "--m", 1, "--jx", 1, "--jy", 0,
+                                     "--jz", 0, "--amplitude=1.7976931348623157e308"])
+def test_apply_flags(work, fields, op, flags):
+    src, out = written(fields, flags), work / "out.ctf"
+    code, err = run(work, ["apply", "--op", op, "--in", src, "--out", out])
+    assert_clean_end(code, err)
+    assert out.exists() == (code == 0)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(flags=gen_flags())
+@example(flags=["--preset", "planewave", "--l", 1, "--basis", "cartesian", "--grid", 8,
+                "--box=6.28", "--m", 1, "--jx", 1, "--jy", 2, "--jz", 0, "--amplitude=1e300"])
+@example(flags=["--preset", "planewave", "--l", 1, "--basis", "cartesian", "--grid", 8,
+                "--box=1e-100", "--m", 0, "--jx", 1, "--jy", 0, "--jz", 0,
+                "--amplitude=1.7976931348623157e308"])
+def test_helmholtz_flags(work, fields, flags):
+    src = written(fields, flags)
+    code, err = run(work, ["helmholtz", "--in", src, "--out-prefix", work / "h"])
+    assert_clean_end(code, err)
+    assert (work / "h_perp.ctf").exists() == (work / "h_par.ctf").exists() == (code == 0)

@@ -79,7 +79,7 @@ def test_every_logged_step_of_a_split_run_is_traced(tracing, monkeypatch, dump_e
     # the second column half runs on a thread of its own and calls no traced
     # function: the logs are formed from both halves' sums on this thread,
     # and no FFT is made, so counts repeat exactly
-    monkeypatch.setattr(evolve, "SPECTRAL_SPLIT_MODES", 0)
+    monkeypatch.setattr(evolve, "SPLIT_MODES", 0)
     monkeypatch.setattr(spectral, "_cpu_count", lambda: 2)
     paired, run_paired = [], spectral._run_paired
     monkeypatch.setattr(spectral, "_run_paired",
@@ -121,8 +121,9 @@ def test_every_logged_step_of_a_split_run_is_traced(tracing, monkeypatch, dump_e
 
 
 def test_every_rk4_step_and_log_is_traced(tracing):
-    # run_rk4 is no target of its own: it calls step_rk4 and diagnostics by
-    # their module-level names, so each step and each log is a top-level span
+    # run_rk4 is no target of its own and marches its steps itself: each
+    # log is one top-level `_diag_from_modes` span, by its module-level
+    # name, and no step is a `step_rk4` call
     state = evolve.random_state(GridSpec((8, 8, 8), (2 * np.pi,) * 3), 1, seed=4)
     tracer = tracing.Tracer()
     tracer.install()
@@ -131,8 +132,47 @@ def test_every_rk4_step_and_log_is_traced(tracing):
     finally:
         tracer.uninstall()
     top = [name for name, _, _, parent, _, _ in tracer.spans if parent == -1]
-    assert top.count("evolve.step_rk4") == 7
     assert top.count("evolve.diagnostics") == len(logs) == 4
+    assert "evolve.step_rk4" not in {name for name, *_ in tracer.spans}
+
+
+def test_every_step_rk4_call_is_traced(tracing):
+    # evolve-rk4 times 100 step_rk4 calls: one span each, and no log
+    state = evolve.random_state(GridSpec((8, 8, 8), (2 * np.pi,) * 3), 1, seed=4)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for _ in range(100):
+            state = evolve.step_rk4(state, 0.02)
+    finally:
+        tracer.uninstall()
+    counts = {name: calls for name, (calls, *_) in tracing.layer_totals(tracer.spans).items()}
+    assert counts["evolve.step_rk4"] == 100 and "evolve.diagnostics" not in counts
+
+
+@pytest.mark.parametrize("dump_every", [None, 3])
+def test_split_rk4_run_pairs_once_per_stretch(tracing, monkeypatch, dump_every):
+    # the column halves march from dump to dump: one `_run_paired` per
+    # stretch, and the logs are formed on this thread from both halves' sums
+    monkeypatch.setattr(evolve, "SPLIT_MODES", 0)
+    monkeypatch.setattr(spectral, "_cpu_count", lambda: 2)
+    paired, run_paired = [], spectral._run_paired
+    monkeypatch.setattr(spectral, "_run_paired",
+                        lambda *halves: paired.append(threading.current_thread())
+                        or run_paired(*halves))
+    state = evolve.random_state(GridSpec((8, 8, 8), (2 * np.pi,) * 3), 1, seed=4)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        _, logs = evolve.run_rk4(state, 0.02, 7, log_every=2, dump_every=dump_every,
+                                 dump_fn=lambda s, step: None)
+    finally:
+        tracer.uninstall()
+    assert tracer._stack == []
+    assert paired == [threading.current_thread()] * (3 if dump_every else 1)  # 0-3-6-7
+    counts = {name: calls for name, (calls, *_) in tracing.layer_totals(tracer.spans).items()}
+    assert counts["evolve.diagnostics"] == len(logs) == 5
+    assert "evolve.step_rk4" not in counts and "fft" not in counts
 
 
 def test_split_step_is_traced_whole(tracing, monkeypatch):
@@ -143,7 +183,7 @@ def test_split_step_is_traced_whole(tracing, monkeypatch):
     # it is built from, are built once, not by both halves at once, so
     # counts repeat
     monkeypatch.setattr(spectral, "_cpu_count", lambda: 2)
-    monkeypatch.setattr(evolve, "RK4_SPLIT_SAMPLES", 0)
+    monkeypatch.setattr(evolve, "SPLIT_MODES", 0)
     monkeypatch.setattr(spectral, "FFT_SPLIT_SAMPLES", 0)
     grid = GridSpec((8, 8, 8), (2 * np.pi,) * 3)
     state = evolve.random_state(grid, 1, seed=4)

@@ -220,8 +220,7 @@ class TestSplitFft:
         fields = start.te, start.tb
         count_pairs(monkeypatch)
         if halves == "split":
-            monkeypatch.setattr(evolve, "RK4_SPLIT_SAMPLES", 0)
-            monkeypatch.setattr(evolve, "SPECTRAL_SPLIT_MODES", 0)
+            monkeypatch.setattr(evolve, "SPLIT_MODES", 0)
         monkeypatch.setattr(spectral, "FFT_SPLIT_SAMPLES", 0)
         caller, calls = threading.current_thread(), []
         for name in ("fftn", "ifftn"):
