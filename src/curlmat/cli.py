@@ -162,19 +162,11 @@ def _cmd_evolve(args) -> int:
         folder = os.path.dirname(path) if path else ""
         if folder and not os.path.isdir(folder):
             raise ValueError(f"{flag} {path}: no directory {folder}")
-    if args.init.startswith("planewave:"):
-        try:
-            m, jx, jy, jz = (int(v) for v in args.init.split(":", 1)[1].split(","))
-        except ValueError:
-            print("planewave init needs m,jx,jy,jz", file=sys.stderr)
-            return 2
-        state = evolve.plane_wave_state(grid, args.l, m, (jx, jy, jz), c=args.c)
-    elif args.init == "random":
+    if args.init == "random":
         print(f"seed: {args.seed}", file=sys.stderr)
         state = evolve.random_state(grid, args.l, c=args.c, seed=args.seed)
-    else:
-        print(f"unknown init {args.init!r}", file=sys.stderr)
-        return 2
+    else:  # (m, (jx, jy, jz))
+        state = evolve.plane_wave_state(grid, args.l, *args.init, c=args.c)
 
     def dump_fn(s, step):
         spectral.write_ctf(s.te, f"{args.out_prefix}_te_{step:06d}.ctf")
@@ -197,6 +189,20 @@ def _cmd_evolve(args) -> int:
     drift = abs(logs[-1].energy - logs[0].energy) / logs[0].energy if logs[0].energy else 0.0
     print(f"steps: {args.steps}  t: {final.t:.6g}  energy drift: {drift:.3e}")
     return 0
+
+
+def _init_spec(text: str):
+    """``--init``: "random", or (m, (jx, jy, jz)) from planewave:m,jx,jy,jz."""
+    if text == "random":
+        return text
+    if text.startswith("planewave:"):
+        try:
+            m, jx, jy, jz = (int(v) for v in text[len("planewave:"):].split(","))
+            return m, (jx, jy, jz)
+        except ValueError:
+            pass
+    raise argparse.ArgumentTypeError(
+        f"expected planewave:m,jx,jy,jz with integers, or random; got {text!r}")
 
 
 def _cmd_ledger(args) -> int:
@@ -262,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=100)
     p.add_argument("--dt", type=float, default=0.01)
     p.add_argument("--stepper", choices=("spectral", "rk4"), default="spectral")
-    p.add_argument("--init", default="planewave:1,1,0,0",
+    p.add_argument("--init", type=_init_spec, default="planewave:1,1,0,0",
                    help="planewave:m,jx,jy,jz or random")
     p.add_argument("--c", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0)

@@ -61,8 +61,8 @@ from functools import cached_property, lru_cache, partial
 import numpy as np
 
 from .builders import build_curl_complex, build_curl_ldotgrad, build_div
-from .spectral import (GridSpec, TensorField, _fft, _ifft, _in_step, _relative_residual,
-                       apply_operator, apply_symbol, plane_wave, random_bandlimited)
+from .spectral import (GridSpec, TensorField, _fft, _ifft, _in_step, _random_spectrum,
+                       _relative_residual, apply_operator, apply_symbol, plane_wave)
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -70,11 +70,11 @@ class EvolutionState:
     """Paired (TE, TB) rank-l spherical fields at time t with wave speed c,
     held as the read-only spectra of F+- = TE +- i*TB.
 
-    `EvolutionState(te, tb, t, c)` checks the fields and takes one `fftn` of
-    each.  `te` and `tb` are made from the spectra together, by one inverse
-    FFT of the pair, on first read, and kept.  Nothing about a state can
-    change: no attribute can be assigned, and every array it hands out is
-    read-only.  A copy is the state itself.
+    `EvolutionState(te, tb, t, c)` checks the fields and takes one FFT of
+    the pair.  `te` and `tb` are made from the spectra together, by one
+    inverse FFT of the pair, on first read, and kept.  Nothing about a state
+    can change: no attribute can be assigned, and every array it hands out
+    is read-only.  A copy is the state itself.
     """
 
     l: int
@@ -86,10 +86,8 @@ class EvolutionState:
         if te.basis != "spherical" or tb.basis != "spherical":
             raise ValueError("evolution runs in the spherical component basis")
         te._check_compatible(tb)
-        spectra = np.empty((2,) + te.data.shape, dtype=np.complex128)
-        for h, f in enumerate((te, tb)):
-            _fft(f.data, out=spectra[h])
-        _plus_minus(*spectra)
+        spectra = np.stack((te.data, tb.data))
+        _plus_minus(*_fft(spectra, out=spectra))
         self._hold(spectra, te.l, te.grid, t, c)
 
     @classmethod
@@ -112,7 +110,7 @@ class EvolutionState:
         pair = np.empty_like(self._spectra)
         for h, part in enumerate(pair):
             _part(*self._spectra, h, part)
-        _ifft(pair, out=pair, split=True)
+        _ifft(pair, out=pair)
         pair.flags.writeable = False  # before the views, so they stay read-only
         return tuple(TensorField(self.l, "spherical", self.grid, f) for f in pair)
 
@@ -361,8 +359,7 @@ def _march(state: EvolutionState, dt: float, steps: int, log_every: int,
     for event in sorted(set(logged) | dumps | {steps}):
         segment.append(event)
         if event in dumps or event == steps:  # the halves march from dump to dump
-            _in_step(len(halves) > 1, *(partial(walk, cols, start, segment, s)
-                                        for cols, s in zip(halves, sums)))
+            _in_step(*(partial(walk, cols, start, segment, s) for cols, s in zip(halves, sums)))
             if event in dumps:
                 dumped = build(event, at(event))
                 dump_fn(dumped, event)
@@ -578,14 +575,10 @@ def plane_wave_state(grid: GridSpec, l: int, m: int, jvec: tuple[int, int, int],
 def random_state(grid: GridSpec, l: int, c: float = 1.0, seed: int = 0,
                  kcut: float = 0.25) -> EvolutionState:
     """Random band-limited data projected onto the divergence-free bands:
-    TE's and TB's band coefficients a and b, each projected there, paired as
-    z+- = a +- ib and taken back to F+- spectra."""
+    the band coefficients a and b of TE's and TB's `_random_spectrum` (seeds
+    seed and seed + 1), each projected there and paired as z+- = a +- ib."""
     prop = _propagator(grid, l)
-
-    def bands(h):
-        raw = random_bandlimited(grid, l, "spherical", kcut, seed=seed + h)
-        return prop.constraint_project(prop.to_eigen(_fft(raw.data)))
-
-    zp, zm = bands(0), bands(1)
+    zp, zm = (prop.constraint_project(prop.to_eigen(
+        _random_spectrum(grid, l, "spherical", kcut, seed + h))) for h in (0, 1))
     _plus_minus(zp, zm)
     return _state(prop, zp, zm, 0.0, c)

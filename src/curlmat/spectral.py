@@ -7,21 +7,21 @@ Operators act per Fourier mode through their symbol (dx -> i*kx, ...); the
 first-derivative symbol at the Nyquist frequency is set to zero (symmetric
 convention), which keeps the output of real inputs conjugate-symmetric.
 
-The whole-field FFTs of `apply_operator`, `helmholtz`, the divergence and
-curl residuals and `random_bandlimited` run the component axis as two
-batches from `FFT_SPLIT_SAMPLES` = 3 * 32^3 samples, the measured crossover,
-with the bits of one numpy call.  One function, `_in_step`, runs such a pair
-of independent calls on two threads given a second CPU and else in turn;
-its callers are `_transform`, for these batches, and `evolve`'s event march,
-for its column halves.  `evolve` builds a state with whole transforms on the
-calling thread; only the inverse transform of the pair that makes a state's
-fields on first read is split.  `_relative_residual` makes the
-operator's output one row at a time in one buffer, and `random_bandlimited`
-fills one complex array part by part.
+Every whole-field FFT runs its leading axis as two batches from
+`FFT_SPLIT_SAMPLES` = 3 * 32^3 samples, the measured crossover, with the bits
+of one numpy call: the size alone decides.  One function, `_in_step`, runs
+such a pair of independent calls on two threads given a second CPU and else
+in turn; its callers are `_transform`, for these batches, and `evolve`'s
+event march, for its column halves.  For both, the second call runs in a
+copy of the caller's context, so the caller's `np.errstate` holds on both
+threads: the library's overflow policy is the caller's error state.
+`_relative_residual` makes the operator's output one row at a time in one
+buffer, and `_random_spectrum` fills one complex array part by part.
 """
 
 from __future__ import annotations
 
+import contextvars
 import json
 import math
 import os
@@ -186,43 +186,40 @@ class TensorField:
             raise ValueError("fields live on different grids or bases")
 
 
-# Samples per transform, 3 x 32^3, from which a whole-field FFT asked to
-# ``split`` runs its leading axis as two batches on two threads: on 2 cores
-# the split transform took 1.25x the serial time at 3 x 24^3, 1.07x at
-# 3 x 28^3, 1.03x at 5 x 24^3, 0.91x at 3 x 32^3 and 0.73x at 3 x 64^3
+# Samples per transform, 3 x 32^3, from which a whole-field FFT runs its
+# leading axis as two batches on two threads: on 2 cores the split transform
+# took 1.25x the serial time at 3 x 24^3, 1.07x at 3 x 28^3, 1.03x at
+# 5 x 24^3, 0.91x at 3 x 32^3 and 0.73x at 3 x 64^3
 FFT_SPLIT_SAMPLES = 3 * 2 ** 15
 
 
-def _fft(data: np.ndarray, out: np.ndarray | None = None,
-         split: bool = False) -> np.ndarray:
+def _fft(data: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """FFT over the last three axes, [..., z, y, x]; leading axes are a batch.
 
     The result goes to ``out``, which may be ``data`` itself; without it, to
     a fresh array.  numpy's ``fftn`` then allocates nothing per axis: with
-    ``out=None`` it makes a new array for each of the three.  With ``split``,
-    from `FFT_SPLIT_SAMPLES` samples, the first axis runs as two batches,
-    given a second CPU the second on a thread of its own (`_in_step`).
-    Each batch is the same numpy transform of the same samples, so the
-    result is the same bit for bit.  Only a caller that leaves the second
-    core idle asks for it: `evolve`'s halves already keep both busy.
+    ``out=None`` it makes a new array for each of the three.  From
+    `FFT_SPLIT_SAMPLES` samples the first axis runs as two batches, given a
+    second CPU the second on a thread of its own in the caller's context
+    (`_in_step`).  Each batch is the same numpy transform of the same
+    samples, so the result is the same bit for bit.
     """
-    return _transform(np.fft.fftn, data, out, split)
+    return _transform(np.fft.fftn, data, out)
 
 
-def _ifft(data: np.ndarray, out: np.ndarray | None = None,
-          split: bool = False) -> np.ndarray:
-    """Inverse of `_fft`, with the same ``out`` and ``split`` contract."""
-    return _transform(np.fft.ifftn, data, out, split)
+def _ifft(data: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Inverse of `_fft`, with the same ``out`` contract and split."""
+    return _transform(np.fft.ifftn, data, out)
 
 
-def _transform(fn, data: np.ndarray, out: np.ndarray | None, split: bool) -> np.ndarray:
+def _transform(fn, data: np.ndarray, out: np.ndarray | None) -> np.ndarray:
     if out is None:
         out = np.empty(data.shape, dtype=np.complex128)
-    if not (split and data.ndim > 3 and len(data) > 1 and data.size >= FFT_SPLIT_SAMPLES):
+    if not (data.ndim > 3 and len(data) > 1 and data.size >= FFT_SPLIT_SAMPLES):
         return fn(data, axes=(-3, -2, -1), out=out)
     cut = (len(data) + 1) // 2
-    _in_step(True, *(partial(fn, data[part], axes=(-3, -2, -1), out=out[part])
-                     for part in (slice(cut), slice(cut, None))))
+    _in_step(*(partial(fn, data[part], axes=(-3, -2, -1), out=out[part])
+               for part in (slice(cut), slice(cut, None))))
     return out
 
 
@@ -234,11 +231,10 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _in_step(split: bool, *calls) -> None:
-    """Make the independent `calls`: given `split`, and when the process may
-    use more than one CPU, the second of two on a thread of its own
-    (`_run_paired`); else in turn on this thread."""
-    if split and _cpu_count() > 1:
+def _in_step(*calls) -> None:
+    """Make the independent `calls`: the second of two on a thread of its own
+    (`_run_paired`) when the process may use a second CPU, else in turn."""
+    if len(calls) > 1 and _cpu_count() > 1:
         _run_paired(*calls)
     else:
         for call in calls:
@@ -246,13 +242,15 @@ def _in_step(split: bool, *calls) -> None:
 
 
 def _run_paired(first, second) -> None:
-    """Call `first` here and `second` on a thread of its own.  An exception
-    in either is raised here, after the thread has ended."""
+    """Call `first` here and `second` on a thread of its own, in a copy of
+    this thread's context, so numpy's error state holds on both.  An
+    exception in either is raised here, after the thread has ended."""
     failed = []
+    context = contextvars.copy_context()
 
     def run_second():
         try:
-            second()
+            context.run(second)
         except BaseException as exc:  # raised again on the calling thread
             failed.append(exc)
 
@@ -284,8 +282,8 @@ def apply_operator(op: OpMatrix, f: TensorField) -> TensorField:
     if op.cols != f.ncomp:
         raise ValueError(f"operator has {op.cols} columns, field has {f.ncomp} components")
 
-    out = apply_symbol(op, f.grid, _fft(f.data, split=True))
-    return TensorField(out_l, out_basis, f.grid, _ifft(out, out=out, split=True))
+    out = apply_symbol(op, f.grid, _fft(f.data))
+    return TensorField(out_l, out_basis, f.grid, _ifft(out, out=out))
 
 
 @lru_cache(maxsize=16)
@@ -387,9 +385,9 @@ def helmholtz(f: TensorField) -> tuple[TensorField, TensorField]:
     kx, ky, kz = f.grid.deriv_k_grids()
     k2 = kx ** 2 + ky ** 2 + kz ** 2
     curl = build_cartesian_curls().curl
-    perp = apply_symbol(curl @ curl, f.grid, _fft(f.data, split=True))
+    perp = apply_symbol(curl @ curl, f.grid, _fft(f.data))
     np.divide(perp, k2, out=perp, where=k2 > 0)
-    _ifft(perp, out=perp, split=True)
+    _ifft(perp, out=perp)
     return (TensorField(1, "cartesian", f.grid, perp),
             TensorField(1, "cartesian", f.grid, f.data - perp))
 
@@ -424,7 +422,7 @@ def _relative_residual(op: OpMatrix, f: TensorField) -> float:
     """|op f| relative to the gradient scale |k||f|, both from one FFT of f.
     op f is made one row at a time in one buffer, its squares summed row by
     row: the whole output is never held."""
-    spectrum = _fft(f.data, split=True)
+    spectrum = _fft(f.data)
     scale = _gradient_scale(f.grid, spectrum)
     row = np.empty(spectrum.shape[1:], dtype=np.complex128)
     scratch, squares = None, 0.0
@@ -484,29 +482,31 @@ def plane_wave(grid: GridSpec, l: int, m: int, jvec: tuple[int, int, int],
 
 
 def random_bandlimited(grid: GridSpec, l: int = 1, basis: str = "cartesian",
-                       kcut: float = 0.25, seed: int = 0,
-                       rng: np.random.Generator | None = None) -> TensorField:
-    """Random field supported on modes with |j| <= kcut * n per axis."""
+                       kcut: float = 0.25, seed: int = 0) -> TensorField:
+    """Random field on the modes with |j| <= kcut * n per axis (`_random_spectrum`)."""
+    spectrum = _random_spectrum(grid, l, basis, kcut, seed)
+    return TensorField(l, basis, grid, _ifft(spectrum, out=spectrum))
+
+
+def _random_spectrum(grid: GridSpec, l: int, basis: str, kcut: float,
+                     seed: int) -> np.ndarray:
+    """Standard normal real and imaginary parts from `seed`'s stream on every
+    mode with |j| <= kcut * n per axis, zero elsewhere."""
     if not kcut >= 0:
         raise ValueError(f"kcut must be a non-negative number, got {kcut!r}")
-    rng = rng or np.random.default_rng(seed)
     ncomp = _expected_components(basis, l)
     nz, ny, nx = grid.n[2], grid.n[1], grid.n[0]
     # real parts from the first draw, imaginary from the second, as
     # draw1 + 1j*draw2 has them; one call makes both draws, the same
     # stream, and no complex temporary is formed
-    draws = rng.standard_normal((2, ncomp, nz, ny, nx))
+    draws = np.random.default_rng(seed).standard_normal((2, ncomp, nz, ny, nx))
     spectrum = np.empty(draws.shape[1:], dtype=np.complex128)
     spectrum.real, spectrum.imag = draws
     del draws
-    masks = []
-    for axis in range(3):
-        j = np.fft.fftfreq(grid.n[axis]) * grid.n[axis]
-        masks.append(np.abs(j) <= kcut * grid.n[axis])
-    mask = (masks[2][:, None, None] & masks[1][None, :, None]
-            & masks[0][None, None, :])
-    spectrum *= mask[None, ...]
-    return TensorField(l, basis, grid, _ifft(spectrum, out=spectrum, split=True))
+    for axis, n in enumerate(grid.n):
+        past = np.abs(np.fft.fftfreq(n) * n) > kcut * n
+        spectrum[(slice(None),) * (3 - axis) + (past,)] = 0  # x is the last axis
+    return spectrum
 
 
 def example_rotation_fields(grid: GridSpec) -> tuple[TensorField, TensorField]:

@@ -16,7 +16,7 @@ import curlmat
 from curlmat import evolve, identities
 from curlmat.builders import build_curl_cg
 from curlmat.cli import main
-from curlmat.spectral import apply_operator, read_ctf
+from curlmat.spectral import GridSpec, TensorField, apply_operator, read_ctf, write_ctf
 
 
 def run_cli(capsys, *argv):
@@ -483,6 +483,26 @@ class TestFieldPipeline:
         assert err.splitlines()[-1].startswith("error:") and "Traceback" not in err
         assert not path.exists()
 
+    @pytest.mark.parametrize("command", [["apply", "--op", "cartesian-curl", "--out", "o.ctf"],
+                                         ["helmholtz", "--out-prefix", "h"]],
+                             ids=["apply", "helmholtz"])
+    def test_overflow_in_split_fft_is_one_error_line(self, tmp_path, command):
+        # 32^3 x 3 samples reach FFT_SPLIT_SAMPLES, so the forward FFT runs
+        # one batch on a second thread; a fresh interpreter shows what numpy
+        # prints from either thread
+        grid = GridSpec((32,) * 3, (2 * np.pi,) * 3)
+        write_ctf(TensorField(1, "cartesian", grid, np.full((3, 32, 32, 32), 1e305 + 0j)),
+                  tmp_path / "big.ctf")
+        code = ("import sys; from curlmat import cli, spectral; "
+                "spectral._cpu_count = lambda: 2; sys.exit(cli.main(sys.argv[1:]))")
+        proc = subprocess.run([sys.executable, "-c", code, *command, "--in", "big.ctf"],
+                              capture_output=True, text=True, env=_fresh_env(),
+                              cwd=tmp_path, timeout=60)
+        assert proc.returncode == 1
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("error: overflow")
+        assert proc.stdout == "" and [p.name for p in tmp_path.iterdir()] == ["big.ctf"]
+
     def test_apply_missing_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "apply", "--op", "curl",
                                "--in", str(tmp_path / "nope.ctf"),
@@ -689,10 +709,17 @@ class TestEvolveCommand:
         assert not list(tmp_path.iterdir())
 
     def test_bad_init_string(self, capsys, tmp_path):
-        code, _, _ = run_cli(
-            capsys, "evolve", "--init", "planewave:oops",
-            "--out-prefix", str(tmp_path / "x"))
-        assert code == 2
+        # argparse's usage error: the usage line, then its message naming
+        # --init, and nothing is run or written
+        for init in ("planewave:oops", "foo"):
+            code, out, err = run_cli(
+                capsys, "evolve", "--init", init, "--out-prefix", str(tmp_path / "x"))
+            assert code == 2 and out == ""
+            lines = err.splitlines()
+            assert lines[0].startswith("usage: curlmat evolve")
+            assert lines[-1] == ("curlmat evolve: error: argument --init: expected "
+                                 f"planewave:m,jx,jy,jz with integers, or random; got {init!r}")
+            assert not list(tmp_path.iterdir())
 
 
 def readme_cli_commands() -> list[list[str]]:

@@ -174,9 +174,9 @@ class TestRk4:
             state = new
 
     def test_two_fft_calls_per_step_and_no_apply_operator(self, monkeypatch):
-        # a state made from fields takes one fftn of each; a step reads its
-        # spectra and makes no FFT, on a grid on each side of the split
-        # size, whatever the host's CPU count
+        # a state made from fields takes one fftn of the pair, in two
+        # batches past the split size; a step reads its spectra and makes
+        # no FFT, on a grid on each side of the split size
         monkeypatch.setattr(spectral, "_cpu_count", lambda: 2)
         pairs = [[random_bandlimited(GridSpec((n,) * 3, (TWO_PI,) * 3), 1, "spherical",
                                      seed=44 + h) for h in (0, 1)] for n in (16, 32)]
@@ -196,7 +196,9 @@ class TestRk4:
         for te, tb in pairs:
             calls.clear()
             state = EvolutionState(te, tb, 0.0)
-            assert calls == [("fftn", te.data.shape)] * 2
+            split = 2 * te.data.size >= spectral.FFT_SPLIT_SAMPLES
+            assert calls == ([("fftn", (1,) + te.data.shape)] * 2 if split
+                             else [("fftn", (2,) + te.data.shape)])
             calls.clear()
             for _ in range(3):
                 state = step_rk4(state, 0.05)
@@ -310,15 +312,15 @@ class TestRk4Carry:
 
     @pytest.mark.parametrize("rebuild", [rebuilt], ids=["from-copies"])
     def test_rebuilt_state_is_transformed_again(self, carried, monkeypatch, rebuild):
-        # a state built from fields takes one fftn of each, where it is
+        # a state built from fields takes one fftn of the pair, where it is
         # built; its step reads those spectra and transforms nothing
         _ = carried.te  # made before the count
         want = step_rk4(rebuild(carried), 0.05)
         calls = count_ffts(monkeypatch)
         state = rebuild(carried)
-        assert calls == ["fftn"] * 2
+        assert calls == ["fftn"]
         got = step_rk4(state, 0.05)
-        assert calls == ["fftn"] * 2
+        assert calls == ["fftn"]
         assert_same_bits(got, want)
 
     def test_deepcopy_of_an_unread_state_keeps_its_spectra(self, carried, monkeypatch):
@@ -350,8 +352,8 @@ class TestRk4Carry:
     def test_matches_a_march_transforming_every_step(self, grid, monkeypatch, l):
         # the march of bare steps against one whose every step starts from a
         # state rebuilt from its fields: the same arithmetic but for an fftn
-        # of each step's ifftn; the bare march transforms its fields once,
-        # where its first state is built, and makes none
+        # of each step's ifftn; the bare march transforms its field pair
+        # once, where its first state is built, and makes none
         fields = (random_bandlimited(grid, l, "spherical", seed=62),
                   random_bandlimited(grid, l, "spherical", seed=63))
         want = EvolutionState(*fields, 0.2, 1.1)
@@ -361,7 +363,7 @@ class TestRk4Carry:
         got = EvolutionState(*fields, 0.2, 1.1)
         for _ in range(20):
             got = step_rk4(got, 0.05)
-        assert calls == ["fftn"] * 2
+        assert calls == ["fftn"]
         assert got.t == want.t
         for a, b in ((got.te, want.te), (got.tb, want.tb)):
             assert (a - b).norm() <= 1e-13 * b.norm()
@@ -447,13 +449,13 @@ class TestStateIsOneValue:
         assert state.te.data.shape == te.data.shape
 
     def test_fft_counts_of_the_drivers(self, grid, monkeypatch):
-        # random_state: one ifftn of each random spectrum (random_bandlimited)
-        # and one fftn of each field into the band frame, none back; then
-        # run_spectral, from it or from a step_rk4 or run_spectral state,
-        # dumps included, and diagnostics make none until a field is read
+        # random_state takes its random spectra to the band frame and back
+        # with no FFT; nor do run_spectral, from it or from a step_rk4 or
+        # run_spectral state, dumps included, and diagnostics until a field
+        # is read
         calls = count_ffts(monkeypatch)
         start = random_state(grid, 1, seed=74)
-        assert calls == ["ifftn", "fftn"] * 2
+        assert calls == []
         calls.clear()
         dumps = []
         for source in (start, step_rk4(start, 0.05), run_spectral(start, 0.05, 2)[0]):
@@ -463,6 +465,22 @@ class TestStateIsOneValue:
         assert calls == [] and len(dumps) == 9 and len(logs) == 4
         _ = final.te, final.tb, dumps[0].tb
         assert calls == ["ifftn"] * 2
+
+
+@pytest.mark.parametrize("l", [1, 2])
+def test_random_state_is_the_projected_random_fields(grid, l):
+    # random_state takes random_bandlimited's spectra to the band frame
+    # without the inverse and forward FFT of the fields: the same state to
+    # roundoff
+    prop = evolve._propagator(grid, l)
+    te, tb = (prop.constraint_project(prop.to_eigen(
+        _fft(random_bandlimited(grid, l, "spherical", kcut=0.3, seed=20 + h).data)))
+        for h in (0, 1))
+    evolve._plus_minus(te, tb)
+    want = evolve._state(prop, te, tb, 0.0, 1.4)._spectra
+    got = random_state(grid, l, c=1.4, seed=20, kcut=0.3)
+    assert got.c == 1.4 and got.t == 0.0
+    assert np.linalg.norm(got._spectra - want) <= 1e-15 * np.linalg.norm(want)
 
 
 class TestRk4SpectralState:
@@ -652,6 +670,21 @@ class TestRk4Split:
         assert sorted(halves) == [False, False, True, True]
         assert_same_bits(got, want)
 
+    def test_caller_error_state_holds_in_the_second_half(self, split):
+        # a wave only in the second column half (kz < 0, past the middle of
+        # FFT order) overflows there at its first step: under the caller's
+        # raise-on-overflow state the worker raises as the caller would,
+        # where a fresh context would warn and write infinities
+        small = GridSpec((8, 8, 8), (TWO_PI,) * 3)
+        state = plane_wave_state(small, 1, 1, (1, 0, -3), amplitude=2e304)
+        size = np.abs(state._spectra).reshape(2, 3, -1).max(axis=(0, 1))
+        assert size[:small.ntotal // 2].max() <= 1e-12 * size.max()  # roundoff
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            warnings.filterwarnings("ignore", "rk4 step", RuntimeWarning)  # dt is unstable
+            with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+                run_rk4(state, 8.0, 1, log_every=0)
+
     @pytest.mark.parametrize("affinity", [True, False])
     def test_one_cpu_runs_serially(self, grid, monkeypatch, affinity):
         if affinity:
@@ -795,8 +828,8 @@ class TestRunRk4:
 
     @pytest.mark.parametrize("split", [False, True])
     def test_logged_run_transforms_each_field_once(self, monkeypatch, split):
-        # a state built from fields takes one fftn of each; every step and
-        # log of the run reads spectra, and no field is made
+        # a state built from fields takes one fftn of the pair; every step
+        # and log of the run reads spectra, and no field is made
         if split:
             monkeypatch.setattr(evolve, "SPLIT_MODES", 0)
             monkeypatch.setattr(spectral, "_cpu_count", lambda: 2)
@@ -805,7 +838,7 @@ class TestRunRk4:
         calls = count_ffts(monkeypatch)
         _, logs = run_rk4(EvolutionState(*fields, 0.0), 0.05, 7, log_every=2)
         assert len(logs) == 5  # steps 0, 2, 4, 6 and 7
-        assert calls == ["fftn"] * 2
+        assert calls == ["fftn"]
 
     def test_split_step_matches_march_by_hand(self, monkeypatch):
         # 28^3 is past SPLIT_MODES: the run's columns, and each step by

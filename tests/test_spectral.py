@@ -1,6 +1,7 @@
 import json
 import math
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -120,8 +121,8 @@ def count_pairs(monkeypatch) -> list[int]:
 
 
 class TestSplitFft:
-    """`_fft`/`_ifft` with ``split``: two batches on two threads from
-    `FFT_SPLIT_SAMPLES` samples, the bits of one numpy call either way."""
+    """`_fft`/`_ifft`: two batches on two threads from `FFT_SPLIT_SAMPLES`
+    samples, the bits of one numpy call either way."""
 
     @pytest.mark.parametrize("side", ["below", "above"])
     @pytest.mark.parametrize("shape", [(1, 8, 6, 4), (3, 8, 6, 4), (5, 8, 6, 4),
@@ -136,13 +137,13 @@ class TestSplitFft:
         want = numpy_fn(data, axes=(-3, -2, -1))
         kept = data.copy()
         before = threading.active_count()
-        assert np.array_equal(ours(data, split=True), want)
+        assert np.array_equal(ours(data), want)
         assert np.array_equal(data, kept)
         fresh = np.empty_like(data)
-        assert ours(data, out=fresh, split=True) is fresh and np.array_equal(fresh, want)
-        assert ours(data, out=data, split=True) is data and np.array_equal(data, want)
+        assert ours(data, out=fresh) is fresh and np.array_equal(fresh, want)
+        assert ours(data, out=data) is data and np.array_equal(data, want)
         real = rng.standard_normal(shape)
-        assert np.array_equal(ours(real, split=True), numpy_fn(real, axes=(-3, -2, -1)))
+        assert np.array_equal(ours(real), numpy_fn(real, axes=(-3, -2, -1)))
         assert threading.active_count() == before
         # a 3-D input or a single component has no batch to split
         splits = side == "above" and len(shape) > 3 and shape[0] > 1
@@ -155,7 +156,7 @@ class TestSplitFft:
         rng = np.random.default_rng(10)
         data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         for part in (data, data[:, 1:]):  # 3 x 31 x 32 x 32 is below the gate
-            assert np.array_equal(_fft(part, split=True), np.fft.fftn(part, axes=(1, 2, 3)))
+            assert np.array_equal(_fft(part), np.fft.fftn(part, axes=(1, 2, 3)))
         assert len(paired) == 1
 
     def test_one_cpu_runs_the_batches_in_turn(self, monkeypatch):
@@ -167,7 +168,7 @@ class TestSplitFft:
         calls, fftn = [], np.fft.fftn
         monkeypatch.setattr(np.fft, "fftn", lambda part, *args, **kwargs: calls.append(
             (threading.current_thread(), part.shape)) or fftn(part, *args, **kwargs))
-        assert np.array_equal(_fft(data, split=True), want)
+        assert np.array_equal(_fft(data), want)
         assert calls == [(threading.current_thread(), (n, 4, 4, 4)) for n in (2, 1)]
 
     @pytest.mark.parametrize("where", ["worker", "caller"])
@@ -186,7 +187,7 @@ class TestSplitFft:
         monkeypatch.setattr(np.fft, "fftn", boom)
         before = threading.active_count()
         with pytest.raises(Boom, match=where):
-            _fft(np.ones((3, 4, 4, 4), dtype=complex), split=True)
+            _fft(np.ones((3, 4, 4, 4), dtype=complex))
         assert threading.active_count() == before
 
     def test_whole_field_transforms_split(self, grid, monkeypatch):
@@ -209,15 +210,32 @@ class TestSplitFft:
         # apply_operator and helmholtz, an fftn in each residual
         assert len(paired) == 1 + 2 + 2 + 2
 
+    @pytest.mark.parametrize("call", [
+        lambda f: apply_operator(build_cartesian_curls().curl, f), helmholtz,
+        relative_divergence], ids=["apply_operator", "helmholtz", "relative_divergence"])
+    def test_caller_error_state_holds_on_the_worker(self, monkeypatch, call):
+        # only component 2, the worker's batch, overflows in the forward
+        # FFT: under the caller's raise-on-overflow state the worker raises
+        # as the caller would, where a fresh context would warn
+        paired = count_pairs(monkeypatch)
+        monkeypatch.setattr(spectral, "FFT_SPLIT_SAMPLES", 0)
+        data = np.zeros((3, 8, 8, 8), dtype=complex)
+        data[2] = 1e307
+        f = TensorField(1, "cartesian", GridSpec((8, 8, 8), (TWO_PI,) * 3), data)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+                call(f)
+        assert len(paired) == 1
+
     @pytest.mark.parametrize("halves", ["serial", "split"])
-    def test_evolve_transforms_stay_on_one_thread(self, grid, monkeypatch, halves):
-        # its halves already keep both cores busy: a state built from fields
-        # takes one whole-field fftn of each on the calling thread, and no
-        # step or run transforms; only the inverse transform that makes a
-        # state's fields when they are read is split (test_evolve.py,
-        # TestRk4SpectralState)
+    def test_evolve_transforms_split_like_the_rest(self, grid, monkeypatch, halves):
+        # a state built from fields takes one fftn of the pair, split by size
+        # alone like every whole-field transform, with the bits of one call;
+        # no step or run transforms, whether or not the march is split
         start = random_state(grid, 1, seed=13)
         fields = start.te, start.tb
+        want = EvolutionState(*fields, 0.0)._spectra
         count_pairs(monkeypatch)
         if halves == "split":
             monkeypatch.setattr(evolve, "SPLIT_MODES", 0)
@@ -225,14 +243,16 @@ class TestSplitFft:
         caller, calls = threading.current_thread(), []
         for name in ("fftn", "ifftn"):
             def counted(data, *args, _fn=getattr(np.fft, name), **kwargs):
-                calls.append((threading.current_thread(), data.shape))
+                calls.append((threading.current_thread() is caller, data.shape))
                 return _fn(data, *args, **kwargs)
             monkeypatch.setattr(np.fft, name, counted)
         state = EvolutionState(*fields, 0.0)
         step_rk4(step_rk4(state, 0.02), 0.02)
         run_spectral(state, 0.02, 2)
-        # the two transforms are of one whole field each, on the calling thread
-        assert calls == [(caller, fields[0].data.shape)] * 2
+        # one batch of one field on each thread
+        assert sorted(calls) == [(False, (1,) + fields[0].data.shape),
+                                 (True, (1,) + fields[0].data.shape)]
+        assert np.array_equal(state._spectra, want)
 
 
 def no_split(*args):
