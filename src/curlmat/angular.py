@@ -1,9 +1,10 @@
-"""Exact Clebsch-Gordan coefficients and integer-spin angular momentum matrices.
+"""Exact Clebsch-Gordan coefficients, integer-spin angular momentum matrices
+and the Wigner matrix d^l(pi/2).
 
-Couplings are evaluated with the Racah closed-form sum over exact rationals,
-in the Condon-Shortley phase convention, so every coefficient comes out as a
-rational multiple of a single square root.  Matrices use the canonical basis
-ordered by descending magnetic number m = l, l-1, ..., -l.
+Couplings and d^l(pi/2) are evaluated with closed-form sums over exact
+rationals (Racah's and Wigner's), in the Condon-Shortley phase convention, so
+every value is a rational multiple of a single square root.  Matrices use the
+canonical basis ordered by descending magnetic number m = l, l-1, ..., -l.
 """
 
 from __future__ import annotations
@@ -93,11 +94,15 @@ class AngularMatrices:
     ly: MatrixExact
 
 
+def _check_spin(l: int) -> None:
+    if not isinstance(l, int) or not 1 <= l <= MAX_SPIN:
+        raise ValueError(f"spin must satisfy 1 <= l <= {MAX_SPIN}, got {l}")
+
+
 @lru_cache(maxsize=None)
 def angular_matrices(l: int) -> AngularMatrices:
     """Ladder construction of Lz, L+/-, Lx, Ly for 1 <= l <= MAX_SPIN."""
-    if not isinstance(l, int) or not 1 <= l <= MAX_SPIN:
-        raise ValueError(f"spin must satisfy 1 <= l <= {MAX_SPIN}, got {l}")
+    _check_spin(l)
     dim = 2 * l + 1
     zero = ExactScalar()
     lz = [[zero] * dim for _ in range(dim)]
@@ -116,3 +121,23 @@ def angular_matrices(l: int) -> AngularMatrices:
     ly = [[(lp[r][c] - lm[r][c]) * minus_half_i for c in range(dim)] for r in range(dim)]
     freeze = lambda rows: tuple(tuple(row) for row in rows)
     return AngularMatrices(l, freeze(lz), freeze(lp), freeze(lm), freeze(lx), freeze(ly))
+
+
+@lru_cache(maxsize=None)
+def wigner_d(l: int) -> MatrixExact:
+    """Exact d^l(pi/2) = exp(-i*pi/2*Ly) for 1 <= l <= MAX_SPIN: the entry at
+    (basis_index(l, m'), basis_index(l, m)) is d^l_{m'm}(pi/2).  At beta =
+    pi/2 every cosine and sine of Wigner's sum is 1/sqrt(2), so an entry is
+    2^-l sqrt((l+m')!(l-m')!(l+m)!(l-m)!) times a sum of rationals."""
+    _check_spin(l)
+
+    def entry(mp: int, m: int) -> ExactScalar:
+        total = sum(Fraction(-1 if (mp - m + s) % 2 else 1,
+                             factorial(l + m - s) * factorial(s)
+                             * factorial(mp - m + s) * factorial(l - mp - s))
+                    for s in range(max(0, m - mp), min(l + m, l - mp) + 1))
+        radicand = factorial(l + mp) * factorial(l - mp) * factorial(l + m) * factorial(l - m)
+        return ExactScalar.from_rational(total / 2 ** l) * ExactScalar.sqrt_rational(radicand)
+
+    ms = range(l, -l - 1, -1)
+    return tuple(tuple(entry(mp, m) for m in ms) for mp in ms)

@@ -25,9 +25,11 @@ roundoff (within 1e-14 relative), below the split size not at all.
 
 The spectral kernel is exact per Fourier mode: the curl symbol (L.k)/l is
 diagonalised by the rotation V(k) = exp(-i*phi*Lz) exp(-i*theta*Ly) taking
-z^ to k^, column m being helicity band m with eigenvalue lambda = m|k|/l,
-and each mode turns by c*lambda*dt, so energy is conserved to roundoff and
-steps are exactly reversible.  The F+- spectra go to band coefficients
+z^ to k^, column m being helicity band m with eigenvalue lambda = m|k|/l.
+V is built from the exact d^l(pi/2) (`spectral._band_frame`, which
+`plane_wave` shares), so no eigen-solver picks a band's phase.  Each mode
+turns by c*lambda*dt, so energy is conserved to roundoff and steps are
+exactly reversible.  The F+- spectra go to band coefficients
 z+- = V^H F+- once; a step multiplies z+ by exp(-i*c*lambda*dt) and z- by
 its conjugate, the same table read with its bands reversed.  A log forms
 2a = z+ + z- and 2ib = z+ - z-, never the expansion
@@ -61,8 +63,9 @@ from functools import cached_property, lru_cache, partial
 import numpy as np
 
 from .builders import build_curl_complex, build_curl_ldotgrad, build_div
-from .spectral import (GridSpec, TensorField, _fft, _ifft, _in_step, _random_spectrum,
-                       _relative_residual, apply_operator, apply_symbol, plane_wave)
+from .spectral import (GridSpec, TensorField, _band_frame, _fft, _frame_phases, _ifft,
+                       _in_step, _ly_frame, _random_spectrum, _relative_residual, _turn,
+                       apply_operator, apply_symbol, plane_wave)
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -126,7 +129,12 @@ class EvolutionState:
 
 @dataclass
 class Diagnostics:
-    """Energy, constraint residuals and per-band amplitudes of one state."""
+    """Energy, constraint residuals and per-band amplitudes of one state.
+
+    At k = 0 and its Nyquist aliases every band has eigenvalue 0 and the
+    frame is the identity, so band m holds spherical component m: for a field
+    with content on those modes the band amplitudes are invariant only under
+    rotations about z."""
 
     t: float
     energy: float
@@ -139,10 +147,9 @@ class _Propagator:
     """The helicity frame V(k) on one grid, applied without forming V.
 
     Coefficient arrays are (dim, modes): row i holds band m = i - l at every
-    Fourier mode in FFT order.  With Ly = U Lambda U^H, V^H x is
-    U exp(i*theta*Lambda) U^H exp(i*phi*Lz) x: only the unit phases exp(i*theta)
-    and exp(i*phi) are kept per mode.  At k = 0, as at modes whose wavenumbers
-    are all Nyquist-zeroed, theta = phi = 0: band m holds spherical component m.
+    Fourier mode in FFT order.  Per mode only the `_frame_phases` are kept:
+    `to_spectrum` is `_band_frame`, and `to_eigen` its inverse
+    V^H = U exp(i*theta*Lz) U^H exp(i*phi*Lz), with the same exact U.
     """
 
     def __init__(self, grid: GridSpec, l: int):
@@ -153,10 +160,7 @@ class _Propagator:
         self.shape = (self.dim, grid.n[2], grid.n[1], grid.n[0])
         kx, ky, kz = (np.broadcast_to(k, self.shape[1:]).ravel() for k in grid.deriv_k_grids())
         self.kabs = np.sqrt(kx ** 2 + ky ** 2 + kz ** 2)
-        self.polar = np.exp(1j * np.arctan2(np.hypot(kx, ky), kz))
-        self.azimuth = np.exp(1j * np.arctan2(ky, kx))
-        # Ly is l times the curl symbol at y^; eigh sorts its eigenvalues -l..l as m
-        self.ly_vecs = np.linalg.eigh(l * build_curl_ldotgrad(l).symbol_at((0, 1, 0)))[1]
+        self.polar, self.azimuth = _frame_phases(kx, ky, kz)
         # div(k) V(k) = |k| D(k) div(z^), D unitary, and div(z^) keeps m, so
         # |div a|^2 = sum_m w_m |k|^2 |a_m|^2, w_m the column norms^2 of div(z^)
         self.div_weight = (np.abs(build_div(l).symbol_at((0, 0, 1))) ** 2).sum(axis=0)[::-1]
@@ -181,20 +185,17 @@ class _Propagator:
     def to_eigen(self, spectrum: np.ndarray, cols: slice = slice(None)) -> np.ndarray:
         """Band coefficients of a field's spectrum, or of its mode columns
         `cols`: V^H per mode.  The spectrum is overwritten."""
+        u = _ly_frame(self.l)
         x = spectrum.reshape(self.dim, -1)
         _turn(x, self.azimuth[cols], -1)  # components are m = l..-l
-        x = self.ly_vecs.conj().T @ x
-        _turn(x, self.polar[cols], 1)
-        return self.ly_vecs[::-1] @ x  # rows flipped to ascending m
+        x = u.conj().T @ x
+        _turn(x, self.polar[cols], -1)
+        return u[::-1] @ x  # rows flipped to ascending m
 
     def to_spectrum(self, coeffs: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Spectrum of band coefficients, V per mode, into `out`, a
         C-contiguous array of `shape`.  The coefficients are kept."""
-        x = np.matmul(self.ly_vecs[::-1].conj().T, coeffs, out=out.reshape(self.dim, -1))
-        _turn(x, self.polar, -1)
-        np.matmul(self.ly_vecs, x, out=x)
-        _turn(x, self.azimuth, 1)
-        return out
+        return _band_frame(coeffs, self.polar, self.azimuth, out)
 
     def constraint_project(self, coeffs: np.ndarray) -> np.ndarray:
         """Keep only the divergence-free bands (m = +/-l) for k != 0 modes."""
@@ -203,22 +204,6 @@ class _Propagator:
 
 
 _propagator = lru_cache(maxsize=4)(_Propagator)
-
-
-def _turn(x: np.ndarray, phase: np.ndarray, sign: int) -> None:
-    """Multiply row i of x, of 2l+1, by phase ** (sign * (i - l)), in place.
-
-    ``phase`` holds a unit phase per mode, so its powers are built by
-    repeated products and the negative ones are their conjugates: complex
-    ``**`` goes through `np.power` at about five times the cost.
-    """
-    l = len(x) // 2
-    step = phase if sign > 0 else phase.conj()
-    power = np.ones_like(step)
-    for k in range(1, l + 1):
-        power *= step
-        x[l + k] *= power
-        x[l - k] *= power.conj()
 
 
 def check_dt(grid: GridSpec, c: float, dt: float, t: float = 0.0, steps: int = 1) -> float:

@@ -17,6 +17,8 @@ copy of the caller's context, so the caller's `np.errstate` holds on both
 threads: the library's overflow policy is the caller's error state.
 `_relative_residual` makes the operator's output one row at a time in one
 buffer, and `_random_spectrum` fills one complex array part by part.
+`_band_frame` is the one helicity frame V(k), from the exact d^l(pi/2), for
+`plane_wave` and for `evolve`'s propagator.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .builders import (build_cartesian_curls, build_curl_ldotgrad, cartesian_div,
-                       cartesian_transform)
+from .angular import wigner_d
+from .builders import build_cartesian_curls, cartesian_div, cartesian_transform
 from .diffop import OpMatrix
 
 _CART_COMPONENTS = {0: 1, 1: 3, 2: 5}
@@ -451,11 +453,57 @@ def wavevector(grid: GridSpec, jvec: tuple[int, int, int]) -> np.ndarray:
     return np.array([2 * np.pi * jvec[a] / grid.box[a] for a in range(3)])
 
 
+@lru_cache(maxsize=None)
+def _ly_frame(l: int) -> np.ndarray:
+    """U = diag((-i)^m) d^l(pi/2) (`wigner_d`, so 1 <= l <= MAX_SPIN), which
+    turns z^ to y^: U^H Ly U = Lz, column i the Ly eigenvector of m = l - i."""
+    d = np.array([[v.to_complex() for v in row] for row in wigner_d(l)])
+    u = np.array([1, -1j, -1, 1j])[np.arange(l, -l - 1, -1) % 4, None] * d
+    u.flags.writeable = False
+    return u
+
+
+def _frame_phases(kx, ky, kz) -> tuple[np.ndarray, np.ndarray]:
+    """exp(i*theta) and exp(i*phi) of the polar and azimuthal angles of k."""
+    return np.exp(1j * np.arctan2(np.hypot(kx, ky), kz)), np.exp(1j * np.arctan2(ky, kx))
+
+
+def _band_frame(coeffs: np.ndarray, polar: np.ndarray, azimuth: np.ndarray,
+                out: np.ndarray) -> np.ndarray:
+    """V(k) coeffs per mode into `out` (C-contiguous), for band coefficients
+    (2l+1, modes), row i band m = i - l, and `_frame_phases` per mode.
+    V(k) = exp(-i*phi*Lz) U exp(-i*theta*Lz) U^H turns z^ to k^ (`_ly_frame`):
+    column m is band m, eigenvalue m|k|/l of the curl symbol (L.k)/l."""
+    u = _ly_frame(len(coeffs) // 2)
+    x = np.matmul(u[::-1].conj().T, coeffs, out=out.reshape(len(coeffs), -1))
+    _turn(x, polar, 1)
+    np.matmul(u, x, out=x)
+    _turn(x, azimuth, 1)
+    return out
+
+
+def _turn(x: np.ndarray, phase: np.ndarray, sign: int) -> None:
+    """Multiply row i of x, of 2l+1, by phase ** (sign * (i - l)), in place.
+
+    ``phase`` holds a unit phase per mode, so its powers are built by
+    repeated products and the negative ones are their conjugates: complex
+    ``**`` goes through `np.power` at about five times the cost.
+    """
+    l = len(x) // 2
+    step = phase if sign > 0 else phase.conj()
+    power = np.ones_like(step)
+    for k in range(1, l + 1):
+        power *= step
+        x[l + k] *= power
+        x[l - k] *= power.conj()
+
+
 def plane_wave(grid: GridSpec, l: int, m: int, jvec: tuple[int, int, int],
                basis: str = "spherical", amplitude: float = 1.0) -> TensorField:
-    """Plane wave in the helicity-m eigenvector of the curl symbol at k, in
-    spherical components or, at l = 1 and 2, through `cartesian_transform(l)`
-    in cartesian ones."""
+    """Plane wave in helicity band m at k: column m of the frame V(k)
+    (`_band_frame`), an eigenvector of the curl symbol with eigenvalue
+    m|k|/l whose phase the exact frame fixes.  In spherical components or,
+    at l = 1 and 2, through `cartesian_transform(l)` in cartesian ones."""
     if jvec == (0, 0, 0):
         raise ValueError("plane wave needs a nonzero mode index")
     if any(abs(j) >= n // 2 for j, n in zip(jvec, grid.n)):
@@ -468,9 +516,10 @@ def plane_wave(grid: GridSpec, l: int, m: int, jvec: tuple[int, int, int],
     if not np.isfinite(amplitude):
         raise ValueError(f"amplitude must be finite, got {amplitude!r}")
     k = wavevector(grid, jvec)
-    symbol = build_curl_ldotgrad(l).symbol_at(k)
-    _, vecs = np.linalg.eigh(symbol)
-    vec = vecs[:, m + l]  # eigenvalues ascend as m|k|/l, so index m + l
+    # _ly_frame rejects a rank outside 1..MAX_SPIN before an array of it is made
+    band = np.zeros((len(_ly_frame(l)), 1), dtype=np.complex128)
+    band[m + l] = 1  # e_m: band rows ascend in m
+    vec = _band_frame(band, *_frame_phases(*k[:, None]), np.empty_like(band))[:, 0]
     if basis == "cartesian":
         vec = cartesian_transform(l).symbol_at((0, 0, 0)) @ vec
     elif basis != "spherical":

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from curlmat.angular import (MAX_SPIN, angular_matrices, basis_index,
-                             clebsch_gordan, wigner_3j)
+                             clebsch_gordan, wigner_3j, wigner_d)
 from curlmat.diffop import OpMatrix, spherical_tag
 from curlmat.exactnum import ExactScalar, ONE, ZERO, imag, rational, root
 
@@ -205,3 +205,55 @@ class TestAngularMatrices:
             angular_matrices(0)
         with pytest.raises(ValueError):
             angular_matrices(MAX_SPIN + 1)
+
+
+def _exact_matmul(a, b):
+    return tuple(tuple(sum((a[i][k] * b[k][j] for k in range(len(b))), ZERO)
+                       for j in range(len(b[0]))) for i in range(len(a)))
+
+
+def _exact_adjoint(a):
+    return tuple(tuple(a[j][i].conj() for j in range(len(a))) for i in range(len(a[0])))
+
+
+class TestWignerD:
+    """d^l(pi/2) = exp(-i pi/2 Ly), held exactly."""
+
+    @pytest.mark.parametrize("l", range(1, MAX_SPIN + 1))
+    def test_orthogonal_exact(self, l):
+        d = wigner_d(l)
+        identity = tuple(tuple(ONE if i == j else ZERO for j in range(2 * l + 1))
+                         for i in range(2 * l + 1))
+        assert _exact_matmul(d, tuple(zip(*d))) == identity
+
+    @pytest.mark.parametrize("l", range(1, MAX_SPIN + 1))
+    def test_turned_frame_diagonalises_ly_exact(self, l):
+        # U = diag((-i)^m) d^l(pi/2) turns z^ to y^, so U^H Ly U = Lz, with
+        # its eigenvalues l..-l in basis order
+        phases = [imag(-1 if m > 0 else 1) ** abs(m) for m in range(l, -l - 1, -1)]
+        u = tuple(tuple(p * v for v in row) for p, row in zip(phases, wigner_d(l)))
+        got = _exact_matmul(_exact_adjoint(u), _exact_matmul(angular_matrices(l).ly, u))
+        assert got == angular_matrices(l).lz
+
+    def test_exact_against_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        from sympy.physics.quantum.spin import Rotation
+        checked = 0
+        for l in range(1, 5):
+            d = wigner_d(l)
+            for mp in range(l, -l - 1, -1):
+                for m in range(l, -l - 1, -1):
+                    value = d[basis_index(l, mp)][basis_index(l, m)]
+                    assert not value.im_terms
+                    ours = sum((sympy.Rational(t.coeff.numerator, t.coeff.denominator)
+                                * sympy.sqrt(t.radicand) for t in value.re_terms),
+                               sympy.Integer(0))
+                    theirs = Rotation.d(l, mp, m, sympy.pi / 2).doit()
+                    assert sympy.expand(ours - theirs) == 0, (l, mp, m)
+                    checked += 1
+        assert checked == sum((2 * l + 1) ** 2 for l in range(1, 5))
+
+    @pytest.mark.parametrize("l", [0, MAX_SPIN + 1, -1, 1.0])
+    def test_out_of_range(self, l):
+        with pytest.raises(ValueError, match="spin must satisfy"):
+            wigner_d(l)

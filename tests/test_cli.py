@@ -371,6 +371,17 @@ class TestFieldPipeline:
         assert f.l == 2 and f.basis == "cartesian" and f.ncomp == 5
 
     @pytest.mark.parametrize("basis", ["spherical", "cartesian"])
+    @pytest.mark.parametrize("l", ["0", "9"])
+    def test_gen_planewave_rejects_rank_without_a_frame(self, capsys, tmp_path, l, basis):
+        # the helicity frame, exact d^l(pi/2), is built for 1 <= l <= 8 only
+        path = tmp_path / "pw.ctf"
+        code, out, err = run_cli(capsys, "gen", "--preset", "planewave", "--basis", basis,
+                                 "--l", l, "--m", "0", "--grid", "8", "--out", str(path))
+        assert code == 1 and out == ""
+        assert err.splitlines() == [f"error: spin must satisfy 1 <= l <= 8, got {l}"]
+        assert not path.exists()
+
+    @pytest.mark.parametrize("basis", ["spherical", "cartesian"])
     def test_gen_rejects_negative_rank(self, capsys, tmp_path, basis):
         path = tmp_path / "f.ctf"
         code, out, err = run_cli(capsys, "gen", "--preset", "random-bandlimited",

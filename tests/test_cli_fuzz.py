@@ -111,6 +111,8 @@ def test_evolve_flags(work, stepper, l, grid, steps, box, dt, c, init, log, dump
        jvec=st.tuples(mode_indices, mode_indices, mode_indices), grid=grids,
        box=flag_float(st.just(math.tau)), amplitude=flag_float(st.floats(-2.0, 2.0)))
 @example(l=1, m=1, basis="cartesian", jvec=(8, 0, 0), grid=16, box=math.tau, amplitude=1.0)
+@example(l=0, m=0, basis="spherical", jvec=(1, 2, 0), grid=8, box=math.tau, amplitude=1.0)
+@example(l=9, m=1, basis="spherical", jvec=(1, 2, 0), grid=8, box=math.tau, amplitude=1.0)
 @example(l=1, m=1, basis="cartesian", jvec=(1, 0, 0), grid=16, box=1e-320, amplitude=1.0)
 @example(l=1, m=0, basis="cartesian", jvec=(1, 0, 0), grid=8, box=1e-100,
          amplitude=1.7976931348623157e308)

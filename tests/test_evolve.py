@@ -1265,6 +1265,24 @@ class TestPropagator:
         assert d2.div_tb == pytest.approx(d.div_tb, rel=1e-14)
 
 
+@pytest.mark.parametrize("l", [1, 2, 3])
+@pytest.mark.parametrize("jvec", [(1, 2, 3), (-1, 3, -2), (3, -1, 1)])
+def test_plane_wave_is_one_real_band_coefficient(l, jvec):
+    # the exact frame fixes a plane wave's phase: F+ = 2 TE of a traveling
+    # wave, taken to the band frame, is one real positive coefficient, at
+    # band m and mode j, and zero elsewhere to roundoff
+    grid = GridSpec((8, 8, 8), (TWO_PI, 3.0, 5.0))
+    prop = evolve._propagator(grid, l)
+    for m in range(-l, l + 1):
+        state = plane_wave_state(grid, l, m, jvec)
+        coeffs = prop.to_eigen(state._spectra[0].copy()).reshape(prop.shape)
+        at = (m + l, jvec[2] % 8, jvec[1] % 8, jvec[0] % 8)
+        value = coeffs[at]
+        assert value.real > 0 and abs(value.imag) <= 1e-14 * value.real, (m, value)
+        coeffs[at] = 0
+        assert np.abs(coeffs).max() <= 1e-14 * value.real, m
+
+
 class TestDiagnostics:
     def test_energy_definition(self, grid):
         state = random_state(grid, 1, seed=9)

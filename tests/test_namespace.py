@@ -104,3 +104,21 @@ def test_no_library_code_only_tests_call():
     unused = [f"{path.stem}.{name}" for path in package for name in _public_definitions(path)
               if name not in curlmat.__all__ and name.rpartition(".")[2] not in named]
     assert unused == []
+
+
+EIGEN_SOLVERS = {"eigh", "eig", "eigvals", "eigvalsh"}
+
+
+def test_library_calls_no_eigen_solver():
+    # the helicity frame comes from the exact `angular.wigner_d`, so no
+    # solver's choice of phase reaches a result; the test oracles keep theirs
+    found = []
+    for path in sorted((ROOT / "src" / "curlmat").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([node.attr] if isinstance(node, ast.Attribute)
+                     else [node.id] if isinstance(node, ast.Name)
+                     else [a.name for a in node.names] if isinstance(node, ast.ImportFrom)
+                     else [])
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name in EIGEN_SOLVERS]
+    assert found == []

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from curlmat import evolve, spectral
+from curlmat.angular import MAX_SPIN
 from curlmat.builders import (build_cartesian_curls, build_curl_cg, build_div,
                               build_grad, cartesian_curl_rank2, cartesian_div,
                               cartesian_grad, cartesian_transform,
@@ -334,6 +335,13 @@ class TestApplyOperator:
         out = apply_operator(build_curl_cg(1), f)
         expected = f * np.linalg.norm(wavevector(grid, jvec))
         assert (out - expected).norm() <= 1e-9 * f.norm()
+
+    @pytest.mark.parametrize("basis", ["spherical", "cartesian"])
+    @pytest.mark.parametrize("l", [0, MAX_SPIN + 1])
+    def test_plane_wave_rejects_rank_out_of_range(self, grid, l, basis):
+        # the exact frame exists for 1 <= l <= MAX_SPIN only
+        with pytest.raises(ValueError, match=f"spin must satisfy 1 <= l <= {MAX_SPIN}, got {l}"):
+            plane_wave(grid, l, 0, (1, 2, 3), basis=basis)
 
     def test_cartesian_plane_wave_ranks(self, grid):
         with pytest.raises(ValueError, match="l = 1 or 2"):
