@@ -4,9 +4,11 @@ The system couples two rank-l spherical fields through the curl:
 d/dt TE = +c * CURL TB and d/dt TB = -c * CURL TE, with both fields
 divergence-free as an initial-value constraint.  In the complex fields
 F+- = TE +- i*TB the pair decouples, d/dt F+- = -+i*c*CURL F+-.  An
-`EvolutionState` is one immutable value, the read-only spectra of F+- with
-l, grid, t and c, and every state a driver returns is built from spectra:
-a march that reads no field makes no FFT.
+`EvolutionState` is one immutable value, l, grid, t and c with one
+read-only frame, the one its maker had: the spectra of F+-, or their band
+coefficients z+- (below).  A frame not held is made when read and not
+kept, as the fields are made from the spectra; a march that reads no field
+makes no FFT.
 
 Both drivers, `run_spectral` and `run_rk4`, run one event march
 (`_march`); `step_spectral` and `step_rk4` are one-step runs.  The events
@@ -29,13 +31,20 @@ z^ to k^, column m being helicity band m with eigenvalue lambda = m|k|/l.
 V is built from the exact d^l(pi/2) (`spectral._band_frame`, which
 `plane_wave` shares), so no eigen-solver picks a band's phase.  Each mode
 turns by c*lambda*dt, so energy is conserved to roundoff and steps are
-exactly reversible.  The F+- spectra go to band coefficients
-z+- = V^H F+- once; a step multiplies z+ by exp(-i*c*lambda*dt) and z- by
-its conjugate, the same table read with its bands reversed.  A log forms
+exactly reversible.  The march starts from a copy of the band
+coefficients z+- = V^H F+- a state holds, or takes its F+- spectra to them
+once; a step multiplies z+ by exp(-i*c*lambda*dt) and z- by its
+conjugate, the same table read with its bands reversed.  A log forms
 2a = z+ + z- and 2ib = z+ - z-, never the expansion
 |z+|^2 + |z-|^2 +- 2 Re(z+ conj z-), which cancels when one field is near
-zero.  States are F+- = V z+-.  The kernel turns one band row of its
-columns at a time, small enough to stay in cache, to the next event.
+zero.  The kernel turns one band row of its columns at a time, small
+enough to stay in cache, to the next event, and only the rows that move:
+those with content at a mode whose phase is not exactly 1.  Band 0 and
+k = 0 never turn, so a divergence-free state, with content only in bands
++-l away from k = 0, has 2l - 1 still rows.  A product by exactly 1
+changes no bit but the sign of a zero, so a still row is never multiplied,
+and its sums, taken once, are copied to every log.  The states hold z+-:
+the final one the march's array, a dump a copy.
 
 The RK4 kernel is the independent check on that propagator, with the curl
 symbol itself and never its eigenvectors.  A classical step of this linear
@@ -46,9 +55,11 @@ k = 4, 3, 2, 1, on the unit spectrum of component j.  The curl symbol is
 Hermitian, so F-'s step is R^H, read from the same table as
 conj(R^T conj(x)); one table is held, (2l+1)^2 complex values per mode.  A
 step of the kernel's columns is one pass of their F+ and one of their F-
-over the table (`_rk4_pass`), from the state's spectra into a new pair and
-then between two new pairs in turn; the new columns must be finite.  A log
-takes the columns to the band frame, as `diagnostics` does all of them.
+over the table (`_rk4_pass`), from the state's spectra, made first from a
+state holding z+-, into a new pair and then between two new pairs in
+turn; the new columns must be finite.  A log takes the columns to the
+band frame, as `diagnostics` does all of them; step 0 of a state holding
+z+- logs those.
 Both drivers reject a step whose phase c*dt*kmax, or whose end time, is not
 finite before building anything.
 """
@@ -68,16 +79,39 @@ from .spectral import (GridSpec, TensorField, _band_frame, _fft, _frame_phases, 
                        apply_operator, apply_symbol, plane_wave)
 
 
+class _OtherFrame:
+    """The frame a state does not hold, `_spectra` or `_bands`: made anew from
+    the held one on every read, read-only, and not kept.  A non-data
+    descriptor, so the frame a state holds, in its instance dict, is read in
+    its place."""
+
+    def __set_name__(self, owner, name):
+        self.banded = name == "_bands"
+
+    def __get__(self, state, owner=None):
+        if state is None:
+            return self
+        prop = _propagator(state.grid, state.l)
+        made = prop.bands(state._spectra) if self.banded else prop.spectra(state._bands)
+        made.flags.writeable = False
+        return made
+
+
 @dataclass(frozen=True, eq=False, init=False)
 class EvolutionState:
     """Paired (TE, TB) rank-l spherical fields at time t with wave speed c,
-    held as the read-only spectra of F+- = TE +- i*TB.
+    held in exactly one read-only frame, the one its maker had: the spectra
+    of F+- = TE +- i*TB, or their band coefficients z+- = V^H F+-.
 
     `EvolutionState(te, tb, t, c)` checks the fields and takes one FFT of
-    the pair.  `te` and `tb` are made from the spectra together, by one
-    inverse FFT of the pair, on first read, and kept.  Nothing about a state
-    can change: no attribute can be assigned, and every array it hands out
-    is read-only.  A copy is the state itself.
+    the pair, and it and the steps of `run_rk4` hold F+- (`_spectra`,
+    (2, 2l+1, nz, ny, nx)).  `random_state` and the states of
+    `run_spectral` hold z+- (`_bands`, (2, 2l+1, modes)).  Reading the
+    other frame makes it anew from the held one and does not keep it.  `te`
+    and `tb` are made from the spectra together, by one inverse FFT of the
+    pair, on first read, and kept.  Nothing about a state can change: no
+    attribute can be assigned, and every array it hands out is read-only.
+    A copy is the state itself.
     """
 
     l: int
@@ -85,34 +119,43 @@ class EvolutionState:
     t: float
     c: float
 
+    _spectra = _OtherFrame()
+    _bands = _OtherFrame()
+
     def __init__(self, te: TensorField, tb: TensorField, t: float, c: float = 1.0):
         if te.basis != "spherical" or tb.basis != "spherical":
             raise ValueError("evolution runs in the spherical component basis")
         te._check_compatible(tb)
         spectra = np.stack((te.data, tb.data))
         _plus_minus(*_fft(spectra, out=spectra))
-        self._hold(spectra, te.l, te.grid, t, c)
+        self._hold("_spectra", spectra, te.l, te.grid, t, c)
 
     @classmethod
     def _of_spectra(cls, spectra: np.ndarray, l: int, grid: GridSpec,
                     t: float, c: float) -> EvolutionState:
-        """The state whose F+- spectra are `spectra`, made read-only here."""
-        state = cls.__new__(cls)
-        state._hold(spectra, l, grid, t, c)
-        return state
+        """The state holding the F+- spectra `spectra`, made read-only here."""
+        return cls.__new__(cls)._hold("_spectra", spectra, l, grid, t, c)
 
-    def _hold(self, spectra, l, grid, t, c) -> None:
+    @classmethod
+    def _of_bands(cls, bands: np.ndarray, l: int, grid: GridSpec,
+                  t: float, c: float) -> EvolutionState:
+        """The state holding the z+- band coefficients `bands`, made read-only here."""
+        return cls.__new__(cls)._hold("_bands", bands, l, grid, t, c)
+
+    def _hold(self, frame, array, l, grid, t, c) -> EvolutionState:
         if not (math.isfinite(c) and c > 0):
             raise ValueError(f"wave speed must be positive and finite, got {c}")
-        spectra.flags.writeable = False
-        vars(self).update(_spectra=spectra, l=l, grid=grid, t=t, c=c)  # past the frozen setattr
+        array.flags.writeable = False
+        vars(self).update({frame: array}, l=l, grid=grid, t=t, c=c)  # past the frozen setattr
+        return self
 
     @cached_property
     def _fields(self) -> tuple[TensorField, TensorField]:
         """TE = (F+ + F-)/2 and TB = (F+ - F-)/(2i), one inverse FFT of the pair."""
-        pair = np.empty_like(self._spectra)
+        spectra = self._spectra
+        pair = np.empty_like(spectra)
         for h, part in enumerate(pair):
-            _part(*self._spectra, h, part)
+            _part(*spectra, h, part)
         _ifft(pair, out=pair)
         pair.flags.writeable = False  # before the views, so they stay read-only
         return tuple(TensorField(self.l, "spherical", self.grid, f) for f in pair)
@@ -182,20 +225,38 @@ class _Propagator:
         """exp(-i*c*lambda*dt) of every band and mode: one step of z+."""
         return np.exp(-1j * c * dt * self.vals)
 
-    def to_eigen(self, spectrum: np.ndarray, cols: slice = slice(None)) -> np.ndarray:
+    def to_eigen(self, spectrum: np.ndarray, cols: slice = slice(None),
+                 out: np.ndarray | None = None) -> np.ndarray:
         """Band coefficients of a field's spectrum, or of its mode columns
-        `cols`: V^H per mode.  The spectrum is overwritten."""
+        `cols`: V^H per mode, into `out` if given.  The spectrum is
+        overwritten."""
         u = _ly_frame(self.l)
         x = spectrum.reshape(self.dim, -1)
         _turn(x, self.azimuth[cols], -1)  # components are m = l..-l
         x = u.conj().T @ x
         _turn(x, self.polar[cols], -1)
-        return u[::-1] @ x  # rows flipped to ascending m
+        return np.matmul(u[::-1], x, out=out)  # rows flipped to ascending m
 
     def to_spectrum(self, coeffs: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Spectrum of band coefficients, V per mode, into `out`, a
         C-contiguous array of `shape`.  The coefficients are kept."""
         return _band_frame(coeffs, self.polar, self.azimuth, out)
+
+    def bands(self, spectra: np.ndarray) -> np.ndarray:
+        """z+- = V^H F+- of a pair of spectra, a new (2, dim, modes) array;
+        the spectra are kept."""
+        bands = np.empty((2, self.dim, self.grid.ntotal), dtype=np.complex128)
+        for s, z in zip(spectra, bands):
+            self.to_eigen(s.copy(), out=z)
+        return bands
+
+    def spectra(self, bands: np.ndarray) -> np.ndarray:
+        """F+- = V z+- of a pair of band coefficients, a new array of shape
+        (2,) + `shape`; the coefficients are kept."""
+        spectra = np.empty((2,) + self.shape, dtype=np.complex128)
+        for z, out in zip(bands, spectra):
+            self.to_spectrum(z, out)
+        return spectra
 
     def constraint_project(self, coeffs: np.ndarray) -> np.ndarray:
         """Keep only the divergence-free bands (m = +/-l) for k != 0 modes."""
@@ -258,16 +319,22 @@ def _row_sums(kscale: np.ndarray, zp: np.ndarray, zm: np.ndarray, x: np.ndarray,
         out[i + 1] = np.vdot(x, x).real
 
 
-def _column_sums(prop: _Propagator, spectra: np.ndarray, cols: slice,
-                 out: np.ndarray) -> np.ndarray:
-    """The `_row_sums` of every band row of the mode columns `cols` of F+-
-    spectra, taken to the band frame as z+- = V^H F+-, into the columns of
-    `out`.  The spectra are kept."""
-    zp, zm = (prop.to_eigen(s[:, cols].copy(), cols) for s in spectra.reshape(2, prop.dim, -1))
-    kscale, x = prop.kscale(cols), np.empty_like(zp[0])
-    for r in range(prop.dim):
+def _band_sums(kscale: np.ndarray, zp: np.ndarray, zm: np.ndarray,
+               out: np.ndarray) -> np.ndarray:
+    """The `_row_sums` of every band row of z+- into the columns of `out`;
+    `kscale` is |k| at the rows' mode columns."""
+    x = np.empty_like(zp[0])
+    for r in range(len(zp)):
         _row_sums(kscale, zp[r], zm[r], x, out[:, r])
     return out
+
+
+def _column_sums(prop: _Propagator, spectra: np.ndarray, cols: slice,
+                 out: np.ndarray) -> np.ndarray:
+    """The `_band_sums` of the mode columns `cols` of F+- spectra, taken to
+    the band frame as z+- = V^H F+-, into `out`.  The spectra are kept."""
+    zp, zm = (prop.to_eigen(s[:, cols].copy(), cols) for s in spectra.reshape(2, prop.dim, -1))
+    return _band_sums(prop.kscale(cols), zp, zm, out)
 
 
 def _diag_from_modes(prop: _Propagator, t: float, sums: np.ndarray) -> Diagnostics:
@@ -292,11 +359,8 @@ def _diag_from_modes(prop: _Propagator, t: float, sums: np.ndarray) -> Diagnosti
 
 def _state(prop: _Propagator, zp: np.ndarray, zm: np.ndarray,
            t: float, c: float) -> EvolutionState:
-    """The state at z+-: F+- = V z+- per mode, z+- kept."""
-    spectra = np.empty((2,) + prop.shape, dtype=np.complex128)
-    for z, out in zip((zp, zm), spectra):
-        prop.to_spectrum(z, out)
-    return EvolutionState._of_spectra(spectra, prop.l, prop.grid, t, c)
+    """The state holding copies of the band coefficients z+-."""
+    return EvolutionState._of_bands(np.stack((zp, zm)), prop.l, prop.grid, t, c)
 
 
 def _check_run(state, dt, steps, log_every, dump_every) -> float:
@@ -367,22 +431,35 @@ def run_spectral(state: EvolutionState, dt: float, steps: int,
     """
     def begin(phase, logging):
         prop = _propagator(state.grid, state.l)
-        zp, zm = (prop.to_eigen(s.copy()) for s in state._spectra)
-        scratch = np.empty_like(zp)
         # the rotation a' = a cos + b sin, b' = b cos - a sin by theta = c*lambda*dt
         # is z+' = z+ exp(-i theta) and z-' = z- exp(+i theta) for z+- = a +- ib
-        forward = prop.phases(state.c, dt)
+        forward = prop.phases(state.c, dt)  # before the bands: a lower peak RSS
+        held = vars(state).get("_bands")
+        bands = held.copy() if held is not None else prop.bands(state._spectra)
+        # a row moves when it has content at a mode whose phase is not exactly
+        # 1, z- at the same modes as z+; a product by exactly 1 changes no bit
+        # but the sign of a zero, so a still row is never multiplied
+        moves = [bands[:, r, forward[r] != 1].any() for r in range(prop.dim)]
         kscale = prop.kscale()
 
         def walk(cols, start, segment, sums):
-            # band -m turns by -theta: row r of z- by row dim-1-r of the table
-            rows = [(zp[r, cols], zm[r, cols], forward[r, cols], forward[-1 - r, cols],
-                     scratch[r, cols]) for r in range(prop.dim)]
+            zp, zm = bands[..., cols]
             k_h = kscale[cols]
+            x = np.empty_like(k_h)
+            if not start and sums:  # a still row's sums, taken once, are those of every log
+                first, *rest = sums.values()
+                for r in range(prop.dim):
+                    if not moves[r]:
+                        _row_sums(k_h, zp[r], zm[r], x, first[:, r])
+                        for out in rest:
+                            out[:, r] = first[:, r]
+            # band -m turns by -theta: row r of z- by row dim-1-r of the table
+            rows = [(r, zp[r], zm[r], forward[r, cols], forward[-1 - r, cols])
+                    for r in range(prop.dim) if moves[r]]
             done = start
             for event in segment:
                 at_event = sums.get(event)
-                for r, (zp_r, zm_r, fwd, bwd, x) in enumerate(rows):
+                for r, zp_r, zm_r, fwd, bwd in rows:
                     for _ in range(done, event):
                         zp_r *= fwd
                         zm_r *= bwd  # forward.conj(), bit for bit
@@ -390,7 +467,11 @@ def run_spectral(state: EvolutionState, dt: float, steps: int,
                         _row_sums(k_h, zp_r, zm_r, x, at_event[:, r])
                 done = event
 
-        return walk, lambda step, t: _state(prop, zp, zm, t, state.c)
+        def build(step, t):  # the march's array unless a step follows
+            return EvolutionState._of_bands(bands if step == steps else bands.copy(),
+                                            prop.l, prop.grid, t, state.c)
+
+        return walk, build
 
     return _march(state, dt, steps, log_every, dump_every, dump_fn, begin)
 
@@ -472,9 +553,11 @@ def run_rk4(state: EvolutionState, dt: float, steps: int,
         table = _rk4_table(state.l, state.grid, state.c * dt).reshape(dim, dim, -1) \
             if steps else None
         # step s > 0 is in the first new pair for odd s, else in the second
-        pairs = [state._spectra] + [np.empty_like(state._spectra) for _ in range(min(steps, 2))]
+        pairs = [state._spectra]  # made here from a state holding z+-
+        pairs += [np.empty_like(pairs[0]) for _ in range(min(steps, 2))]
         flat = [p.reshape(2, dim, -1) for p in pairs]
         prop = _propagator(state.grid, state.l) if logging else None
+        start_bands = vars(state).get("_bands")  # logged at step 0, as `diagnostics` reads them
 
         def held(step):
             return 2 - step % 2 if step else 0
@@ -488,8 +571,10 @@ def run_rk4(state: EvolutionState, dt: float, steps: int,
                         _rk4_pass(table[..., cols], src[h], dst[h], adjoint=bool(h))
                     if not np.isfinite(dst.view(np.float64)).all():  # twice as fast as on complex
                         raise ValueError("field contains non-finite samples")
-                if event in sums:
+                if event in sums and (event or start_bands is None):
                     _column_sums(prop, flat[held(event)], cols, sums[event])
+                elif event in sums:  # step 0 of a state holding z+-
+                    _band_sums(prop.kscale(cols), *start_bands[..., cols], sums[event])
                 done = event
 
         def build(step, t):  # a copy unless no step follows
@@ -505,8 +590,10 @@ def run_rk4(state: EvolutionState, dt: float, steps: int,
 
 
 def diagnostics(state: EvolutionState) -> Diagnostics:
+    """Energy, divergence residuals and band amplitudes of `state`, from its
+    band coefficients: the held ones, or those of its spectra."""
     prop = _propagator(state.grid, state.l)
-    sums = _column_sums(prop, state._spectra, slice(None), np.empty((4, prop.dim)))
+    sums = _band_sums(prop.kscale(), *state._bands, np.empty((4, prop.dim)))
     return _diag_from_modes(prop, state.t, sums)
 
 

@@ -483,6 +483,82 @@ def test_random_state_is_the_projected_random_fields(grid, l):
     assert np.linalg.norm(got._spectra - want) <= 1e-15 * np.linalg.norm(want)
 
 
+class TestHeldFrame:
+    """A state holds one frame, the one its maker had: F+- spectra from fields
+    and RK4, z+- band coefficients from `random_state` and `run_spectral`.
+    The other frame is made when read and not kept."""
+
+    @staticmethod
+    def makers(grid):
+        start = random_state(grid, 2, seed=80)
+        fields = EvolutionState(random_bandlimited(grid, 2, "spherical", seed=81),
+                                random_bandlimited(grid, 2, "spherical", seed=82), 0.3, 1.2)
+        return {"random_state": start, "run_spectral": run_spectral(start, 0.05, 2)[0],
+                "dump": run_spectral(fields, 0.05, 2, dump_every=1, dump_fn=lambda s, step: None,
+                                     log_every=0)[0],
+                "fields": fields, "step_rk4": step_rk4(start, 0.05),
+                "run_rk4": run_rk4(start, 0.05, 3)[0]}
+
+    def test_each_maker_holds_its_frame(self, grid):
+        for name, state in self.makers(grid).items():
+            arrays = [k for k, v in vars(state).items() if isinstance(v, np.ndarray)]
+            want = "_bands" if name in ("random_state", "run_spectral", "dump") else "_spectra"
+            assert arrays == [want], name
+
+    @pytest.mark.parametrize("name", ["random_state", "fields", "run_spectral"])
+    def test_diagnostics_is_the_first_log(self, grid, name):
+        # diagnostics reads the band coefficients as the march's first log
+        # does: the held ones, or those of the held spectra
+        state = self.makers(grid)[name]
+        assert diagnostics(state) == run_spectral(state, 0.05, 0)[1][0]
+
+    def test_diagnostics_of_held_bands_makes_no_spectra(self, grid, monkeypatch):
+        state = random_state(grid, 1, seed=83)
+        want = diagnostics(state)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("diagnostics of a state holding z+- left the band frame")
+        for name in ("to_eigen", "to_spectrum", "bands", "spectra"):
+            monkeypatch.setattr(_Propagator, name, forbidden)
+        assert diagnostics(state) == want
+        assert want.div_te == want.div_tb == 0.0  # nothing off k = 0 in the still bands
+
+    def test_reading_the_other_frame_keeps_nothing(self, grid):
+        # a state holding z+- makes F+- for each use and keeps only its
+        # fields, once read: no F+- array stays on it
+        state = random_state(grid, 1, seed=84)
+        bands = state._bands
+        step_rk4(state, 0.05)
+        run_rk4(state, 0.05, 3, log_every=1)
+        diagnostics(state)
+        _ = state.te, state.tb
+        assert [k for k, v in vars(state).items() if isinstance(v, np.ndarray)] == ["_bands"]
+        assert "_spectra" not in vars(state) and state._bands is bands
+        # each read makes the frame anew, to the same bits
+        first, second = state._spectra, state._spectra
+        assert first is not second and np.array_equal(first, second)
+        prop = evolve._propagator(grid, 1)
+        assert np.array_equal(first, prop.spectra(bands))
+
+    def test_made_frames_are_the_held_ones_turned(self, grid):
+        prop = evolve._propagator(grid, 2)
+        state = self.makers(grid)["fields"]
+        bands = state._bands
+        assert bands.shape == (2, 5, grid.ntotal)
+        for s, z in zip(state._spectra, bands):
+            assert np.array_equal(z, prop.to_eigen(s.copy()))
+        # and back to the spectra to roundoff
+        back = prop.spectra(bands)
+        assert np.linalg.norm(back - state._spectra) <= 1e-14 * np.linalg.norm(back)
+
+    def test_every_array_handed_out_is_read_only(self, grid):
+        for name, state in self.makers(grid).items():
+            for array in (state._bands, state._spectra, state.te.data, state.tb.data):
+                assert not array.flags.writeable, name
+                with pytest.raises(ValueError, match="read-only"):
+                    array[(0,) * array.ndim] = 1
+
+
 class TestRk4SpectralState:
     """A `step_rk4` state holds its spectra and makes its fields when read."""
 
@@ -926,11 +1002,12 @@ class TestMarch:
 
 
 def spectral_march_by_hand(state, dt, steps, log_every, dump_every):
-    """Reference for `run_spectral`: the whole-array march, and each log from
-    single-pass `np.vdot` sums over every mode of 2a = z+ + z- and
-    2ib = z+ - z- and of the same scaled by |k|."""
+    """Reference for `run_spectral`: the whole-array march from the state's
+    band coefficients, held or made from its spectra, every row turned at
+    every step, and each log from single-pass `np.vdot` sums over every mode
+    of 2a = z+ + z- and 2ib = z+ - z- and of the same scaled by |k|."""
     prop = evolve._propagator(state.grid, state.l)
-    zp, zm = (prop.to_eigen(s.copy()) for s in state._spectra)
+    zp, zm = np.array(state._bands)
     forward = prop.phases(state.c, dt)
     weight = prop.mode_weight / 4
 
@@ -1056,7 +1133,10 @@ class TestSpectralSplit:
         got = self.run(state, log_every, dump_every)
         want = spectral_march_by_hand(state, self.DT, self.STEPS, log_every, dump_every)
         self.assert_same_fields(got, want)
-        assert calls == [1] * (2 if split else 1) * (2 * l + 1) * len(got[1])
+        # per half, one call per moving row (the 2l of m != 0) and log, and
+        # one for band 0, still, whose sums every log copies
+        logs = len(got[1])
+        assert calls == [1] * (2 if split else 1) * (2 * l * logs + min(logs, 1))
         if not split:
             assert got[1] == want[1]
         assert_logs_close(got[1], want[1])
@@ -1112,6 +1192,102 @@ class TestSpectralSplit:
         monkeypatch.setattr(spectral, "_run_paired", no_split)
         _, logs, dumps = self.run(self.unprojected(grid, 1), 1, 2)
         assert len(logs) == self.STEPS + 1 and len(dumps) == 3
+
+
+class PhaseRows(np.ndarray):
+    """A phase table that records, for each product it takes part in,
+    whether its row holds a phase other than exactly 1."""
+
+    turned: list[bool] = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        plain = [x.view(np.ndarray) if isinstance(x, PhaseRows) else x for x in inputs]
+        if "out" in kwargs:
+            kwargs["out"] = tuple(x.view(np.ndarray) if isinstance(x, PhaseRows) else x
+                                  for x in kwargs["out"])
+        if ufunc is np.multiply:
+            PhaseRows.turned += [bool((x != 1).any()) for x, y in zip(plain, inputs)
+                                 if isinstance(y, PhaseRows)]
+        return getattr(ufunc, method)(*plain, **kwargs)
+
+
+class TestStillBands:
+    """`run_spectral` turns only the band rows that move: those with content
+    at a mode whose phase is not exactly 1."""
+
+    STEPS, DT = 7, 0.05
+
+    @pytest.fixture
+    def recorded(self, monkeypatch):
+        """The products each phase row takes part in, by whether it moves."""
+        phases = _Propagator.phases
+        monkeypatch.setattr(_Propagator, "phases",
+                            lambda self, c, dt: phases(self, c, dt).view(PhaseRows))
+        monkeypatch.setattr(PhaseRows, "turned", [])
+        return PhaseRows
+
+    @pytest.mark.parametrize("dump_every", [None, 3])
+    @pytest.mark.parametrize("log_every", [0, 1, 3])
+    @pytest.mark.parametrize("l", [1, 2, 3])
+    @pytest.mark.parametrize("split", [False, True])
+    def test_random_state_matches_whole_array_march(self, grid, monkeypatch, split, l,
+                                                    log_every, dump_every):
+        # a random_state has content in bands +-l only, away from k = 0: 2l - 1
+        # rows are still, and fields, dumps and unsplit logs are the bits of
+        # the march that turns every row from the held bands
+        monkeypatch.setattr(evolve, "SPLIT_MODES", 0 if split else grid.ntotal + 1)
+        monkeypatch.setattr(spectral, "_cpu_count", lambda: 2)
+        if not split:
+            monkeypatch.setattr(spectral, "_run_paired", no_split)
+        calls, row_sums = [], evolve._row_sums
+        monkeypatch.setattr(evolve, "_row_sums", lambda *args: calls.append(1) or row_sums(*args))
+        state = random_state(grid, l, c=1.3, seed=90 + l)
+        got = TestSpectralSplit.run(state, log_every, dump_every)
+        want = spectral_march_by_hand(state, self.DT, self.STEPS, log_every, dump_every)
+        TestSpectralSplit.assert_same_fields(got, want)
+        for a, b in zip([got[0]] + [s for _, s in got[2]], [want[0]] + [s for _, s in want[2]]):
+            assert np.array_equal(a._bands, b._bands)
+        logs = len(got[1])
+        assert len(calls) == (2 if split else 1) * (2 * logs + min(logs, 1) * (2 * l - 1))
+        if not split:
+            assert got[1] == want[1]
+        assert_logs_close(got[1], want[1])  # the halves' sums add at roundoff
+        assert all(d.div_te == d.div_tb == 0.0 for d in got[1])
+
+    @pytest.mark.parametrize("l", [1, 2, 3])
+    def test_band_zero_is_never_multiplied(self, grid, recorded, l):
+        # a state built from fields has roundoff in every band, so every row
+        # but band 0, whose eigenvalue is 0, moves; each step turns z+ and z-
+        # of each moving row once, and never by a row of ones
+        state = TestSpectralSplit.unprojected(grid, l)
+        final, _ = run_spectral(state, self.DT, self.STEPS, log_every=1)
+        assert recorded.turned == [True] * self.STEPS * 2 * (2 * l)
+        assert np.array_equal(final._bands[:, l].view(np.uint64),
+                              state._bands[:, l].view(np.uint64))
+        recorded.turned.clear()
+        run_spectral(random_state(grid, l, seed=95), self.DT, self.STEPS)
+        assert recorded.turned == [True] * self.STEPS * 2 * 2  # bands +-l alone
+
+    def test_a_row_moves_by_either_field(self, grid):
+        # content in z+ alone, or in z- alone, turns its rows
+        bands = random_state(grid, 1, seed=96)._bands
+        for h in (0, 1):
+            one = np.zeros_like(bands)
+            one[h] = bands[h]
+            state = EvolutionState._of_bands(one, 1, grid, 0.0, 1.0)
+            got = run_spectral(state, self.DT, self.STEPS, log_every=0)[0]
+            want = spectral_march_by_hand(state, self.DT, self.STEPS, 0, None)[0]
+            assert np.array_equal(got._bands, want._bands)
+            assert not np.array_equal(got._bands[h], bands[h])
+
+    def test_no_row_turns_at_a_zero_step(self, grid, recorded):
+        # every phase of a zero step is exactly 1: nothing is multiplied, and
+        # every log is the first
+        state = TestSpectralSplit.unprojected(grid, 2)
+        final, logs = run_spectral(state, 0.0, 3, log_every=1)
+        assert recorded.turned == []
+        assert logs[1:] == [dataclasses.replace(logs[0], t=d.t) for d in logs[1:]]
+        assert np.array_equal(final._bands, state._bands)
 
 
 def per_entry_symbol(grid: GridSpec, op) -> np.ndarray:
