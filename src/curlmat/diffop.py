@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Union
 
-from .exactnum import ExactScalar, ONE, ZERO, PartAcc, _mac, _part_done
+from .exactnum import ExactScalar, ONE, ZERO, PartAcc, _done, _mac
 
 if TYPE_CHECKING:
     import numpy as np
@@ -205,10 +205,9 @@ def _poly_done(acc: PolyAcc) -> DiffPoly:
     """The polynomial of ``acc``, one ExactScalar per surviving monomial."""
     terms: dict[Mono, ExactScalar] = {}
     for mono, (re, im) in acc.items():
-        re_part = _part_done(re)
-        im_part = _part_done(im)
-        if re_part or im_part:
-            terms[mono] = ExactScalar._make(re_part, im_part)
+        coeff = _done(re, im)
+        if coeff is not None:
+            terms[mono] = coeff
     return DiffPoly._make(terms)
 
 
@@ -482,10 +481,9 @@ class OpMatrix:
         """Split into real/imaginary coefficient parts and classify each."""
         if self.rows != self.cols:
             raise ValueError("symmetry split needs a square matrix")
-        re_entries = [DiffPoly._make({m: ExactScalar._make(c._re, {}) for m, c in e.terms if c._re})
-                      for e in self._entries]
-        im_entries = [DiffPoly._make({m: ExactScalar._make(c._im, {}) for m, c in e.terms if c._im})
-                      for e in self._entries]
+        split = [[(m, *c.parts()) for m, c in e._terms.items()] for e in self._entries]
+        re_entries = [DiffPoly._make({m: re for m, re, _ in terms if re}) for terms in split]
+        im_entries = [DiffPoly._make({m: im for m, _, im in terms if im}) for terms in split]
         re_m = OpMatrix(self.rows, self.cols, re_entries, self.tag)
         im_m = OpMatrix(self.rows, self.cols, im_entries, self.tag)
 

@@ -5,6 +5,15 @@ Every number appearing in the operator matrices is a finite sum
 ``sum_d (a_d + i*b_d) * sqrt(d)`` with rational ``a_d``, ``b_d`` and
 squarefree positive integer ``d``.  Values are immutable and hashable, and
 equality is structural equality of the canonical form.
+
+The canonical form holds the real and the imaginary part each as a dict from
+the radicand ``d`` to its coefficient as a pair ``(n, q)`` of plain ints in
+lowest terms with ``q > 0``; a zero coefficient has no entry.  The form is
+unique, so equality is dict equality, and arithmetic reduces each result
+coefficient with one ``gcd``.  ``Fraction`` is met only at the edges: the
+constructors take ints and Fractions, ``re_terms`` and ``im_terms`` hand
+out Fractions, and ``inverse`` divides by the norm as one.  A rational value
+hashes like the equal int or Fraction.
 """
 
 from __future__ import annotations
@@ -62,43 +71,39 @@ def normalize_radical(coeff: RationalLike, radicand: int) -> Radical | None:
 
 TermsLike = Union[Mapping[int, RationalLike], Iterable[tuple[int, RationalLike]]]
 
+# A part maps a squarefree radicand to its coefficient as a pair (n, q) of
+# ints in lowest terms with q > 0; a zero coefficient has no entry.
+Part = dict[int, tuple[int, int]]
 
-def _canon(terms: TermsLike) -> dict[int, Fraction]:
+
+def _canon(terms: TermsLike) -> Part:
     items = terms.items() if isinstance(terms, Mapping) else terms
-    out: dict[int, Fraction] = {}
+    out: Part = {}
     for radicand, coeff in items:
         term = normalize_radical(coeff, radicand)
-        if term is None:
-            continue
-        c = out.get(term.radicand, _F0) + term.coeff
-        if c:
-            out[term.radicand] = c
-        else:
-            out.pop(term.radicand, None)
+        if term is not None:
+            c = term.coeff
+            out = _part_add(out, {term.radicand: (c.numerator, c.denominator)})
     return out
 
 
-_F0 = Fraction(0)
-
 # A part accumulator maps a squarefree radicand to an unreduced [numerator,
-# denominator] pair; each coefficient becomes a Fraction once, in _part_done.
+# denominator] pair; each coefficient is reduced once, in _part_done.
 PartAcc = dict[int, list[int]]
 
 
-def _part_mac(out: PartAcc, a: dict[int, Fraction], b: dict[int, Fraction],
-              sign: int) -> None:
+def _part_mac(out: PartAcc, a: Part, b: Part, sign: int) -> None:
     """out += sign * a * b for canonical parts a and b.
 
     Both radicands are squarefree, so sqrt(d1)*sqrt(d2) = g*sqrt((d1/g)(d2/g))
     with g = gcd(d1, d2) is squarefree too and needs no factorising.
     """
-    for d1, c1 in a.items():
-        n1 = sign * c1.numerator
-        q1 = c1.denominator
-        for d2, c2 in b.items():
+    for d1, (n1, q1) in a.items():
+        n1 *= sign
+        for d2, (n2, q2) in b.items():
             g = gcd(d1, d2)
-            n = n1 * c2.numerator * g
-            q = q1 * c2.denominator
+            n = n1 * n2 * g
+            q = q1 * q2
             rad = d1 // g * (d2 // g)
             cell = out.get(rad)
             if cell is None:
@@ -110,8 +115,22 @@ def _part_mac(out: PartAcc, a: dict[int, Fraction], b: dict[int, Fraction],
                 cell[1] *= q
 
 
-def _part_done(acc: PartAcc) -> dict[int, Fraction]:
-    return {d: Fraction(n, q) for d, (n, q) in acc.items() if n}
+def _part_done(acc: PartAcc) -> Part:
+    out: Part = {}
+    for d, (n, q) in acc.items():
+        if n:
+            g = gcd(n, q)
+            out[d] = (n // g, q // g)
+    return out
+
+
+def _done(re: PartAcc, im: PartAcc) -> "ExactScalar | None":
+    """The scalar re + i*im of two part accumulators; None when it is zero."""
+    re_part = _part_done(re) if re else {}
+    im_part = _part_done(im) if im else {}
+    if re_part or im_part:
+        return ExactScalar._make(re_part, im_part)
+    return None
 
 
 def _mac(re: PartAcc, im: PartAcc, x: "ExactScalar", y: "ExactScalar") -> None:
@@ -128,58 +147,73 @@ def _mac(re: PartAcc, im: PartAcc, x: "ExactScalar", y: "ExactScalar") -> None:
             _part_mac(im, x._im, y._re, 1)
 
 
-def _part_add(a: dict[int, Fraction], b: dict[int, Fraction]) -> dict[int, Fraction]:
+def _part_add(a: Part, b: Part) -> Part:
     out = dict(a)
-    for d, c in b.items():
-        s = out.get(d, _F0) + c
-        if s:
-            out[d] = s
+    for d, (n, q) in b.items():
+        cell = out.get(d)
+        if cell is None:
+            out[d] = (n, q)
+            continue
+        n0, q0 = cell
+        n, q = (n0 + n, q) if q0 == q else (n0 * q + n * q0, q0 * q)
+        if n:
+            g = gcd(n, q)
+            out[d] = (n // g, q // g)
         else:
-            out.pop(d, None)
+            del out[d]
     return out
 
 
-def _part_neg(a: dict[int, Fraction]) -> dict[int, Fraction]:
-    return {d: -c for d, c in a.items()}
+def _part_scale(a: Part, num: int, den: int) -> Part:
+    """a * num/den for a nonzero rational num/den in lowest terms."""
+    out: Part = {}
+    for d, (n, q) in a.items():
+        n *= num
+        q *= den
+        g = gcd(n, q)
+        out[d] = (n // g, q // g)
+    return out
 
 
-def _term_float(d: int, c: Fraction) -> float:
+def _part_neg(a: Part) -> Part:
+    return {d: (-n, q) for d, (n, q) in a.items()}
+
+
+def _term_float(d: int, n: int, q: int) -> float:
     try:
-        return float(c) * math.sqrt(d)
-    except OverflowError:  # d is past the float range, c*sqrt(d) need not be
-        return math.copysign(math.sqrt(c * c * d), c)
+        return n / q * math.sqrt(d)
+    except OverflowError:  # d is past the float range, (n/q)*sqrt(d) need not be
+        return math.copysign(math.sqrt(n * n * d / (q * q)), n)
 
 
-def _part_float(a: dict[int, Fraction]) -> float:
-    return float(sum(_term_float(d, c) for d, c in a.items()))
+def _part_float(a: Part) -> float:
+    return float(sum(_term_float(d, n, q) for d, (n, q) in a.items()))
 
 
 class ExactScalar:
     """Immutable element ``sum_d (a_d + i*b_d)*sqrt(d)`` of the radical field."""
 
-    __slots__ = ("_re", "_im", "_hash")
+    __slots__ = ("_re", "_im")
 
     def __init__(self, re: TermsLike = (), im: TermsLike = ()):
         self._re = _canon(re)
         self._im = _canon(im)
-        self._hash: int | None = None
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def _make(cls, re: dict[int, Fraction], im: dict[int, Fraction]) -> "ExactScalar":
+    def _make(cls, re: Part, im: Part) -> "ExactScalar":
         """Trusted constructor: ``re`` and ``im`` are already canonical
         (squarefree radicands, no zero coefficients) and are not copied."""
         out = object.__new__(cls)
         out._re = re
         out._im = im
-        out._hash = None
         return out
 
     @classmethod
     def from_rational(cls, value: RationalLike) -> "ExactScalar":
         v = Fraction(value)
-        return cls._make({1: v} if v else {}, {})
+        return cls._make({1: (v.numerator, v.denominator)} if v else {}, {})
 
     @classmethod
     def sqrt_rational(cls, value: RationalLike) -> "ExactScalar":
@@ -201,11 +235,11 @@ class ExactScalar:
 
     @property
     def re_terms(self) -> tuple[Radical, ...]:
-        return tuple(Radical(c, d) for d, c in sorted(self._re.items()))
+        return tuple(Radical(Fraction(n, q), d) for d, (n, q) in sorted(self._re.items()))
 
     @property
     def im_terms(self) -> tuple[Radical, ...]:
-        return tuple(Radical(c, d) for d, c in sorted(self._im.items()))
+        return tuple(Radical(Fraction(n, q), d) for d, (n, q) in sorted(self._im.items()))
 
     @property
     def is_zero(self) -> bool:
@@ -232,10 +266,15 @@ class ExactScalar:
         return self._coerce(other) + (-self)
 
     def __mul__(self, other) -> "ExactScalar":
+        o = self._coerce(other)
+        if not o._im and len(o._re) == 1 and 1 in o._re:  # a rational a/b
+            a, b = o._re[1]
+            return ExactScalar._make(_part_scale(self._re, a, b), _part_scale(self._im, a, b))
         re: PartAcc = {}
         im: PartAcc = {}
-        _mac(re, im, self, self._coerce(other))
-        return ExactScalar._make(_part_done(re), _part_done(im))
+        _mac(re, im, self, o)
+        out = _done(re, im)
+        return ZERO if out is None else out
 
     __rmul__ = __mul__
 
@@ -253,13 +292,17 @@ class ExactScalar:
                 "inverse is only supported with at most one radical term "
                 "per real/imaginary part")
         # z * conj(z) = a^2 p + b^2 q is a positive rational.
-        norm = _F0
-        for d, c in self._re.items():
-            norm += c * c * d
-        for d, c in self._im.items():
-            norm += c * c * d
-        return ExactScalar._make({d: c / norm for d, c in self._re.items()},
-                                 {d: -c / norm for d, c in self._im.items()})
+        norm = sum(Fraction(n * n * d, q * q)
+                   for part in (self._re, self._im) for d, (n, q) in part.items())
+
+        def over_norm(part: Part, sign: int) -> Part:
+            out: Part = {}
+            for d, (n, q) in part.items():
+                c = Fraction(sign * n, q) / norm
+                out[d] = (c.numerator, c.denominator)
+            return out
+
+        return ExactScalar._make(over_norm(self._re, 1), over_norm(self._im, -1))
 
     def __truediv__(self, other) -> "ExactScalar":
         return self * self._coerce(other).inverse()
@@ -278,24 +321,24 @@ class ExactScalar:
     def conj(self) -> "ExactScalar":
         return ExactScalar._make(self._re, _part_neg(self._im))
 
+    def parts(self) -> tuple["ExactScalar", "ExactScalar"]:
+        """The real scalars ``a`` and ``b`` with ``self == a + I*b``."""
+        return ExactScalar._make(self._re, {}), ExactScalar._make(self._im, {})
+
     # -- comparisons / hashing ---------------------------------------------
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = ExactScalar.from_rational(other)
         if not isinstance(other, ExactScalar):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = ExactScalar.from_rational(other)
         return self._re == other._re and self._im == other._im
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            if not self._im and self._re.keys() <= {1}:
-                # equal to an int or Fraction, so it must hash like one
-                self._hash = hash(self._re.get(1, _F0))
-            else:
-                self._hash = hash((tuple(sorted(self._re.items())),
-                                   tuple(sorted(self._im.items()))))
-        return self._hash
+        if not self._im and self._re.keys() <= {1}:
+            # equal to an int or Fraction, so it must hash like one
+            return hash(Fraction(*self._re.get(1, (0, 1))))
+        return hash((tuple(sorted(self._re.items())), tuple(sorted(self._im.items()))))
 
     # -- conversions / rendering -------------------------------------------
 
@@ -305,9 +348,9 @@ class ExactScalar:
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
-        parts = [_term_str(d, c, imag=False) for d, c in sorted(self._re.items())]
-        parts += [_term_str(d, c, imag=True) for d, c in sorted(self._im.items())]
-        return " + ".join(parts)
+        terms = [_term_str(d, n, q, imag=False) for d, (n, q) in sorted(self._re.items())]
+        terms += [_term_str(d, n, q, imag=True) for d, (n, q) in sorted(self._im.items())]
+        return " + ".join(terms)
 
     def __repr__(self) -> str:
         return f"ExactScalar({self})"
@@ -316,14 +359,15 @@ class ExactScalar:
         if self.is_zero:
             return "0"
         out = ""
-        for d, c in sorted(self._re.items()):
-            out += _term_latex(d, c, imag=False, leading=not out)
-        for d, c in sorted(self._im.items()):
-            out += _term_latex(d, c, imag=True, leading=not out)
+        for d, (n, q) in sorted(self._re.items()):
+            out += _term_latex(d, n, q, imag=False, leading=not out)
+        for d, (n, q) in sorted(self._im.items()):
+            out += _term_latex(d, n, q, imag=True, leading=not out)
         return out
 
 
-def _term_str(d: int, c: Fraction, imag: bool) -> str:
+def _term_str(d: int, n: int, q: int, imag: bool) -> str:
+    c = f"{n}" if q == 1 else f"{n}/{q}"  # as str(Fraction(n, q))
     if d == 1:
         body = f"{c}" if not imag else f"i*({c})"
     else:
@@ -331,14 +375,14 @@ def _term_str(d: int, c: Fraction, imag: bool) -> str:
     return body
 
 
-def _term_latex(d: int, c: Fraction, imag: bool, leading: bool) -> str:
-    sign = "-" if c < 0 else ("" if leading else "+")
-    c = abs(c)
-    num = "" if (c.numerator == 1 and (d != 1 or imag)) else str(c.numerator)
+def _term_latex(d: int, n: int, q: int, imag: bool, leading: bool) -> str:
+    sign = "-" if n < 0 else ("" if leading else "+")
+    n = abs(n)
+    num = "" if (n == 1 and (d != 1 or imag)) else str(n)
     rad = "" if d == 1 else rf"\sqrt{{{d}}}"
     core = (num + ("i" if imag else "") + rad) or "1"
-    if c.denominator != 1:
-        return rf"{sign}\frac{{{core}}}{{{c.denominator}}}"
+    if q != 1:
+        return rf"{sign}\frac{{{core}}}{{{q}}}"
     return sign + core
 
 

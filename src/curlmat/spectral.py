@@ -34,7 +34,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .angular import wigner_d
+from .angular import MAX_SPIN, wigner_d
 from .builders import build_cartesian_curls, cartesian_div, cartesian_transform
 from .diffop import OpMatrix
 
@@ -117,6 +117,8 @@ def _expected_components(basis: str, l: int) -> int:
     if l < 0:
         raise ValueError(f"rank l must be a non-negative integer, got {l!r}")
     if basis == "spherical":
+        if l > MAX_SPIN:  # as `plane_wave` and `random_state`, through `wigner_d`
+            raise ValueError(f"spherical rank l must be at most {MAX_SPIN}, got {l}")
         return 2 * l + 1
     if basis == "cartesian":
         if l not in _CART_COMPONENTS:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import curlmat
-from curlmat import evolve, identities
+from curlmat import cli, evolve, identities
 from curlmat.builders import build_curl_cg
 from curlmat.cli import main
 from curlmat.spectral import GridSpec, TensorField, apply_operator, read_ctf, write_ctf
@@ -381,6 +381,17 @@ class TestFieldPipeline:
         assert err.splitlines() == [f"error: spin must satisfy 1 <= l <= 8, got {l}"]
         assert not path.exists()
 
+    def test_gen_rejects_spherical_rank_past_max_spin(self, capsys, tmp_path):
+        path = tmp_path / "f.ctf"
+        code, out, err = run_cli(capsys, "gen", "--preset", "random-bandlimited",
+                                 "--basis", "spherical", "--l", "9", "--grid", "8",
+                                 "--out", str(path))
+        assert code == 1 and out == ""
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert errors == ["error: spherical rank l must be at most 8, got 9"]
+        assert err.splitlines()[-1] == errors[0]
+        assert not path.exists()
+
     @pytest.mark.parametrize("basis", ["spherical", "cartesian"])
     def test_gen_rejects_negative_rank(self, capsys, tmp_path, basis):
         path = tmp_path / "f.ctf"
@@ -561,14 +572,20 @@ class TestBadInputFiles:
         (b'{"magic": "CTF1", "l": 1, "basis": "spherical", "grid": [4096, 4096, 4096],'
          b' "box": [1, 1, 1], "dtype": "c128", "order": "component,z,y,x"}',
          bytes(3 * 4 ** 3 * 16)),
+        # 33 KB, the right size for the rank it declares, past MAX_SPIN
+        (b'{"magic": "CTF1", "l": 128, "basis": "spherical", "grid": [2, 2, 2],'
+         b' "box": [1, 1, 1], "dtype": "c128", "order": "component,z,y,x"}',
+         bytes(257 * 2 ** 3 * 16)),
     ), ids=("not-an-object", "negative-l", "non-integral-grid", "non-real-box",
-            "grid-beyond-the-file"))
-    def test_apply_reports_error(self, capsys, tmp_path, header, payload):
+            "grid-beyond-the-file", "spherical-rank-past-max-spin"))
+    def test_apply_reports_error(self, capsys, tmp_path, monkeypatch, header, payload):
+        built = []  # a bad file is refused before an operator of its rank is built
+        monkeypatch.setitem(cli._OPS, "curl", built.append)
         src = tmp_path / "bad.ctf"
         src.write_bytes(header + b"\n" + payload)
         code, out, err = run_cli(capsys, "apply", "--op", "curl", "--in", str(src),
                                  "--out", str(tmp_path / "out.ctf"))
-        assert code == 1
+        assert code == 1 and built == []
         assert err.startswith("error:")
         assert len(err.splitlines()) == 1 and out == ""
         assert not (tmp_path / "out.ctf").exists()

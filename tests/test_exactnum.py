@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from curlmat.exactnum import (ExactError, ExactScalar, I, ONE, Radical, ZERO,
                               imag, normalize_radical, rational, root)
@@ -132,9 +133,10 @@ class TestFieldAxioms:
 
     def test_to_complex_radicand_past_float_range(self):
         # sqrt(d) alone overflows a float, the term c*sqrt(d) = -2**-50 does not;
-        # _make skips canonicalisation, which would factor d
+        # _make skips canonicalisation, which would factor d; it takes each
+        # coefficient as a reduced (numerator, denominator) pair
         d = 2 ** 1100 + 1
-        z = ExactScalar._make({d: Fraction(-1, 2 ** 600)}, {2: Fraction(1, 3)})
+        z = ExactScalar._make({d: (-1, 2 ** 600)}, {2: (1, 3)})
         assert z.to_complex() == complex(-(2.0 ** -50), float(Fraction(1, 3)) * math.sqrt(2))
 
     def test_conj_properties_random(self):
@@ -172,3 +174,46 @@ class TestRendering:
         assert scalar == value and hash(scalar) == hash(value)
         assert value in {scalar} and scalar in {value}
         assert hash(scalar) == hash(Fraction(value))
+
+
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+coeffs = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+parts = st.dictionaries(st.sampled_from((1, 2, 3, 5, 6, 8, 10, 12, 15)), coeffs, max_size=3)
+scalars = st.builds(lambda re, im: ExactScalar(re=re, im=im), parts, parts)
+
+
+class TestRationalInvariants:
+    """A value is stored in one form whatever arithmetic made it, so a result
+    that cancels to a rational is that int or Fraction in every respect."""
+
+    @PROPERTY
+    @given(y=scalars, p=coeffs, d=st.integers(1, 40))
+    def test_values_that_cancel_to_a_rational_act_as_it(self, y, p, d):
+        cases = (((rational(p) + y) - y, p),
+                 (root(d) * root(d) - rational(p), d - p),
+                 (y * ZERO - p, -p),
+                 ((y - rational(p)) - (y + rational(p)), -2 * p))
+        for value, want in cases:
+            for same in {want, Fraction(want)} | ({int(want)} if want.denominator == 1 else set()):
+                assert value == same and same == value
+                assert hash(value) == hash(same)
+                assert value in {same} and same in {value}
+            assert not value.im_terms
+            assert value.re_terms == ((Radical(want, 1),) if want else ())
+
+    @PROPERTY
+    @given(x=scalars, y=scalars)
+    def test_terms_are_reduced_fractions_that_rebuild_the_value(self, x, y):
+        for z in (x + y, x - y, x * y, -x, x.conj()):
+            for terms in (z.re_terms, z.im_terms):
+                radicands = [t.radicand for t in terms]
+                assert radicands == sorted(set(radicands))
+                for coeff, radicand in terms:
+                    assert type(coeff) is Fraction and coeff != 0
+                    assert coeff.denominator > 0
+                    assert math.gcd(coeff.numerator, coeff.denominator) == 1
+                    assert normalize_radical(1, radicand) == Radical(Fraction(1), radicand)
+            rebuilt = ExactScalar(re={d: c for c, d in z.re_terms},
+                                  im={d: c for c, d in z.im_terms})
+            assert rebuilt == z and hash(rebuilt) == hash(z)
+            assert str(rebuilt) == str(z)

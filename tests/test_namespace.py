@@ -122,3 +122,16 @@ def test_library_calls_no_eigen_solver():
             found += [f"{path.name}:{node.lineno} {name}" for name in names
                       if name in EIGEN_SOLVERS]
     assert found == []
+
+
+def test_only_exactnum_reads_the_coefficient_format():
+    # an ExactScalar's parts `_re` and `_im` hold exactnum's own coefficient
+    # format; every other module goes through its methods
+    found = []
+    for path in LIBRARY:
+        if path.name == "exactnum.py":
+            continue
+        found += [f"{path.name}:{node.lineno} {node.attr}"
+                  for node in ast.walk(ast.parse(path.read_text()))
+                  if isinstance(node, ast.Attribute) and node.attr in {"_re", "_im"}]
+    assert found == []
